@@ -16,8 +16,9 @@ from pathlib import Path  # noqa: E402
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-import dgexcess  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+if __name__ == "__main__":
+    import dgexcess
+    from workloads import WORKLOADS
 
-WORKLOADS[sys.argv[1]].build(dgexcess, int(sys.argv[2]))
-print(repr(time.perf_counter() - t0))
+    WORKLOADS[sys.argv[1]].build(dgexcess, int(sys.argv[2]))
+    print(repr(time.perf_counter() - t0))
