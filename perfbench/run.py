@@ -10,7 +10,8 @@ process (no threads, jobs=1).  It builds the inputs from --seed, repeats
 whole passes over them until --seconds have gone by, checks every
 output (checks.py), and prints one line per metric, then as its last
 line one JSON object with the keys correct, attempted, failed and
-metrics.
+metrics.  Gated pass times are scaled to a reference host speed
+measured in the same run (hostspeed.py).
 
 --trace 0 measures the end-to-end metrics with tracing off.  --trace 1
 is a separate run that replays each call stage by stage under spans
@@ -37,6 +38,7 @@ sys.path.insert(0, str(HERE))
 
 import checks  # noqa: E402
 import tracing  # noqa: E402
+from hostspeed import HostSpeed  # noqa: E402
 from workloads import WORKLOADS, ReportWorkload  # noqa: E402
 
 SETUP_PROBES = 9
@@ -119,13 +121,20 @@ def measure_setup(workload: str, seed: int) -> list:
 
 
 class Run:
-    """State of one benchmark run: operations, failures, gate findings."""
+    """State of one benchmark run: operations, failures, gate findings.
+
+    An operation is one call on one input (full_report + emit on one
+    roster digraph, check_digraph on one corpus digraph, the family
+    suite).  Passes repeat every operation to time it again, and must
+    repeat its outcome; attempted and failed count operations, not
+    repeats, so they do not depend on how many passes fit in a run."""
 
     def __init__(self, dg, tr):
         self.dg = dg
         self.tr = tr
-        self.attempted = 0
-        self.failed = 0
+        self.speed = HostSpeed()
+        self.attempted = set()   # labels of operations attempted
+        self.failed = set()      # labels of operations that failed
         self.problems = []       # gate violations; any makes correct false
         self.notes = []          # recorded defects seen, for the log
         self.passes = []         # per-pass {"pass_s", "digraphs", ...}
@@ -136,6 +145,11 @@ class Run:
 
     def span(self, name):
         return self.tr.span(name) if self.tr else contextlib.nullcontext()
+
+    def outcome(self, label, failed: bool) -> None:
+        self.attempted.add(label)
+        if failed:
+            self.failed.add(label)
 
     def layer_totals(self, first_span: int, kind: str) -> dict:
         """Per-layer metrics of the pass whose spans start at first_span."""
@@ -160,7 +174,6 @@ def report_once(run: Run, label: str, G):
     """One operation: full_report then emit_report(..., "json").
     Returns (seconds, report or None, outcome string)."""
     dg = run.dg
-    run.attempted += 1
     report = text = error = None
     t0 = time.perf_counter()
     try:
@@ -171,6 +184,7 @@ def report_once(run: Run, label: str, G):
     except Exception as e:   # every failure is counted and judged below
         error = e
     elapsed = time.perf_counter() - t0
+    run.outcome(label, error is not None)
     if error is None:
         outcome = "json " + checks.sha256(text)
         if run.tr:
@@ -178,7 +192,6 @@ def report_once(run: Run, label: str, G):
                 run.counts.get("reportio.json_bytes", 0) + len(text.encode())
         return elapsed, report, outcome
     outcome = f"error {type(error).__name__}: {error}"
-    run.failed += 1
     if checks.is_known_defect(error):
         run.notes.append(f"{label}: recorded defect: {outcome}")
     else:
@@ -205,6 +218,7 @@ def run_report(run: Run, workload: ReportWorkload, seed: int, seconds: float,
                 break
             if tr:
                 tr.request = label
+            run.speed.tick()
             elapsed, report, outcome = report_once(run, label, G)
             times.append(elapsed)
             run.op_times.setdefault(label, []).append(elapsed)
@@ -268,6 +282,7 @@ def corpus_pass(run: Run, args: dict, deadline: float) -> dict:
     while True:
         if run.passes and not tr and time.perf_counter() >= deadline:
             return None
+        run.speed.tick()
         t0 = time.perf_counter()
         with run.span("generators.enumerate"):
             item = next(walk, None)
@@ -289,22 +304,21 @@ def corpus_pass(run: Run, args: dict, deadline: float) -> dict:
             except Exception as e:   # counted as a failed operation
                 failures = [f"raised {type(e).__name__}: {e}"]
         run.op_times.setdefault(index, []).append(time.perf_counter() - t0)
-        index += 1
         if keep:
-            run.attempted += 1
+            run.outcome(index, bool(failures))
             if failures:
-                run.failed += 1
                 run.problems.append(f"check_digraph: {failures[0].splitlines()[0]}")
+        index += 1
     if tr:
         tr.request = "families"
         run.counts["harness.checked"] = sum(checked.values())
+    run.speed.tick()
     t0 = time.perf_counter()
     with run.span("harness.family_suite"):
         families = harness.family_suite(1e-9)
     run.op_times.setdefault("families", []).append(time.perf_counter() - t0)
-    run.attempted += 1
+    run.outcome("families", bool(families.failures))
     if families.failures:
-        run.failed += 1
         run.problems.append(f"family_suite: {families.failures[0].splitlines()[0]}")
     return checked
 
@@ -337,21 +351,19 @@ def run_verify(run: Run, workload, seed: int, seconds: float) -> None:
             run.layers.append(run.layer_totals(first_span, "verify"))
     if not tr:
         return
-    run.attempted += 1
     t0 = time.perf_counter()
     try:
         results = dg.harness.verify_corpus(**args)
     except Exception as e:   # counted as a failed operation
-        run.failed += 1
+        run.outcome("verify_corpus", True)
         run.problems.append(f"verify_corpus raised {type(e).__name__}: {e}")
         return
     run.verify_call = (time.perf_counter() - t0,
                        sum(r.checked for r in results if r.name.startswith("corpus")))
     problems = checks.verify_mismatches(results, want,
                                         len(dg.harness.standard_families()))
-    if problems:
-        run.failed += 1
-        run.problems += problems
+    run.outcome("verify_corpus", bool(problems))
+    run.problems += problems
 
 
 # -- output -----------------------------------------------------------------
@@ -407,18 +419,23 @@ def run_benchmark(workload, seed: int, seconds: float, trace: bool,
             print(f"verify_digraphs_per_s: {checked / call_s:.6g} 1/s (n=1)")
         print(line("corpus_pass_s", "s", pass_s))
         print(line("corpus_digraphs_per_s", "1/s", rate))
-    # The gated figure: each operation's best time over the passes,
-    # summed.  Interference from other load on the machine only ever adds
-    # time, and comes in stretches of seconds to minutes, so the best of
-    # several passes is steadier than their median.
-    best_pass = sum(min(v) for v in run.op_times.values())
-    best_rate = run.passes[-1]["digraphs"] / best_pass
-    print(f"pass_s: {best_pass:.6g} s (sum of each operation's best time; "
-          f"{sum(map(len, run.op_times.values()))} operations timed)")
-    print(f"digraphs_per_s: {best_rate:.6g} 1/s ({run.passes[-1]['digraphs']} digraphs "
-          "per pass over pass_s)")
-    print(f"error_rate: {run.failed / max(run.attempted, 1):.6g} "
-          f"({run.failed} of {run.attempted} operations failed)")
+    # The gated times: each operation's mean time over the passes, summed,
+    # and scaled to the reference host speed (hostspeed.py).  The host's
+    # speed swings with other tenants' load over seconds to minutes; the
+    # scaling takes that out.  Unscaled figures are printed beside them.
+    factor = run.speed.factor()
+    pass_raw = sum(statistics.fmean(v) for v in run.op_times.values())
+    pass_scaled = pass_raw * factor
+    digraphs = run.passes[-1]["digraphs"]
+    print(f"pass_s: {pass_scaled:.6g} s (sum of each operation's mean time at "
+          f"reference host speed; {sum(map(len, run.op_times.values()))} "
+          f"operations timed; unscaled {pass_raw:.6g} s)")
+    print(f"digraphs_per_s: {digraphs / pass_scaled:.6g} 1/s ({digraphs} digraphs "
+          f"per pass over pass_s; unscaled {digraphs / pass_raw:.6g} 1/s)")
+    print(line("host_kernel_s", "s", run.speed.seconds)
+          + f"; scaling {factor:.6g}")
+    print(f"error_rate: {len(run.failed) / max(len(run.attempted), 1):.6g} "
+          f"({len(run.failed)} of {len(run.attempted)} operations failed)")
     for note in sorted(set(run.notes)):
         print(f"note: {note[:200]}")
     for problem in run.problems:
@@ -439,17 +456,19 @@ def run_benchmark(workload, seed: int, seconds: float, trace: bool,
         run.tr.write(out_dir / f"trace-{workload.name}-seed{seed}.json")
     else:
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        # Set-up is not scaled: the probes are other processes, whose
+        # import time did not follow the kernel (see README.md).
         print(line("setup_s", "s", setup_samples))
         print(f"peak_rss_mb: {rss_mb:.6g} MB (n=1)")
         values = {
             "setup_s": statistics.median(setup_samples),
-            "pass_s": best_pass,
-            "digraphs_per_s": best_rate,
+            "pass_s": pass_scaled,
+            "digraphs_per_s": digraphs / pass_scaled,
             "peak_rss_mb": rss_mb,
         }
         metrics = {k: {"value": v, "unit": END_TO_END[k]} for k, v in values.items()}
-    return {"correct": not run.problems, "attempted": run.attempted,
-            "failed": run.failed, "metrics": metrics}
+    return {"correct": not run.problems, "attempted": len(run.attempted),
+            "failed": len(run.failed), "metrics": metrics}
 
 
 if __name__ == "__main__":
