@@ -60,7 +60,9 @@ class AnalysisContext:
     """Shared scaffolding for the classifiers on one digraph.
 
     Everything cheap and exact is computed eagerly; the Hoffman-weighted
-    pieces and the numeric spectrum are cached on first use.
+    pieces, the numeric spectrum, the odd girth and the direct
+    distance-regularity oracle are cached on first use, so every
+    classifier and check on the context reads one value.
     """
 
     def __init__(self, G: Digraph, tol: float = 1e-9, dps=None, cluster_tol=None):
@@ -80,7 +82,8 @@ class AnalysisContext:
 
     @cached_property
     def hoffman(self):
-        return hoffman_polynomial(self.G, self.powers, self.monomial.minpoly, self.dps)
+        return hoffman_polynomial(self.G, self.powers, self.monomial.minpoly, self.dps,
+                                  squarefree=self.monomial.squarefree)
 
     @cached_property
     def weighted(self):
@@ -89,7 +92,15 @@ class AnalysisContext:
     @cached_property
     def numeric_spectrum(self):
         return spectrum(self.G, self.cluster_tol, minpoly=self.monomial.minpoly,
-                        dps=self.dps)
+                        dps=self.dps, squarefree=self.monomial.squarefree)
+
+    @cached_property
+    def odd_girth(self):
+        return odd_girth(self.G)
+
+    @cached_property
+    def dr_direct(self) -> Verdict:
+        return dr_direct(self.ds)
 
 
 def _ctx(G) -> AnalysisContext:
@@ -313,9 +324,9 @@ def odd_girth_walks(G: Digraph):
 def generalized_odd_graph_check(G) -> Verdict:
     """Distance-regular graph (symmetric adjacency) with odd-girth 2D+1."""
     ctx = _ctx(G)
-    drv = dr_direct(ctx.ds)
+    drv = ctx.dr_direct
     symmetric = bool((ctx.G.adjacency == ctx.G.adjacency.T).all())
-    g_o = odd_girth(ctx.G)
+    g_o = ctx.odd_girth
     required = 2 * ctx.ds.diameter + 1
     decision = drv.decision and symmetric and g_o == required
     cert = {"distance_regular": drv.decision, "symmetric": symmetric,
@@ -342,7 +353,7 @@ def trichotomy(G) -> TrichotomyResult:
     ctx = _ctx(G)
     if not ctx.normal:
         raise ValueError("trichotomy classifies normal digraphs only")
-    g_o = odd_girth(ctx.G)
+    g_o = ctx.odd_girth
     d = ctx.basis.d
     D = ctx.ds.diameter
     bound = min(2 * d - 1, 2 * D + 1)
@@ -414,7 +425,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
 
     ctx = AnalysisContext(G, tol=tol, cluster_tol=cluster_tol)
     alarms = []
-    g, g_o = girth(G, ctx.ds), odd_girth(G)
+    g, g_o = girth(G, ctx.ds), ctx.odd_girth
     regular, degree = regularity_test(G)
     geodetic = geodetic_test(ctx.ds)
     bipartite = bipartite_test(G)
@@ -468,7 +479,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
     }
 
     wdr_v, _table = wdr_direct(ctx.ds)
-    dr_v = dr_direct(ctx.ds)
+    dr_v = ctx.dr_direct
     simple_v = dr_by_simple_set(ctx)
     weighted_v = dr_by_weighted_set(ctx, tol)
     geodetic_v = geodetic_dr_check(ctx)

@@ -3,10 +3,18 @@
 The simple excess compares the mean distance-d layer against the mean
 geodesic count; the spectral excess is the squared norm of the degree-d
 pre-distance polynomial; the weighted excess repeats the simple one on
-layers reweighted by the Hoffman matrix.  The projection sums bound n
-from above by summed squared projections between distance matrices and
-polynomial layers and are tight exactly on the weakly distance-regular
-graphs, which is what turns them into decision procedures.
+layers reweighted by the Hoffman matrix H(A).  The projection sums bound
+n from above by summed squared projections between distance matrices
+and polynomial layers and are tight exactly on the weakly
+distance-regular graphs, which is what turns them into decision
+procedures.
+
+H(A) is never formed.  The Perron value is simple, so H(A) = n u v^T /
+(v^T u) with u and v the right and left Perron vectors, and each
+weighted layer is a sum of vector products over one distance class,
+O(n^2) in all.  Regular digraphs have u = v = 1 and weighted layers
+equal to the plain ones; a rational Perron value keeps them exact, and
+an irrational one puts them on the mpmath track.
 
 All inner products against the normalized polynomials P_k enter only
 squared, so the irrational normalization c_k = sqrt(delta_k/epsilon_k)
@@ -15,6 +23,7 @@ never appears: each term is c_k^2 times a rational, hence exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,8 +31,8 @@ import mpmath
 import numpy as np
 
 from .digraph import DeltaProfile, Digraph, DistanceStructure, delta_profile
-from .linalg import MatrixPowers, trace_inner_product
-from .orthopoly import (HoffmanPolynomial, PredistanceBasis, hoffman_matrix)
+from .linalg import MatrixPowers, perron_vectors, trace_inner_product
+from .orthopoly import HoffmanPolynomial, PredistanceBasis
 
 
 def _powers_for(ds: DistanceStructure, powers) -> MatrixPowers:
@@ -88,32 +97,44 @@ def spectral_excess(basis: PredistanceBasis) -> Fraction:
 class WeightedLayers:
     """Distance layers reweighted entrywise by the Hoffman matrix."""
 
-    matrices: tuple
     delta: tuple          # <A~_k, A~_k>
     delta_prime: tuple    # <A~_k, A^k>
     exact: bool
     dps: int
 
 
+def _weighted_sums(ds: DistanceStructure, u: np.ndarray, v: np.ndarray, div):
+    """delta~_k and <A~_k, A^k> for H(A) = n u v^T / (v^T u), one sum per
+    distance class; A^k agrees with the geodesic counts on layer k."""
+    n = ds.n
+    vu = (v * u).sum()
+    u2, v2 = u * u, v * v
+    delta, prime = [], []
+    for layer in ds.layers:
+        xs, ys = np.nonzero(layer)
+        delta.append(div(n * (u2[xs] * v2[ys]).sum(), vu * vu))
+        prime.append(div((u[xs] * v[ys] * ds.path_counts[xs, ys]).sum(), vu))
+    return tuple(delta), tuple(prime)
+
+
 def weighted_layers(G: Digraph, hp: HoffmanPolynomial, ds: DistanceStructure,
                     powers: MatrixPowers = None) -> WeightedLayers:
-    powers = _powers_for(ds, powers)
-    HA = hoffman_matrix(hp, powers)
+    """Weighted layers from the Perron vectors, without forming H(A).
 
-    def build():
-        mats, delta, prime = [], [], []
-        for k in range(ds.diameter + 1):
-            tilde = HA * ds.layers[k]
-            mats.append(tilde)
-            delta.append(trace_inner_product(tilde, tilde))
-            prime.append(trace_inner_product(tilde, powers[k]))
-        return WeightedLayers(tuple(mats), tuple(delta), tuple(prime),
-                              hp.exact, hp.dps)
-
+    H(A) = n u v^T / (v^T u), so delta~_k = n sum u_x^2 v_y^2 / (v^T u)^2
+    and <A~_k, A^k> = sum u_x v_y N_xy / (v^T u) over dist(x, y) = k, with
+    N the geodesic counts.  Exact (Fractions) when the Perron value is
+    rational, and regular digraphs give the plain layers; otherwise the
+    sums run in mpmath at hp.dps.  powers is accepted for the callers
+    that hold one and is not needed.
+    """
     if hp.exact:
-        return build()
+        u, v = perron_vectors(G.adjacency, hp.lambda0_exact)
+        return WeightedLayers(*_weighted_sums(ds, u, v, Fraction), True, hp.dps)
     with mpmath.workdps(hp.dps):
-        return build()
+        u, v = perron_vectors(G.adjacency, hp.lambda0)
+        return WeightedLayers(*_weighted_sums(ds, u, v, operator.truediv),
+                              False, hp.dps)
 
 
 def weighted_excess(W: WeightedLayers, ds: DistanceStructure, d: int):

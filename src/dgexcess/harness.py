@@ -19,11 +19,11 @@ from multiprocessing import Pool
 
 import mpmath
 
-from .classify import (AnalysisContext, InconsistencyAlarm, dr_direct,
+from .classify import (AnalysisContext, InconsistencyAlarm,
                        generalized_odd_graph_check, odd_girth_spectral,
                        trichotomy, wdr_direct)
 from .digraph import (Digraph, bipartite_test, geodetic_test, girth, is_infinite,
-                      odd_girth, regularity_test)
+                      regularity_test)
 from .excess import (generalized_projection_sum, q_norm_check, simple_excess,
                      spectral_excess, upper_projection_sum, wdr_projection_sum,
                      weighted_excess)
@@ -117,7 +117,7 @@ def check_simple_set(ctx: AnalysisContext) -> list:
     if eps_g > eps_d:
         failures.append(_tag(G, f"simple excess {eps_g} > spectral excess {eps_d}"))
     if ctx.normal:
-        is_dr = dr_direct(ctx.ds).decision
+        is_dr = ctx.dr_direct.decision
         if (eps_g == eps_d) != is_dr:
             failures.append(_tag(G, f"simple excess {eps_g} vs spectral {eps_d}: "
                                     f"equality {eps_g == eps_d}, dr_direct {is_dr}"))
@@ -134,7 +134,7 @@ def check_weighted_set(ctx: AnalysisContext, tol: float = 1e-9) -> list:
     failures = []
     eps_d = spectral_excess(ctx.basis)
     eps_w = weighted_excess(ctx.weighted, ctx.ds, ctx.basis.d)
-    is_dr = dr_direct(ctx.ds).decision
+    is_dr = ctx.dr_direct.decision
     if ctx.weighted.exact:
         if (eps_w == eps_d) != is_dr:
             failures.append(_tag(G, f"weighted excess {eps_w} vs spectral {eps_d}: "
@@ -164,7 +164,7 @@ def check_geodetic_set(ctx: AnalysisContext) -> list:
     if not ctx.normal:
         return []
     value, attained = q_norm_check(ctx.basis, G.n)
-    expected = dr_direct(ctx.ds).decision and geodetic_test(ctx.ds)
+    expected = ctx.dr_direct.decision and geodetic_test(ctx.ds)
     if attained != expected:
         return [_tag(G, f"q-norm {value} attains n={G.n}: {attained}, "
                         f"dr and geodetic: {expected}")]
@@ -176,11 +176,11 @@ def check_excess_product(ctx: AnalysisContext, tol: float = 1e-9) -> list:
     the spectrum: (pi0/n)^2 * delta_D, with pi0 the product of
     (lambda0 - lambda_i) over the other distinct eigenvalues."""
     G = ctx.G
-    if not dr_direct(ctx.ds).decision:
+    if not ctx.dr_direct.decision:
         return []
     eps_g = simple_excess(ctx.profile, ctx.basis.d, ctx.ds.diameter)
     delta_D = ctx.profile.delta[ctx.ds.diameter]
-    s_prime = ctx.monomial.minpoly.squarefree_part().derivative()
+    s_prime = ctx.monomial.squarefree.derivative()
     lam = ctx.hoffman
     if lam.lambda0_exact is not None:
         pi0 = s_prime(lam.lambda0_exact)
@@ -203,13 +203,13 @@ def check_odd_girth_suite(ctx: AnalysisContext) -> list:
     odd girth itself."""
     G = ctx.G
     failures = []
-    g_o = odd_girth(G)
+    g_o = ctx.odd_girth
     D = ctx.ds.diameter
     d = ctx.basis.d
     if not is_infinite(g_o) and g_o > 2 * D + 1:
         failures.append(_tag(G, f"odd girth {g_o} exceeds 2D+1 = {2 * D + 1}"))
     if ctx.normal and not is_infinite(g_o) and g_o >= 2 * d + 1:
-        if not dr_direct(ctx.ds).decision or g_o != 2 * d + 1:
+        if not ctx.dr_direct.decision or g_o != 2 * d + 1:
             failures.append(_tag(G, f"odd girth {g_o} >= 2d+1 = {2 * d + 1} "
                                     f"should force distance-regularity"))
     if ctx.normal:
@@ -372,7 +372,7 @@ def family_suite(tol: float = 1e-9) -> SuiteResult:
     for label, G, expected in standard_families():
         checked += 1
         ctx = AnalysisContext(G, tol=tol)
-        if "dr" in expected and dr_direct(ctx.ds).decision != expected["dr"]:
+        if "dr" in expected and ctx.dr_direct.decision != expected["dr"]:
             failures.append(_tag(G, f"{label}: dr_direct != {expected['dr']}"))
         if "diameter" in expected and ctx.ds.diameter != expected["diameter"]:
             failures.append(_tag(G, f"{label}: diameter {ctx.ds.diameter} "

@@ -14,9 +14,11 @@ before any entry can overflow; nothing here ever wraps silently.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -135,6 +137,11 @@ class MonomialBasis:
     def dhat(self) -> int:
         return len(self.polys) - 1
 
+    @cached_property
+    def squarefree(self) -> Polynomial:
+        """Square-free part of the minimal polynomial, factored once."""
+        return self.minpoly.squarefree_part()
+
 
 def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
     """Gram-Schmidt over 1, x, x^2, ... in exact rational arithmetic."""
@@ -202,19 +209,34 @@ def _poly_mpf(p: Polynomial):
     return Polynomial(coeffs)
 
 
+def _magnitude(p: Polynomial, x):
+    """sum |c_k| |x|^k, the scale of the rounding error when p(x) is
+    evaluated by Horner's rule."""
+    return sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
+
+
 def refine_real_root(s: Polynomial, seed: float, dps: int):
     """Newton-polish a real root of s to dps digits; certify integer roots.
 
     Returns (value_mpf, exact) where exact is a Fraction when the root
     is provably rational (monic integer polynomial, so rational means
-    integer) and None otherwise.
+    integer) and None otherwise.  Evaluating s near the root cancels
+    about log10(cond) digits, cond = sum |c_k x^k| / |x s'(x)|, so the
+    iteration carries that many guard digits on top of ten.  Raises
+    PerronError when the Newton step never falls below the target or
+    the polished value leaves a residual above it.
     """
     ds = s.derivative()
     with mpmath.workdps(dps + 10):
+        x = mpmath.mpf(seed)
+        slope = abs(x * _poly_mpf(ds)(x))
+        cond = _magnitude(_poly_mpf(s), x) / slope if slope else 1
+    guard = 10 + max(0, int(mpmath.ceil(mpmath.log10(cond))))
+    with mpmath.workdps(dps + guard):
         sm = _poly_mpf(s)
         dsm = _poly_mpf(ds)
-        x = mpmath.mpf(seed)
         eps = mpmath.mpf(10) ** (-(dps + 5))
+        converged = False
         for _ in range(200):
             fx = sm(x)
             dfx = dsm(x)
@@ -223,19 +245,26 @@ def refine_real_root(s: Polynomial, seed: float, dps: int):
             step = fx / dfx
             x = x - step
             if abs(step) <= eps * max(1, abs(x)):
+                converged = True
                 break
+        if not converged or abs(sm(x)) > mpmath.mpf(10) ** (-dps) * _magnitude(sm, x):
+            raise PerronError(f"Newton refinement from {seed!r} did not converge "
+                              f"to a root at {dps} digits")
+    with mpmath.workdps(dps + 10):
         c = int(mpmath.nint(x))
         if s(c) == 0 and abs(x - c) < mpmath.mpf(10) ** (-dps):
             return mpmath.mpf(c), Fraction(c)
         return +x, None
 
 
-def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None):
+def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None, *,
+                 squarefree: Polynomial = None):
     """Largest real eigenvalue, refined to working precision and certified
-    exact when rational.  Returns (mpf, Fraction | None)."""
+    exact when rational.  Returns (mpf, Fraction | None).  squarefree is
+    the square-free part of minpoly when the caller already has it."""
     if dps is None:
         dps = working_dps()
-    s = minpoly.squarefree_part()
+    s = minpoly.squarefree_part() if squarefree is None else squarefree
     n = A.shape[0]
     if n == 1:
         return mpmath.mpf(0), Fraction(0)
@@ -248,6 +277,72 @@ def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None):
     w = np.linalg.eigvals(A.astype(np.float64))
     seed = float(max(z.real for z in w if abs(z.imag) < 1e-6 * max(1.0, abs(z))))
     return refine_real_root(s, seed, dps)
+
+
+def _solve_m_matrix(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b for a nonsingular M-matrix held as an object array.
+
+    Every leading principal minor of such a matrix is positive, so
+    Gaussian elimination needs no pivoting and each pivot is checked to
+    be positive.  Works entrywise in whatever scalars M carries
+    (Fractions exactly, mpf at the current precision) and skips the
+    zero entries of sparse rows and columns.
+    """
+    M, b = M.copy(), b.copy()
+    m = len(b)
+    for k in range(m):
+        p = M[k, k]
+        if not p > 0:
+            raise PerronError("Perron system has a non-positive pivot")
+        rows = k + 1 + np.flatnonzero(M[k + 1:, k] != 0)
+        if not len(rows):
+            continue
+        f = M[rows, k] / p
+        cols = k + 1 + np.flatnonzero(M[k, k + 1:] != 0)
+        if len(cols):
+            M[np.ix_(rows, cols)] -= np.outer(f, M[k, cols])
+        b[rows] -= f * b[k]
+    x = np.empty(m, dtype=object)
+    for k in range(m - 1, -1, -1):
+        acc = b[k]
+        for j in k + 1 + np.flatnonzero(M[k, k + 1:] != 0):
+            acc = acc - M[k, j] * x[j]
+        x[k] = acc / M[k, k]
+    return x
+
+
+def perron_vectors(A: np.ndarray, lambda0):
+    """Right and left Perron vectors u, v (A u = lambda0 u, v^T A = lambda0 v^T).
+
+    Any positive rescaling of u or v leaves u v^T / (v^T u) unchanged;
+    both come back as object arrays.  A regular digraph gives the
+    all-ones vectors.  Otherwise each comes from the principal
+    (n-1) x (n-1) system of lambda0 I - A with its last entry set to 1;
+    the system is nonsingular because A is irreducible and nonnegative.
+    It is solved exactly when lambda0 is rational, with the vector then
+    rescaled to Python integers, and in mpmath at the current precision
+    otherwise.
+    """
+    A = np.asarray(A)
+    n = A.shape[0]
+    row, col = A.sum(axis=1), A.sum(axis=0)
+    if np.all(row == row[0]) and np.all(col == row[0]):
+        ones = np.ones(n, dtype=np.int64).astype(object)
+        return ones, ones
+    num = Fraction if isinstance(lambda0, (int, Fraction)) else mpmath.mpf
+    lam = num(lambda0)
+    M = np.array([[lam * (i == j) - int(A[i, j]) for j in range(n - 1)]
+                  for i in range(n - 1)], dtype=object)
+
+    def solve(M, b):
+        x = _solve_m_matrix(M, np.array([num(int(c)) for c in b], dtype=object))
+        x = np.append(x, num(1))
+        if num is not Fraction:
+            return x
+        scale = math.lcm(*(c.denominator for c in x))
+        return np.array([int(c * scale) for c in x], dtype=object)
+
+    return solve(M, A[:-1, -1]), solve(M.T.copy(), A[-1, :-1])
 
 
 @dataclass(frozen=True)
@@ -306,7 +401,8 @@ def _newton_complex(coeffs, dcoeffs, z, iterations=80):
     return z
 
 
-def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spectrum:
+def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None, *,
+             squarefree: Polynomial = None) -> Spectrum:
     """Numeric spectrum reconciled against the exact distinct-root count.
 
     Floating eigenvalues are clustered at cluster_tol (default 1e-8
@@ -314,7 +410,8 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spect
     the square-free part of the minimal polynomial, and coinciding
     clusters merged.  If the survivors do not number exactly
     deg(squarefree) the discrepancy is raised as SpectrumError rather
-    than absorbed.
+    than absorbed.  squarefree is the square-free part of minpoly when
+    the caller already has it.
     """
     A = np.asarray(getattr(G, "adjacency", G))
     if minpoly is None:
@@ -322,7 +419,7 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spect
     n = A.shape[0]
     if dps is None:
         dps = working_dps()
-    s = minpoly.squarefree_part()
+    s = minpoly.squarefree_part() if squarefree is None else squarefree
     n_distinct = s.degree
     tol = cluster_tol
     if tol is None:

@@ -8,8 +8,14 @@ alone.  The two routes agreeing is one of the standing cross-checks.
 
 Also here: the conjugation polynomial (interpolates z -> conj z on the
 spectrum, giving f(A) = A^T exactly when A is normal) and the Hoffman
-polynomial n S(x) / S(lambda0), whose value at A is the all-ones matrix
-precisely on regular digraphs.
+polynomial H = n S(x) / S(lambda0), with (x - lambda0) S(x) the minimal
+polynomial.  The Perron value is simple, so H(A) is the rank-one matrix
+n u v^T / (v^T u) built from the right and left Perron vectors, and the
+all-ones matrix precisely on regular digraphs.  The analysis uses the
+polynomial only for its Perron value and exactness track; the weighted
+layers come from the Perron vectors (excess.weighted_layers), and
+hoffman_matrix, which evaluates the polynomial at A, remains as a
+cross-check of that route.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ def predistance_polynomials(G: Digraph, powers: MatrixPowers = None,
     dhat = monomial_basis.dhat
     if D > dhat:
         raise ArithmeticError(f"diameter {D} exceeds minimal polynomial bound {dhat}")
-    d = monomial_basis.minpoly.squarefree_part().degree - 1
+    d = monomial_basis.squarefree.degree - 1
     c2 = tuple(profile.delta[k] / monomial_basis.norms2[k] for k in range(D + 1)) \
         + (Fraction(1),) * (dhat - D)
     return PredistanceBasis(monomial_basis.polys, monomial_basis.norms2, c2,
@@ -170,7 +176,10 @@ class HoffmanPolynomial:
 
 
 def hoffman_polynomial(G: Digraph, powers: MatrixPowers = None,
-                       minpoly: Polynomial = None, dps=None) -> HoffmanPolynomial:
+                       minpoly: Polynomial = None, dps=None, *,
+                       squarefree: Polynomial = None) -> HoffmanPolynomial:
+    """H and the Perron value it is scaled at; squarefree is the
+    square-free part of minpoly when the caller already has it."""
     if dps is None:
         dps = working_dps()
     if powers is None:
@@ -182,7 +191,8 @@ def hoffman_polynomial(G: Digraph, powers: MatrixPowers = None,
         lam_exact = Fraction(degree)
         lam = mpmath.mpf(degree)
     else:
-        lam, lam_exact = perron_value(G.adjacency, minpoly, dps)
+        lam, lam_exact = perron_value(G.adjacency, minpoly, dps,
+                                      squarefree=squarefree)
     if lam_exact is not None:
         S, S0 = hoffman_ingredients(minpoly, lam_exact)
         if S0 == 0:
@@ -196,7 +206,11 @@ def hoffman_polynomial(G: Digraph, powers: MatrixPowers = None,
 
 
 def hoffman_matrix(hp: HoffmanPolynomial, powers: MatrixPowers) -> np.ndarray:
-    """H(A) as an object array (Fractions when exact, mpf otherwise)."""
+    """H(A) as an object array (Fractions when exact, mpf otherwise).
+
+    The analysis never forms this matrix (see excess.weighted_layers);
+    it stays as an independent cross-check for the tests and demos.
+    """
     if hp.exact:
         return matrix_polynomial(hp.poly, powers)
     with mpmath.workdps(hp.dps):

@@ -9,6 +9,7 @@ block carries its exactness marker, or to a human-readable text table.
 
 from __future__ import annotations
 
+import decimal
 import json
 from fractions import Fraction
 
@@ -139,9 +140,18 @@ def digraph_to_adjmatrix(G: Digraph) -> str:
 
 # -- JSON serialization ------------------------------------------------------
 
+def _int_str(n: int) -> str:
+    """Decimal digits of an integer of any size.
+
+    str(int) refuses integers past the interpreter's digit limit (4300
+    by default); a Decimal converts exactly and prints the same digits.
+    """
+    return str(decimal.Decimal(n))
+
+
 def _rat(x) -> str:
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_int_str(f.numerator)}/{_int_str(f.denominator)}"
 
 
 def _plain(x):
@@ -231,7 +241,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
-        return str(x)
+        return _int_str(x.numerator) if x.denominator == 1 else _rat(x)
     if is_infinite(x):
         return "infinite"
     if isinstance(x, (float, mpmath.mpf)):
@@ -247,10 +257,10 @@ def _poly_text(coeffs) -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = str(mag)
+            body = _fmt(mag)
         else:
             x = "x" if k == 1 else f"x^{k}"
-            body = x if mag == 1 else f"{mag}{x}"
+            body = x if mag == 1 else f"{_fmt(mag)}{x}"
         terms.append((("- " if c < 0 else "+ ") if terms else
                       ("-" if c < 0 else "")) + body)
     return " ".join(terms) if terms else "0"

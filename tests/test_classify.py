@@ -8,12 +8,15 @@ Claims checked:
     distance-regular members
   * trichotomy branch assignments and their precondition
   * full reports stay alarm-free and serialize evidence on both sides
+  * the odd girth and the direct distance-regularity oracle run once
+    per digraph, however many verdicts and checks read them
 """
 
 from fractions import Fraction
 
 import pytest
 
+import dgexcess.classify as classify_module
 from dgexcess import (AnalysisContext, MatrixPowers, build_digraph, complete,
                       directed_cycle, distance_structure, dr_by_simple_set,
                       dr_by_weighted_set, dr_direct, enumerate_digraphs,
@@ -23,6 +26,7 @@ from dgexcess import (AnalysisContext, MatrixPowers, build_digraph, complete,
                       petersen, power_traces, tensor_lift, trichotomy,
                       wdr_by_projection, wdr_direct, weighted_intersection_table,
                       INFINITE)
+from dgexcess.harness import check_digraph
 
 
 NONNORMAL = build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
@@ -186,3 +190,23 @@ def test_full_report_disconnected():
     report = full_report(build_digraph(3, [(0, 1), (1, 2)]))
     assert report.flags == {"strongly_connected": False}
     assert report.metrics is None and report.verdicts is None
+
+
+def test_odd_girth_and_dr_oracle_computed_once(monkeypatch):
+    calls = {"odd_girth": 0, "dr_direct": 0}
+
+    def counted(name):
+        inner = getattr(classify_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classify_module, name, counted(name))
+    for run in (full_report, check_digraph):
+        for G in (petersen(), directed_cycle(5), complete(4)):
+            calls.update(odd_girth=0, dr_direct=0)
+            run(G)
+            assert calls == {"odd_girth": 1, "dr_direct": 1}, (run.__name__, G.n)

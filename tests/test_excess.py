@@ -6,20 +6,27 @@ Claims checked:
   * the scaling substitution between the two normalizations is exact
   * projection sums respect their bounds and detect attainment
   * subset-system validation and the masked-power consistency rule
+  * the weighted layers from the Perron vectors match the layers
+    reweighted by the evaluated Hoffman matrix H(A)
 """
 
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from dgexcess import (AnalysisContext, build_digraph, complete, directed_cycle,
-                      delta_profile, distance_structure, enumerate_digraphs,
-                      generalized_projection_sum, hypercube, masked_power_check,
-                      path, petersen, predistance_polynomials,
-                      projection_tables, q_norm_check, simple_excess,
-                      spectral_excess, upper_projection_sum,
-                      wdr_projection_sum, weighted_excess)
+from dgexcess import (AnalysisContext, build_digraph, complete,
+                      complete_bipartite, directed_cycle, delta_profile,
+                      distance_structure, enumerate_digraphs,
+                      generalized_projection_sum, hoffman_matrix, hypercube,
+                      masked_power_check, path, petersen,
+                      predistance_polynomials, projection_tables, q_norm_check,
+                      regularity_test, simple_excess, spectral_excess,
+                      strong_connectivity, trace_inner_product,
+                      upper_projection_sum, wdr_projection_sum,
+                      weighted_excess, weighted_layers)
+from dgexcess.harness import standard_families
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -184,3 +191,89 @@ def test_masked_power_rule():
     for G in corpus3():
         assert masked_power_check(distance_structure(G))
     assert masked_power_check(distance_structure(petersen()))
+
+
+# -- Weighted layers: Perron vectors against the evaluated H(A) --------------
+
+def hoffman_route(ctx):
+    """delta~_k and <A~_k, A^k> with A~_k = H(A) o A_k, H(A) evaluated as
+    the matrix polynomial; the reference the rank-one route replaces."""
+    hp = ctx.hoffman
+    HA = hoffman_matrix(hp, ctx.powers)
+
+    def build():
+        delta, prime = [], []
+        for k in range(ctx.ds.diameter + 1):
+            tilde = HA * ctx.ds.layers[k]
+            delta.append(trace_inner_product(tilde, tilde))
+            prime.append(trace_inner_product(tilde, ctx.powers[k]))
+        return tuple(delta), tuple(prime)
+
+    if hp.exact:
+        return build()
+    with mpmath.workdps(hp.dps):
+        return build()
+
+
+def random_non_regular(n, arcs, seed):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    while True:
+        G = build_digraph(n, rng.sample(pairs, arcs))
+        if strong_connectivity(G) and not regularity_test(G)[0]:
+            return G
+
+
+def test_weighted_layers_exact_equal_hoffman_route():
+    graphs = corpus3() + [G for _, G, _ in standard_families()]
+    graphs += [complete_bipartite(1, 4), complete_bipartite(2, 8)]
+    for G in graphs:
+        ctx = ctx_for(G)
+        if not ctx.hoffman.exact:
+            continue
+        W = ctx.weighted
+        assert W.exact
+        assert (W.delta, W.delta_prime) == hoffman_route(ctx)
+        assert all(type(x) is Fraction for x in W.delta + W.delta_prime)
+
+
+def test_weighted_layers_integer_perron_non_regular():
+    # symmetric stars with a square number of leaves have an integer
+    # Perron value but non-constant Perron vectors
+    for a, b, lam in ((1, 4, 2), (2, 8, 4)):
+        ctx = ctx_for(complete_bipartite(a, b))
+        assert not regularity_test(ctx.G)[0]
+        assert ctx.hoffman.lambda0_exact == lam
+        W = ctx.weighted
+        assert W.exact
+        assert W.delta != ctx.profile.delta
+
+
+def test_weighted_layers_regular_are_the_plain_layers():
+    for G in (petersen(), hypercube(4), directed_cycle(9), complete(5)):
+        ctx = ctx_for(G)
+        assert ctx.weighted.delta == ctx.profile.delta
+        assert ctx.weighted.delta_prime == ctx.tables.delta_prime
+
+
+@pytest.mark.parametrize("precision", [None, "80"])
+def test_weighted_layers_numeric_match_hoffman_route(monkeypatch, precision):
+    if precision is not None:
+        monkeypatch.setenv("DGEXCESS_PRECISION", precision)
+    graphs = [path(3), path(5), complete_bipartite(1, 3),
+              random_non_regular(9, 20, seed=11)]
+    for G in graphs:
+        ctx = ctx_for(G)
+        W = ctx.weighted
+        assert not W.exact and W.dps == ctx.dps
+        delta, prime = hoffman_route(ctx)
+        with mpmath.workdps(W.dps):
+            for new, old in zip(W.delta + W.delta_prime, delta + prime):
+                assert abs(new - old) < 1e-30
+
+
+def test_weighted_layers_signature_and_fields():
+    ctx = ctx_for(path(4))
+    W = weighted_layers(ctx.G, ctx.hoffman, ctx.ds)
+    assert W == weighted_layers(ctx.G, ctx.hoffman, ctx.ds, ctx.powers)
+    assert not hasattr(W, "matrices")

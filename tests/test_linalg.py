@@ -24,6 +24,7 @@ from dgexcess import (MatrixPowers, PerronError, Polynomial, SpectrumError,
                       perron_value, petersen, power_traces, spectrum,
                       trace_inner_product, working_dps)
 from dgexcess.generators import enumerate_digraphs
+from dgexcess.linalg import refine_real_root
 
 
 # -- Matrix powers and inner products ----------------------------------------
@@ -164,6 +165,28 @@ def test_perron_certification_respects_precision_env(monkeypatch):
     monkeypatch.setenv("DGEXCESS_PRECISION", "x")
     with pytest.raises(ValueError):
         working_dps()
+
+
+def test_refine_real_root_rejects_a_stalled_seed():
+    # f'(0) = 0 for x^2 - 2: Newton cannot move, and 0 is not a root
+    with pytest.raises(PerronError):
+        refine_real_root(Polynomial((-2, 0, 1)), 0.0, 50)
+    with pytest.raises(PerronError):
+        refine_real_root(Polynomial((1, 0, 1)), 0.5, 50)  # no real root
+    x, exact = refine_real_root(Polynomial((-2, 0, 1)), 1.4, 50)
+    assert exact is None
+    with mpmath.workdps(60):
+        assert abs(x - mpmath.sqrt(2)) < mpmath.mpf(10) ** -50
+
+
+def test_refine_real_root_guards_cancellation():
+    # the square-free minimal polynomial of a 40-vertex path cancels
+    # about 11 digits near its largest root 2 cos(pi/41)
+    m, _ = minimal_polynomial(path(40))
+    x, exact = refine_real_root(m.squarefree_part(), 1.9941316023674804, 50)
+    assert exact is None
+    with mpmath.workdps(80):
+        assert abs(x - 2 * mpmath.cos(mpmath.pi / 41)) < mpmath.mpf(10) ** -55
 
 
 def test_singleton_spectrum():

@@ -11,13 +11,15 @@ Claims checked:
     2 error or internal inconsistency)
 """
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from dgexcess import (build_digraph, directed_cycle, full_report, hypercube,
-                      emit_report, parse_text, path, petersen,
-                      digraph_to_adjmatrix, digraph_to_edgelist)
+from dgexcess import (build_digraph, complete_bipartite, directed_cycle,
+                      full_report, hypercube, emit_report, parse_text, path,
+                      petersen, digraph_to_adjmatrix, digraph_to_edgelist)
 from dgexcess.cli import main
 from dgexcess.harness import standard_families
 from dgexcess.reportio import ParseError
@@ -91,6 +93,48 @@ def test_json_byte_stable():
     a = emit_report(full_report(directed_cycle(7)), "json")
     b = emit_report(full_report(directed_cycle(7)), "json")
     assert a == b
+
+
+GOLDEN_JSON_SHA256 = {
+    "petersen": ("73e90864ac80276f07a868f37dafa409"
+                 "ccbed4a4d660ce781a68a8869a3b7506"),
+    "path(3)": ("e1247652f8d2901ee6bd67e12bd63677"
+                "0bbcf5a773a9bcbf898d4278be67f756"),
+    "path(5)": ("d6c861e0d01a0e058bffb92c7981b5be"
+                "034ca8d05f690c45e5be356e9163d934"),
+    "K_1,4": ("1614486cc6959b3d63f96c84903270b4"
+              "d5e0c1f2d03a67a7d25e4a467e0d81a8"),
+    "directed_cycle(7)": ("6396a01814e03b5d7449384c495e8cf8"
+                          "83d5ff06982024306f63669614e83ac9"),
+}
+
+
+def test_json_matches_golden_digests():
+    graphs = {"petersen": petersen(), "path(3)": path(3), "path(5)": path(5),
+              "K_1,4": complete_bipartite(1, 4),
+              "directed_cycle(7)": directed_cycle(7)}
+    for label, G in graphs.items():
+        text = emit_report(full_report(G), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            GOLDEN_JSON_SHA256[label], label
+
+
+def test_emit_beyond_the_integer_digit_limit():
+    big = Fraction(10 ** 5001 + 7, 3)
+    digits = "1" + "0" * 5000 + "7"              # 10**5001 + 7, no str(int)
+    report = full_report(petersen())
+    report.bounds["q_norm"]["value"] = big
+    report.excess["spectral"] = big
+    report.minimal_polynomial = [big] + report.minimal_polynomial[1:]
+    out = json.loads(emit_report(report, "json"))
+    assert out["bounds"]["q_norm"]["value"] == digits + "/3"
+    assert out["excess"]["spectral_excess"] == digits + "/3"
+    assert out["minimal_polynomial"][0] == digits + "/3"
+    text = emit_report(report, "text")
+    assert f"q-norm {digits}/3" in text
+    report.bounds["q_norm"]["value"] = Fraction(-10 ** 5001)
+    text = emit_report(report, "text")
+    assert "q-norm -1" + "0" * 5001 + " " in text
 
 
 def test_json_infinite_and_spectrum_digits():
