@@ -459,15 +459,18 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         "spectral": eps_spectral,
         "exact": True,
     }
+    # A weighted track that fails (no certifiable Perron value, or an
+    # arithmetic fault) is an alarm; the weighted verdict and its
+    # cross-check are then left out of the report.
     try:
-        eps_weighted = weighted_excess(ctx.weighted, ctx.ds, d)
-        report.excess["weighted"] = eps_weighted
-        report.excess["weighted_exact"] = ctx.weighted.exact
-        if not ctx.weighted.exact:
-            report.excess["weighted_dps"] = ctx.weighted.dps
-    except ArithmeticError as e:
+        weighted = ctx.weighted
+        report.excess["weighted"] = weighted_excess(weighted, ctx.ds, d)
+        report.excess["weighted_exact"] = weighted.exact
+        if not weighted.exact:
+            report.excess["weighted_dps"] = weighted.dps
+    except (ArithmeticError, PerronError) as e:
         alarms.append(f"weighted excess: {e}")
-        eps_weighted = None
+        weighted = None
 
     diag = wdr_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables, ctx.profile)
     upper = upper_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables, ctx.profile)
@@ -481,7 +484,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
     wdr_v, _table = wdr_direct(ctx.ds)
     dr_v = ctx.dr_direct
     simple_v = dr_by_simple_set(ctx)
-    weighted_v = dr_by_weighted_set(ctx, tol)
+    weighted_v = None if weighted is None else dr_by_weighted_set(ctx, tol)
     geodetic_v = geodetic_dr_check(ctx)
     projection_v = wdr_by_projection(ctx)
     gog_v = generalized_odd_graph_check(ctx)
@@ -489,10 +492,10 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
     # Headline verdicts are the spectral criteria where they apply; the
     # direct-oracle outcome rides along in each certificate.
     if ctx.normal:
-        headline_dr = Verdict(simple_v.name, simple_v.decision, simple_v.method,
-                              dict(simple_v.certificate,
-                                   direct_decision=dr_v.decision,
-                                   weighted_decision=weighted_v.decision))
+        cert = dict(simple_v.certificate, direct_decision=dr_v.decision)
+        if weighted_v is not None:
+            cert["weighted_decision"] = weighted_v.decision
+        headline_dr = Verdict(simple_v.name, simple_v.decision, simple_v.method, cert)
     else:
         headline_dr = Verdict(dr_v.name, dr_v.decision, dr_v.method,
                               dict(dr_v.certificate, normal=False))
@@ -522,7 +525,8 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         geodetic_v.decision == (dr_v.decision and geodetic and ctx.normal)
     if ctx.normal:
         checks["simple_set_agrees"] = simple_v.decision == dr_v.decision
-        checks["weighted_set_agrees"] = weighted_v.decision == dr_v.decision
+        if weighted_v is not None:
+            checks["weighted_set_agrees"] = weighted_v.decision == dr_v.decision
         checks["diagonalizable"] = ctx.basis.dhat == d
     checks["odd_girth_bound"] = is_infinite(g_o) or g_o <= 2 * D + 1
     if ctx.normal and not is_infinite(g_o) and g_o >= 2 * d + 1:

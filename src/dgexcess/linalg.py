@@ -1,12 +1,13 @@
 """Exact matrix arithmetic and the spectral side of the adjacency algebra.
 
 Two arithmetic tracks coexist.  All quantities derivable from integer
-matrix entries (moments, minimal polynomial, orthogonal basis norms) are
-computed in ``fractions.Fraction`` with Python integers underneath, so
-they are exact at any size.  Quantities that live at an irrational
-Perron value go through mpmath at a working precision controlled by the
-``DGEXCESS_PRECISION`` environment variable (decimal digits, default
-50), read at call time.
+matrix entries are exact at any size: the moments are Python integers,
+and the orthogonal basis, its norms and the minimal polynomial come out
+of fraction-free (Bareiss) elimination on them, which divides only
+exactly and forms ``fractions.Fraction`` values once, for the output.
+Quantities that live at an irrational Perron value go through mpmath at
+a working precision controlled by the ``DGEXCESS_PRECISION``
+environment variable (decimal digits, default 50), read at call time.
 
 Matrix powers escalate from int64 to Python-integer object arrays
 before any entry can overflow; nothing here ever wraps silently.
@@ -124,9 +125,11 @@ def normality_test(A: np.ndarray) -> bool:
 class MonomialBasis:
     """Monic orthogonal polynomials of A under the trace inner product.
 
-    polys[k] has degree k; norms2[k] = <p_k, p_k> > 0.  The first monic
-    residual with norm zero is the minimal polynomial, so dhat = its
-    degree minus one = len(polys) - 1.
+    polys[k] has degree k and Fraction coefficients; norms2[k] =
+    <p_k, p_k> > 0 is a Fraction.  Both are read off the fraction-free
+    elimination of the integer moment matrix (orthogonal_monomial_basis).
+    The first monic residual with norm zero is the minimal polynomial, so
+    dhat = its degree minus one = len(polys) - 1.
     """
 
     polys: tuple
@@ -144,36 +147,51 @@ class MonomialBasis:
 
 
 def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
-    """Gram-Schmidt over 1, x, x^2, ... in exact rational arithmetic."""
+    """Gram-Schmidt over 1, x, x^2, ... by fraction-free elimination.
+
+    Bareiss elimination (Bareiss 1968) runs row by row on the integer
+    moment matrix m_ij = n <A^i, A^j>, augmented with the identity.  Once
+    row k has been reduced by the pivot rows 0..k-1 it holds the leading
+    minor D_k = det(m_ij)_{i,j<=k} as its pivot and D_{k-1} p_k in its
+    augmented part, so <p_k, p_k> = D_k / (n D_{k-1}).  Every division
+    is an exact integer one; Fractions are formed only for the output.
+    Row k needs only m_k0..m_kk: by symmetry, entry j of pivot row i
+    equals the entry row j had in column i when pivot i reduced it.  The
+    first vanishing minor gives the minimal polynomial.
+    """
     n = powers.n
-    moments = {}
-
-    def moment(i, j):
-        key = (i, j) if i <= j else (j, i)
-        if key not in moments:
-            moments[key] = frobenius_sum(powers[key[0]], powers[key[1]])
-        return moments[key]
-
-    polys = []
-    norms2 = []
+    pivots = []   # D_0, D_1, ...
+    augs = []     # D_{k-1} p_k as integer coefficients
+    cols = []     # cols[j][i]: row j's column-i entry when pivot i reduced it
+    polys, norms2 = [], []
     k = 0
     while True:
-        r = [Fraction(0)] * k + [Fraction(1)]
-        for j, pj in enumerate(polys):
-            ip = Fraction(sum(c * moment(i, k) for i, c in enumerate(pj.coeffs) if c), n)
-            if ip:
-                f = ip / norms2[j]
-                for i, c in enumerate(pj.coeffs):
-                    if c:
-                        r[i] -= f * c
-        # r is orthogonal to everything of lower degree, so <r, r> = <r, x^k>
-        nrm = Fraction(sum(c * moment(i, k) for i, c in enumerate(r) if c), n)
-        if nrm == 0:
-            return MonomialBasis(tuple(polys), tuple(norms2), Polynomial(r))
-        if nrm < 0:
+        row = [frobenius_sum(powers[i], powers[k]) for i in range(k + 1)]
+        aug = [0] * (k + 1)
+        col = []
+        prev = 1
+        for i, piv in enumerate(pivots):
+            f = row[i]
+            col.append(f)
+            for j in range(i + 1, k):
+                row[j] = (piv * row[j] - f * cols[j][i]) // prev
+            row[k] = (piv * row[k] - f * f) // prev
+            for j, a in enumerate(augs[i]):
+                aug[j] = (piv * aug[j] - f * a) // prev
+            prev = piv
+        # the leading entry, 1 at the start, was scaled by D_i / D_{i-1}
+        # at each step; prev = D_{k-1}, and aug / prev is the monic p_k
+        aug[k] = prev
+        poly = Polynomial(tuple(Fraction(a, prev) for a in aug))
+        if row[k] == 0:
+            return MonomialBasis(tuple(polys), tuple(norms2), poly)
+        if row[k] < 0:
             raise ArithmeticError("negative norm in Gram-Schmidt, moment table corrupt")
-        polys.append(Polynomial(r))
-        norms2.append(nrm)
+        pivots.append(row[k])
+        augs.append(aug)
+        cols.append(col)
+        polys.append(poly)
+        norms2.append(Fraction(row[k], n * prev))
         k += 1
         if k > n:
             raise ArithmeticError("minimal polynomial degree exceeded matrix size")

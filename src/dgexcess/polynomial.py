@@ -2,7 +2,7 @@
 
 A single class covers both arithmetic tracks.  Exact polynomials carry
 ``fractions.Fraction`` (or int) coefficients and support exact division,
-gcd and square-free decomposition.  Inexact polynomials carry float,
+gcd and the square-free part, the last computed modulo word-size primes.  Inexact polynomials carry float,
 complex or mpmath values; they only need evaluation and ring arithmetic.
 Coefficients are stored densely in ascending order with the leading
 coefficient nonzero (the zero polynomial is the empty tuple).
@@ -10,6 +10,9 @@ coefficient nonzero (the zero polynomial is the empty tuple).
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 
@@ -220,13 +223,151 @@ class Polynomial:
         return a.monic()
 
     def squarefree_part(self) -> "Polynomial":
-        """m / gcd(m, m'); its degree counts the distinct roots of m."""
+        """m / gcd(m, m'), monic; its degree counts the distinct roots of m.
+
+        Computed modularly (von zur Gathen and Gerhard, Modern Computer
+        Algebra, ch. 6).  m is cleared to a primitive integer polynomial
+        f with leading coefficient L, and gcd(f, f') is taken modulo a
+        fixed sequence of primes below 2^62 that skips the divisors of
+        L.  A modular gcd never has lower degree than the rational one,
+        so a constant one proves f square-free.  Otherwise only the
+        primes of least degree are kept: L g_p is combined across them
+        by the Chinese remainder theorem, and the primitive part h of
+        its symmetric lift is accepted once the lift stops changing and
+        h divides both f and f' exactly over the integers.  Such an h
+        divides gcd(f, f') and has at least its degree, so it is the
+        gcd, and f / h is returned.
+        """
         if self.is_zero:
             raise ValueError("zero polynomial")
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.monic()
-        return (self // g).monic()
+        if not self.exact:
+            raise ValueError("square-free part requires exact coefficients")
+        f = _primitive(self.coeffs)
+        df = [k * c for k, c in enumerate(f)][1:]
+        lead = f[-1]
+        best = None       # least modular gcd degree seen so far
+        modulus, lift = 1, None
+        for p in map(_prime, itertools.count()):
+            if lead % p == 0:
+                continue
+            g = _gcd_mod(f, df, p)
+            if len(g) == 1:
+                return self.monic()
+            if best is None or len(g) < best:
+                # every prime kept so far was unlucky: start over
+                best, modulus, lift = len(g), 1, [0] * len(g)
+            elif len(g) > best:
+                continue   # an unlucky prime
+            # CRT step, then the symmetric lift into (-modulus/2, modulus/2]
+            step = pow(modulus, -1, p)
+            new = [c + modulus * ((lead * t - c) * step % p)
+                   for c, t in zip(lift, g)]
+            modulus *= p
+            half = modulus // 2
+            new = [c - modulus if c > half else c for c in new]
+            if new != lift:
+                lift = new
+                continue
+            h = _primitive(lift)
+            q = _exact_quotient(f, h)
+            if q is not None and _exact_quotient(df, h) is not None:
+                return Polynomial(tuple(Fraction(c, q[-1]) for c in q))
 
     def map_coefficients(self, fn) -> "Polynomial":
         return Polynomial(tuple(fn(c) for c in self.coeffs))
+
+
+# -- Modular square-free part --------------------------------------------------
+
+_PRIME_TOP = 2 ** 62
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is
+    deterministic for every q below 3.3 * 10^24."""
+    if q < 2:
+        return False
+    for w in _WITNESSES:
+        if q % w == 0:
+            return q == w
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _prime(i: int) -> int:
+    """The i-th prime below 2^62, counting down from the largest (i = 0);
+    each is found once."""
+    q = (_PRIME_TOP if i == 0 else _prime(i - 1)) - 1
+    while not _is_prime(q):
+        q -= 1
+    return q
+
+
+def _primitive(coeffs) -> list:
+    """The integer polynomial with positive leading coefficient and
+    content 1 that is a rational multiple of coeffs."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints]
+
+
+def _gcd_mod(a, b, p: int) -> list:
+    """Monic gcd of two integer polynomials reduced modulo the prime p,
+    by the Euclidean algorithm; coefficients ascending."""
+
+    def reduce(c):
+        c = [x % p for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = reduce(a), reduce(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a[-1] * inv % p
+            shift = len(a) - 1 - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - f * b[j]) % p
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _exact_quotient(a, b):
+    """a / b when the integer polynomial b divides a in Z[x], else None."""
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c, rem = divmod(r[i], b[-1])
+        if rem:
+            return None
+        q[i - db] = c
+        if c:
+            for j in range(db):
+                r[i - db + j] -= c * b[j]
+    if any(r[:db]):
+        return None
+    return q

@@ -8,6 +8,7 @@ Claims checked:
     distance-regular members
   * trichotomy branch assignments and their precondition
   * full reports stay alarm-free and serialize evidence on both sides
+  * a failed weighted track becomes an alarm, not an exception
   * the odd girth and the direct distance-regularity oracle run once
     per digraph, however many verdicts and checks read them
 """
@@ -27,6 +28,8 @@ from dgexcess import (AnalysisContext, MatrixPowers, build_digraph, complete,
                       wdr_by_projection, wdr_direct, weighted_intersection_table,
                       INFINITE)
 from dgexcess.harness import check_digraph
+from dgexcess.linalg import PerronError
+from dgexcess.reportio import emit_report
 
 
 NONNORMAL = build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
@@ -184,6 +187,21 @@ def test_full_report_verdict_evidence():
     report = full_report(NONNORMAL)
     assert report.verdicts["dr"].method == "direct"
     assert "trichotomy" not in report.verdicts
+
+
+def test_full_report_records_a_failed_weighted_track(monkeypatch):
+    def no_perron(*args, **kwargs):
+        raise PerronError("no certifiable Perron value")
+
+    monkeypatch.setattr(classify_module, "weighted_layers", no_perron)
+    for G in (petersen(), path(3), NONNORMAL):
+        report = full_report(G)
+        assert report.alarms == ["weighted excess: no certifiable Perron value"]
+        assert "weighted" not in report.excess
+        assert "weighted_set_agrees" not in report.crosschecks
+        assert "weighted_decision" not in report.verdicts["dr"].certificate
+        assert emit_report(report, "json") and emit_report(report, "text")
+    assert full_report(petersen()).verdicts["dr"].decision
 
 
 def test_full_report_disconnected():

@@ -10,6 +10,7 @@ Claims checked:
 """
 
 import os
+import random
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +19,8 @@ import pytest
 
 import oracles
 from dgexcess import (MatrixPowers, PerronError, Polynomial, SpectrumError,
-                      build_digraph, complete, directed_cycle, frobenius_sum,
+                      build_digraph, circulant, complete, directed_cycle,
+                      frobenius_sum,
                       hoffman_ingredients, hypercube, minimal_polynomial,
                       normality_test, orthogonal_monomial_basis, path,
                       perron_value, petersen, power_traces, spectrum,
@@ -77,8 +79,20 @@ def test_normality():
 
 # -- Gram-Schmidt against the textbook oracle --------------------------------
 
+def _seeded_digraph(n, arcs, seed):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return build_digraph(n, sorted(rng.sample(pairs, arcs)))
+
+
 def test_monomial_basis_matches_naive_gram_schmidt():
-    graphs = [path(3), petersen(), directed_cycle(5), hypercube(3)]
+    # the last three have dhat close to n: circulant(13, .) has moments
+    # past 2^63 and 13 distinct eigenvalues, and the seeded non-normal
+    # digraph has moments past 2^63 and a minimal polynomial that is
+    # not square-free (dhat = 11, d = 10)
+    wide = [circulant(13, (1, 2, 3, 4, 5, 7)), path(12),
+            _seeded_digraph(12, 72, 235)]
+    graphs = [path(3), petersen(), directed_cycle(5), hypercube(3)] + wide
     for G in enumerate_digraphs(4, "strongly_connected", sample_limit=60,
                                 seed=3):
         graphs.append(G)
@@ -90,6 +104,14 @@ def test_monomial_basis_matches_naive_gram_schmidt():
         assert [tuple(p.coeffs) for p in mb.polys] == \
             [tuple(b) for b in basis]
         assert tuple(mb.minpoly.coeffs) == tuple(minpoly)
+    # the inputs reach what they are there for
+    big = max(frobenius_sum(P, P) for G in (wide[0], wide[2])
+              for P in [MatrixPowers(G.adjacency)[G.n]])
+    assert big > 2 ** 63
+    dhats = [orthogonal_monomial_basis(MatrixPowers(G.adjacency)).dhat
+             for G in wide]
+    assert dhats == [12, 11, 11]
+    assert minimal_polynomial(wide[2])[0].squarefree_part().degree == 11
 
 
 def test_minimal_polynomials_named():

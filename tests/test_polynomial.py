@@ -4,6 +4,8 @@ Claims checked:
   * ring operations agree with hand-expanded products and sums
   * Horner evaluation, synthetic division and divmod are consistent
   * monic gcd and the squarefree part behave on known factorizations
+  * the modular squarefree part equals m / gcd(m, m') from the rational
+    Euclidean gcd, also past an unlucky prime
   * exactness tracking and immutability hold up
 """
 
@@ -11,7 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from dgexcess import Polynomial
+from dgexcess import (MatrixPowers, Polynomial, enumerate_digraphs,
+                      orthogonal_monomial_basis)
+from dgexcess.polynomial import _gcd_mod, _prime
 
 
 def P(*coeffs):
@@ -108,3 +112,91 @@ def test_map_coefficients():
     assert doubled == P(1, 3)
     as_float = p.map_coefficients(float)
     assert not as_float.exact
+
+
+# -- Modular square-free part against the rational Euclidean route -----------
+
+def euclid_squarefree(m):
+    return (m // m.gcd(m.derivative())).monic()
+
+
+def prod(*factors):
+    out = Polynomial.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def test_squarefree_part_planted_repeated_factors():
+    x = P(0, 1)
+    cases = [
+        prod(P(-1, 1), P(-1, 1), P(-1, 1), P(-1, 1), P(-1, 1)),   # (x-1)^5
+        prod(P(1, 0, 1), P(1, 0, 1), P(-2, 1), P(3, 1), P(3, 1), P(3, 1)),
+        prod(P(-10 ** 30, 1), P(-10 ** 30, 1), P(7, 1)),
+        # the repeated factor has coefficients far past one 62-bit prime,
+        # so the Chinese remainder step needs several of them
+        prod(P(-2 ** 200, 3), P(-2 ** 200, 3), P(5, 0, -2 ** 150, 1)),
+        prod(P(-2, 0, 0, 1), P(-2, 0, 0, 1), x, x, P(1, 1, 1)),
+    ]
+    for m in cases:
+        s = m.squarefree_part()
+        assert s == euclid_squarefree(m)
+        assert s.is_monic and s.degree < m.degree
+
+
+def test_squarefree_part_non_monic_rational_inputs():
+    half, third = Fraction(1, 2), Fraction(2, 3)
+    cases = [
+        prod(P(-half, 1), P(-half, 1), P(third, 1)).scale(Fraction(3, 2)),
+        prod(P(Fraction(-5, 7), Fraction(1, 3)), P(Fraction(-5, 7), Fraction(1, 3)),
+             P(1, 0, Fraction(4, 9))).scale(-11),
+        P(Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)),
+        P(-6, 0, 4),                                          # 4x^2 - 6
+    ]
+    for m in cases:
+        assert m.squarefree_part() == euclid_squarefree(m)
+
+
+def test_squarefree_part_constants_and_linears():
+    for m in (P(1), P(-3), P(Fraction(5, 4)), P(0, 1), P(-7, 2),
+              P(Fraction(1, 3), Fraction(-2, 9))):
+        s = m.squarefree_part()
+        assert s == euclid_squarefree(m)
+        assert s.degree == m.degree and s.is_monic
+
+
+def test_squarefree_part_of_the_n4_corpus_minimal_polynomials():
+    minpolys = {orthogonal_monomial_basis(MatrixPowers(G.adjacency)).minpoly
+                for G in enumerate_digraphs(4, "strongly_connected")}
+    repeated = 0
+    for m in minpolys:
+        s = m.squarefree_part()
+        assert s == euclid_squarefree(m)
+        repeated += s.degree < m.degree
+    assert repeated > 0            # some corpus members are not diagonalizable
+
+
+def test_squarefree_part_survives_an_unlucky_prime():
+    p = _prime(0)                  # the first prime the modular route tries
+    # 0 and p coincide modulo p, so there the gcd with the derivative
+    # gains the factor x and its degree is too high
+    square_free = prod(P(0, 1), P(-p, 1))
+    repeated = prod(P(0, 1), P(-p, 1), P(-1, 1), P(-1, 1))
+    for m in (square_free, repeated):
+        f = [int(c) for c in m.coeffs]
+        df = [int(c) for c in m.derivative().coeffs]
+        true_degree = m.gcd(m.derivative()).degree
+        assert len(_gcd_mod(f, df, p)) - 1 == true_degree + 1
+        assert m.squarefree_part() == euclid_squarefree(m)
+    # a leading coefficient divisible by the first prime skips it
+    m = prod(P(-1, p), P(-1, p), P(2, 1))
+    assert m.squarefree_part() == euclid_squarefree(m)
+
+
+def test_squarefree_part_rejects_zero_and_inexact():
+    with pytest.raises(ValueError):
+        Polynomial.zero().squarefree_part()
+    with pytest.raises(ValueError):
+        P(1.0, 2.0, 1.0).squarefree_part()
+    with pytest.raises(ValueError):
+        P(1, 0.5).squarefree_part()
