@@ -60,8 +60,8 @@ class AnalysisContext:
     """Shared scaffolding for the classifiers on one digraph.
 
     Everything cheap and exact is computed eagerly; the Hoffman-weighted
-    pieces, the numeric spectrum, the odd girth and the direct
-    distance-regularity oracle are cached on first use, so every
+    pieces, the numeric spectrum, the odd girth and the direct weak and
+    plain distance-regularity oracles are cached on first use, so every
     classifier and check on the context reads one value.
     """
 
@@ -76,7 +76,8 @@ class AnalysisContext:
         self.profile = delta_profile(self.ds)
         self.powers = MatrixPowers(G.adjacency)
         self.monomial = orthogonal_monomial_basis(self.powers)
-        self.basis = predistance_polynomials(G, self.powers, self.monomial, self.ds)
+        self.basis = predistance_polynomials(G, self.powers, self.monomial, self.ds,
+                                             self.profile)
         self.normal = normality_test(G.adjacency)
         self.tables = projection_tables(self.ds, self.basis, self.powers)
 
@@ -99,6 +100,10 @@ class AnalysisContext:
         return odd_girth(self.G)
 
     @cached_property
+    def wdr_direct(self):
+        return wdr_direct(self.ds)
+
+    @cached_property
     def dr_direct(self) -> Verdict:
         return dr_direct(self.ds)
 
@@ -108,16 +113,6 @@ def _ctx(G) -> AnalysisContext:
 
 
 # -- Grouped constancy machinery ---------------------------------------------
-
-def _distance_classes(dist: np.ndarray):
-    flat = dist.ravel()
-    order = np.argsort(flat, kind="stable")
-    svals = flat[order]
-    cuts = np.flatnonzero(np.diff(svals)) + 1
-    starts = [0] + cuts.tolist() + [flat.size]
-    ks = [int(svals[s]) for s in starts[:-1]]
-    return order, starts, ks
-
 
 def _class_spread(B, classes, wanted=None, tol=None):
     """Per-class (min, max, argmin, argmax) constancy scan of one matrix.
@@ -166,11 +161,10 @@ def wdr_direct(ds: DistanceStructure):
     intersection count on success and the refuting pair on failure.
     """
     D = ds.diameter
-    classes = _distance_classes(ds.dist)
     values = {}
     for i in range(D + 1):
         for j in range(D + 1):
-            got, witness = _class_spread(ds.layers[i] @ ds.layers[j], classes)
+            got, witness = _class_spread(ds.layers[i] @ ds.layers[j], ds.classes)
             if witness is not None:
                 witness.update({"i": i, "j": j})
                 table = IntersectionTable("wdr", values, False, witness)
@@ -190,12 +184,11 @@ def dr_direct(ds: DistanceStructure) -> Verdict:
     if D == 0:
         return Verdict("distance-regular", True, "direct",
                        {"consistent": True, "classes_checked": 0})
-    classes = _distance_classes(ds.dist)
     A_T = ds.layers[1].T.copy()
     checked = 0
     for i in range(D + 1):
         wanted = set(range(max(1, i - 1), D + 1))
-        got, witness = _class_spread(ds.layers[i] @ A_T, classes, wanted)
+        got, witness = _class_spread(ds.layers[i] @ A_T, ds.classes, wanted)
         if witness is not None:
             witness.update({"i": i, "j": 1})
             return Verdict("distance-regular", False, "direct",
@@ -210,7 +203,6 @@ def weighted_intersection_table(ds: DistanceStructure, HA: np.ndarray,
     """Diagonal-weight variant: each vertex w in the intersection counts
     with weight H(A)_ww instead of 1."""
     D = ds.diameter
-    classes = _distance_classes(ds.dist)
     h = np.array([HA[v, v] for v in range(ds.n)], dtype=object)
     exact = all(isinstance(x, (int, Fraction)) for x in h)
     scale = max([1] + [abs(x) for x in h])
@@ -220,7 +212,7 @@ def weighted_intersection_table(ds: DistanceStructure, HA: np.ndarray,
     for i in range(D + 1):
         left = ds.layers[i].astype(object)
         for j in range(D + 1):
-            got, witness = _class_spread(left @ weighted_j[j], classes, tol=cell_tol)
+            got, witness = _class_spread(left @ weighted_j[j], ds.classes, tol=cell_tol)
             if witness is not None:
                 witness.update({"i": i, "j": j})
                 return IntersectionTable("weighted", values, False, witness)
@@ -481,7 +473,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         "q_norm": {"value": q_value, "attained": q_attained},
     }
 
-    wdr_v, _table = wdr_direct(ctx.ds)
+    wdr_v, _table = ctx.wdr_direct
     dr_v = ctx.dr_direct
     simple_v = dr_by_simple_set(ctx)
     weighted_v = None if weighted is None else dr_by_weighted_set(ctx, tol)

@@ -169,6 +169,18 @@ class DistanceStructure:
     layers: tuple             # layers[k][u, v] = 1 iff dist(u, v) == k
     path_counts: np.ndarray   # object array of Python ints, geodesics u -> v
 
+    @cached_property
+    def classes(self) -> tuple:
+        """Vertex pairs grouped by distance: (order, starts, ks), where
+        order[starts[c]:starts[c + 1]] are the flat indices of the pairs
+        at distance ks[c]."""
+        flat = self.dist.ravel()
+        order = np.argsort(flat, kind="stable")
+        svals = flat[order]
+        cuts = np.flatnonzero(np.diff(svals)) + 1
+        starts = [0] + cuts.tolist() + [flat.size]
+        return order, starts, [int(svals[s]) for s in starts[:-1]]
+
 
 def distance_structure(G: Digraph) -> DistanceStructure:
     if not G.is_strongly_connected:

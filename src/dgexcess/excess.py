@@ -18,19 +18,23 @@ an irrational one puts them on the mpmath track.
 
 All inner products against the normalized polynomials P_k enter only
 squared, so the irrational normalization c_k = sqrt(delta_k/epsilon_k)
-never appears: each term is c_k^2 times a rational, hence exact.
+never appears: each term is c_k^2 times a rational, hence exact, and
+each variant's terms are tabulated once per digraph as integers over one
+common denominator, so a projection sum is an integer sum.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 import numpy as np
 
-from .digraph import DeltaProfile, Digraph, DistanceStructure, delta_profile
+from .digraph import DeltaProfile, Digraph, DistanceStructure
 from .linalg import MatrixPowers, perron_vectors, trace_inner_product
 from .orthopoly import HoffmanPolynomial, PredistanceBasis
 
@@ -56,27 +60,42 @@ class ProjectionTables:
 
     inner: tuple
     delta_prime: tuple
+    norms2: tuple    # epsilon_j
+    delta: tuple     # delta_k, bounds the layer-k piece of every sum
+
+    @cached_property
+    def terms_i(self) -> tuple:
+        """<A_j, P_k(A)>^2 / delta_j = delta_k inner[j][k]^2 / (eps_k delta_j)."""
+        d, e = self.delta, self.norms2
+        return _scaled([[d[k] * x ** 2 / (e[k] * d[j]) for j, x in enumerate(col)]
+                        for k, col in enumerate(zip(*self.inner))])
+
+    @cached_property
+    def terms_ii(self) -> tuple:
+        """<A_k, P_j(A)>^2 / delta_j = inner[k][j]^2 / eps_j."""
+        return _scaled([[x ** 2 / e for x, e in zip(row, self.norms2)]
+                        for row in self.inner])
+
+
+def _scaled(rows) -> tuple:
+    """(rows * L as integers, L), L the least common denominator."""
+    L = math.lcm(*(t.denominator for row in rows for t in row))
+    return tuple(tuple(t.numerator * L // t.denominator for t in row) for row in rows), L
 
 
 def projection_tables(ds: DistanceStructure, basis: PredistanceBasis,
                       powers: MatrixPowers = None) -> ProjectionTables:
     powers = _powers_for(ds, powers)
     D = ds.diameter
-    # layer_moment[k][i] = <A_k, A^i>; zero below the diagonal by support
-    layer_moment = [[Fraction(0)] * (D + 1) for _ in range(D + 1)]
-    for k in range(D + 1):
-        for i in range(k, D + 1):
-            layer_moment[k][i] = trace_inner_product(ds.layers[k], powers[i])
-    inner = []
-    for k in range(D + 1):
-        row = []
-        for j in range(D + 1):
-            p = basis.monic[j]
-            row.append(sum((c * layer_moment[k][i]
-                            for i, c in enumerate(p.coeffs) if c and i >= k),
-                           Fraction(0)))
-        inner.append(tuple(row))
-    return ProjectionTables(tuple(inner), tuple(inner[k][k] for k in range(D + 1)))
+    # moments[k][i - k] = <A_k, A^i>; for i < k it vanishes by support
+    moments = [[trace_inner_product(ds.layers[k], powers[i]) for i in range(k, D + 1)]
+               for k in range(D + 1)]
+    inner = tuple(tuple(sum((c * m for c, m in zip(p.coeffs[k:], moments[k]) if c),
+                            Fraction(0)) for p in basis.monic[:D + 1])
+                  for k in range(D + 1))
+    norms2 = basis.norms2[:D + 1]
+    return ProjectionTables(inner, tuple(inner[k][k] for k in range(D + 1)),
+                            norms2, tuple(c * e for c, e in zip(basis.c2, norms2)))
 
 
 # -- The three excess quantities --------------------------------------------
@@ -143,9 +162,7 @@ def weighted_excess(W: WeightedLayers, ds: DistanceStructure, d: int):
         return Fraction(0) if W.exact else mpmath.mpf(0)
     if W.delta[d] == 0:
         raise ArithmeticError("weighted distance-d layer vanished")
-    if W.exact:
-        return W.delta_prime[d] ** 2 / W.delta[d]
-    with mpmath.workdps(W.dps):
+    with mpmath.workdps(W.dps):   # no effect on the exact track's Fractions
         return W.delta_prime[d] ** 2 / W.delta[d]
 
 
@@ -154,76 +171,67 @@ def weighted_excess(W: WeightedLayers, ds: DistanceStructure, d: int):
 @dataclass(frozen=True)
 class ProjectionBound:
     """A sum of squared projections that reaches n exactly on the weakly
-    distance-regular graphs; per_k carries the layer pieces, each
-    bounded by delta_k."""
+    distance-regular graphs.  Its layer pieces, each bounded by delta_k,
+    are integers over one denominator; total and per_k read them as Fractions."""
 
-    total: Fraction
+    per_k_num: tuple
+    denominator: int
     bound: int
-    per_k: tuple
     per_k_bound: tuple
 
     @property
+    def total(self) -> Fraction:
+        return Fraction(sum(self.per_k_num), self.denominator)
+
+    @property
+    def per_k(self) -> tuple:
+        return tuple(Fraction(v, self.denominator) for v in self.per_k_num)
+
+    @property
     def holds(self) -> bool:
-        return self.total <= self.bound
+        return sum(self.per_k_num) <= self.bound * self.denominator
 
     @property
     def attained(self) -> bool:
-        return self.total == self.bound
+        return sum(self.per_k_num) == self.bound * self.denominator
 
     @property
     def per_k_holds(self) -> tuple:
         return tuple(v <= b for v, b in zip(self.per_k, self.per_k_bound))
 
-    @property
-    def per_k_attained(self) -> tuple:
-        return tuple(v == b for v, b in zip(self.per_k, self.per_k_bound))
-
 
 def wdr_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
                        powers: MatrixPowers = None, tables: ProjectionTables = None,
                        profile: DeltaProfile = None) -> ProjectionBound:
-    """sum_k <A_k, P_k(A)>^2 / delta_k, the diagonal projection bound."""
-    if tables is None:
-        tables = projection_tables(ds, basis, powers)
-    if profile is None:
-        profile = delta_profile(ds)
-    per_k = tuple(tables.delta_prime[k] ** 2 / basis.norms2[k]
-                  for k in range(ds.diameter + 1))
-    return ProjectionBound(sum(per_k, Fraction(0)), ds.n, per_k, profile.delta)
+    """sum_k <A_k, P_k(A)>^2 / delta_k: variant ii, S_k = {k}."""
+    return generalized_projection_sum(ds, basis, [[k] for k in range(ds.diameter + 1)],
+                                      "ii", powers, tables, profile)
 
 
 def upper_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
                          powers: MatrixPowers = None, tables: ProjectionTables = None,
                          profile: DeltaProfile = None) -> ProjectionBound:
-    """sum_k sum_{j>=k} <A_k, P_j(A)>^2 / delta_j, the triangular bound."""
-    if tables is None:
-        tables = projection_tables(ds, basis, powers)
-    if profile is None:
-        profile = delta_profile(ds)
+    """sum_k sum_{j>=k} <A_k, P_j(A)>^2 / delta_j: variant ii, S_k = {k..D}."""
     D = ds.diameter
-    per_k = tuple(sum((tables.inner[k][j] ** 2 / basis.norms2[j]
-                       for j in range(k, D + 1)), Fraction(0))
-                  for k in range(D + 1))
-    return ProjectionBound(sum(per_k, Fraction(0)), ds.n, per_k, profile.delta)
+    return generalized_projection_sum(ds, basis, [range(k, D + 1) for k in range(D + 1)],
+                                      "ii", powers, tables, profile)
 
 
 def generalized_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
-                               subsets, variant: str,
-                               powers: MatrixPowers = None,
+                               subsets, variant: str, powers: MatrixPowers = None,
                                tables: ProjectionTables = None,
                                profile: DeltaProfile = None) -> ProjectionBound:
     """Projection sum over a chosen index family S_0, ..., S_D.
 
     variant "i" projects each polynomial layer onto the distance
     matrices indexed by its subset; variant "ii" projects each distance
-    matrix onto polynomial layers and requires k in S_k.
+    matrix onto polynomial layers and requires k in S_k.  Adds integer
+    terms of the variant's table; profile is accepted and not needed.
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     if tables is None:
         tables = projection_tables(ds, basis, powers)
-    if profile is None:
-        profile = delta_profile(ds)
     D = ds.diameter
     subsets = [sorted(set(int(j) for j in S)) for S in subsets]
     if len(subsets) != D + 1:
@@ -235,18 +243,9 @@ def generalized_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
             raise ValueError(f"subset for layer {k} leaves the range 0..{D}")
         if variant == "ii" and k not in S:
             raise ValueError(f"variant ii needs {k} in its own subset")
-    per_k = []
-    for k, S in enumerate(subsets):
-        if variant == "i":
-            # <A_j, P_k(A)>^2/delta_j = delta_k <A_j, monic_k(A)>^2/(eps_k delta_j)
-            total = sum((profile.delta[k] * tables.inner[j][k] ** 2
-                         / (basis.norms2[k] * profile.delta[j]) for j in S),
-                        Fraction(0))
-        else:
-            total = sum((tables.inner[k][j] ** 2 / basis.norms2[j] for j in S),
-                        Fraction(0))
-        per_k.append(total)
-    return ProjectionBound(sum(per_k, Fraction(0)), ds.n, tuple(per_k), profile.delta)
+    terms, L = tables.terms_i if variant == "i" else tables.terms_ii
+    per_k = tuple(sum(terms[k][j] for j in S) for k, S in enumerate(subsets))
+    return ProjectionBound(per_k, L, ds.n, tables.delta)
 
 
 def q_norm_check(basis: PredistanceBasis, n: int):

@@ -21,7 +21,7 @@ import mpmath
 
 from .classify import (AnalysisContext, InconsistencyAlarm,
                        generalized_odd_graph_check, odd_girth_spectral,
-                       trichotomy, wdr_direct)
+                       trichotomy)
 from .digraph import (Digraph, bipartite_test, geodetic_test, girth, is_infinite,
                       regularity_test)
 from .excess import (generalized_projection_sum, q_norm_check, simple_excess,
@@ -69,7 +69,7 @@ def check_projection_sums(ctx: AnalysisContext, systems: int = 20) -> list:
     same for random subset-system sums in both variants."""
     G, n = ctx.G, ctx.G.n
     failures = []
-    is_wdr = wdr_direct(ctx.ds)[0].decision
+    is_wdr = ctx.wdr_direct[0].decision
 
     diag = wdr_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables, ctx.profile)
     upper = upper_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables,

@@ -64,14 +64,17 @@ class PredistanceBasis:
 
 def predistance_polynomials(G: Digraph, powers: MatrixPowers = None,
                             monomial_basis: MonomialBasis = None,
-                            structure=None) -> PredistanceBasis:
+                            structure=None, profile=None) -> PredistanceBasis:
+    """The pre-distance basis of G; powers, the monomial basis, the
+    distance structure and its delta profile are reused when given."""
     if powers is None:
         powers = MatrixPowers(G.adjacency)
     if monomial_basis is None:
         monomial_basis = orthogonal_monomial_basis(powers)
     if structure is None:
         structure = distance_structure(G)
-    profile = delta_profile(structure)
+    if profile is None:
+        profile = delta_profile(structure)
     D = structure.diameter
     dhat = monomial_basis.dhat
     if D > dhat:

@@ -8,21 +8,24 @@ at the stated tolerances (1e-9 for excess equalities, 1e-8 for the
 spectral-route coefficient and conjugation checks).
 """
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from dgexcess import (AnalysisContext, complete, directed_cycle, dr_direct,
-                      enumerate_digraphs, hypercube, path, petersen,
+from dgexcess import (AnalysisContext, build_digraph, circulant, complete,
+                      directed_cycle, dr_direct, enumerate_digraphs,
+                      generalized_projection_sum, hypercube, path, petersen,
                       predistance_polynomials, q_norm_check, simple_excess,
-                      spectral_excess, tensor_lift)
+                      spectral_excess, tensor_lift, upper_projection_sum,
+                      wdr_projection_sum)
 from dgexcess.harness import (check_conjugation, check_excess_product,
                               check_geodetic_set, check_odd_girth_suite,
                               check_projection_sums, check_simple_set,
                               check_weighted_set, family_suite,
-                              standard_families)
+                              random_subset_systems, standard_families)
 
 EXPECTED_COUNTS = {2: 1, 3: 18, 4: 1606}
 
@@ -58,6 +61,70 @@ def test_criterion_1_projection_sums_exhaustive(corpus):
     _conclude(1, "projection sums bounded by n, attained iff weakly "
                  "distance-regular, incl. 20 random subset systems per digraph",
               len(corpus), started, failures)
+
+
+def _fraction_terms(ctx):
+    """Squared projections per variant as plain Fractions, term[k][j]
+    being what layer k adds for j in S_k."""
+    inner, eps, delta = ctx.tables.inner, ctx.basis.norms2, ctx.profile.delta
+    r = range(ctx.ds.diameter + 1)
+    return {"i": [[delta[k] * inner[j][k] ** 2 / (eps[k] * delta[j]) for j in r]
+                  for k in r],
+            "ii": [[inner[k][j] ** 2 / eps[j] for j in r] for k in r]}
+
+
+def _fraction_projection_sum(terms, subsets):
+    """The reference for the integer sums over one common denominator."""
+    per_k = [sum((terms[k][j] for j in S), Fraction(0))
+             for k, S in enumerate(subsets)]
+    return sum(per_k, Fraction(0)), per_k
+
+
+def _seeded_digraph(n, arcs, seed):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return build_digraph(n, sorted(rng.sample(pairs, arcs)))
+
+
+def test_projection_sums_match_fraction_sums(corpus):
+    # path(12) has diameter 11 and the circulant 13 distinct eigenvalues;
+    # the seeded non-normal digraph's term denominators pass 2^40, where
+    # the corpus stays below 2^20
+    extra = [AnalysisContext(G) for G in (
+        path(12), circulant(13, (1, 2, 3, 4, 5, 7)),
+        _seeded_digraph(12, 72, 235), hypercube(3))]
+    attained = below = 0
+    for ctx in corpus + extra:
+        n, D, delta = ctx.G.n, ctx.ds.diameter, ctx.profile.delta
+        rng = random.Random(f"{n}:{ctx.G.arcs}")
+        forced = random_subset_systems(D, 20, rng, force_diagonal=True)
+        cases = [([[k] for k in range(D + 1)], "ii",
+                  wdr_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables,
+                                     ctx.profile)),
+                 ([list(range(k, D + 1)) for k in range(D + 1)], "ii",
+                  upper_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables,
+                                       ctx.profile))]
+        cases += [(S, v, None) for S in forced for v in ("i", "ii")]
+        cases += [(S, "i", None) for S in
+                  random_subset_systems(D, 2, rng, force_diagonal=False)]
+        terms = _fraction_terms(ctx)
+        for subsets, variant, pb in cases:
+            if pb is None:
+                pb = generalized_projection_sum(ctx.ds, ctx.basis, subsets, variant,
+                                                ctx.powers, ctx.tables, ctx.profile)
+            total, per_k = _fraction_projection_sum(terms[variant], subsets)
+            assert type(pb.total) is Fraction and pb.total == total
+            assert list(pb.per_k) == per_k
+            assert (pb.holds, pb.attained) == (total <= n, total == n)
+            assert pb.per_k_holds == tuple(v <= b for v, b in zip(per_k, delta))
+            attained += total == n
+            below += total < n
+    hypercube_diag = wdr_projection_sum(extra[3].ds, extra[3].basis)
+    path_diag = wdr_projection_sum(extra[0].ds, extra[0].basis)
+    assert hypercube_diag.attained and hypercube_diag.total == 8
+    assert path_diag.holds and not path_diag.attained
+    assert attained and below
+    assert extra[2].tables.terms_i[1] > 2 ** 40
 
 
 def test_criterion_2_simple_excess_corpus_and_sampled(corpus):

@@ -11,6 +11,8 @@ Claims checked:
   * a failed weighted track becomes an alarm, not an exception
   * the odd girth and the direct distance-regularity oracle run once
     per digraph, however many verdicts and checks read them
+  * so do the direct weak distance-regularity oracle and the delta
+    profile
 """
 
 from fractions import Fraction
@@ -228,3 +230,30 @@ def test_odd_girth_and_dr_oracle_computed_once(monkeypatch):
             calls.update(odd_girth=0, dr_direct=0)
             run(G)
             assert calls == {"odd_girth": 1, "dr_direct": 1}, (run.__name__, G.n)
+
+
+def test_wdr_oracle_and_delta_profile_computed_once(monkeypatch):
+    import dgexcess.orthopoly as orthopoly_module
+    from dgexcess.harness import check_projection_sums
+    calls = {"wdr_direct": 0, "delta_profile": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(classify_module, "wdr_direct")
+    counted(classify_module, "delta_profile")
+    counted(orthopoly_module, "delta_profile")
+    for run in (full_report, check_digraph):
+        for G in (petersen(), directed_cycle(5), NONNORMAL):
+            calls.update(wdr_direct=0, delta_profile=0)
+            run(G)
+            assert calls == {"wdr_direct": 1, "delta_profile": 1}, (run.__name__, G.n)
+    ctx = AnalysisContext(petersen())
+    calls.update(wdr_direct=0)
+    assert check_projection_sums(ctx) == check_projection_sums(ctx) == []
+    assert calls["wdr_direct"] == 1
