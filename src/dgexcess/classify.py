@@ -282,6 +282,29 @@ def wdr_by_projection(G) -> Verdict:
     return Verdict("weakly-distance-regular", pb.attained, "spectral-exact", cert)
 
 
+def spectral_gaps(ctx: AnalysisContext):
+    """The numeric spectral route against the exact one, on a normal
+    digraph.  Yields the worst coefficient gap between the exact and the
+    spectral pre-distance polynomials, then max |f(A) - A^T| for the
+    conjugation polynomial f.  Raises SpectrumError or PerronError where
+    the numeric spectrum or a numeric construction cannot be built; a
+    gap already yielded stays valid.
+    """
+    spec = ctx.numeric_spectrum
+    sb = spectral_predistance(spec)
+    worst = 0.0
+    for p_exact, p_num in zip(ctx.basis.monic, sb.polys):
+        for i in range(max(p_exact.degree, p_num.degree) + 1):
+            worst = max(worst, abs(float(p_exact.coefficient(i))
+                                   - float(p_num.coefficient(i))))
+    yield worst
+    f = conjugation_polynomial(spec)
+    fA = matrix_polynomial(f, ctx.powers)
+    AT = ctx.G.adjacency.T
+    yield float(max(abs(fA[i, j] - AT[i, j])
+                    for i in range(ctx.G.n) for j in range(ctx.G.n)))
+
+
 # -- Odd girth and the classification around it ------------------------------
 
 def odd_girth_spectral(traces):
@@ -531,19 +554,9 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         geodetic == (ctx.profile.delta == ctx.profile.delta_prime)
     if ctx.normal:
         try:
-            spec = ctx.numeric_spectrum
-            sb = spectral_predistance(spec)
-            worst = 0.0
-            for p_exact, p_num in zip(ctx.basis.monic, sb.polys):
-                for i in range(max(p_exact.degree, p_num.degree) + 1):
-                    worst = max(worst, abs(float(p_exact.coefficient(i))
-                                           - float(p_num.coefficient(i))))
-            checks["spectral_basis_agrees"] = worst < 1e-8
-            f = conjugation_polynomial(spec)
-            fA = matrix_polynomial(f, ctx.powers)
-            dev = float(max(abs(fA[i, j] - G.adjacency.T[i, j])
-                            for i in range(G.n) for j in range(G.n)))
-            checks["conjugation_transposes"] = dev < 1e-8
+            for name, gap in zip(("spectral_basis_agrees", "conjugation_transposes"),
+                                 spectral_gaps(ctx)):
+                checks[name] = gap < 1e-8
         except (SpectrumError, PerronError) as e:
             alarms.append(f"spectral cross-checks: {e}")
     for name, ok in checks.items():

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .digraph import Digraph, build_digraph
+from .linalg import normality_test
+from .polynomial import _is_prime
 
 ENUMERATION_CAP_EXHAUSTIVE = 5
 ENUMERATION_CAP_SAMPLED = 6
@@ -111,17 +113,6 @@ def circulant(n: int, connection) -> Digraph:
     return build_digraph(n, arcs)
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def paley_tournament(q: int) -> Digraph:
     """Paley tournament on Z_q, q prime with q = 3 (mod 4): arc u -> v
     iff v - u is a nonzero quadratic residue.
@@ -208,19 +199,19 @@ def _passes(G: Digraph, filter: str) -> bool:
     if filter == "strongly_connected":
         return G.is_strongly_connected
     if filter == "normal":
-        A = G.adjacency
-        return G.is_strongly_connected and bool((A @ A.T == A.T @ A).all())
+        return G.is_strongly_connected and normality_test(G.adjacency)
     raise ValueError(f"unknown filter {filter!r}")
 
 
 def enumerate_digraphs(n: int, filter: str = "all", sample_limit=None,
                        seed: int = 0):
-    """Yield loopless labeled digraphs on n vertices.
+    """Iterator over loopless labeled digraphs on n vertices.
 
     Exhaustive (all 2^(n(n-1)) arc subsets, increasing code order) up to
     n = 5; beyond that a sample_limit is mandatory and codes are drawn
     uniformly with a fixed-seed generator, duplicates allowed, so runs
-    are reproducible.
+    are reproducible.  An n past the caps raises ValueError at the call,
+    before any digraph is drawn.
     """
     if n < 1:
         raise ValueError("enumeration needs n >= 1")
@@ -237,7 +228,5 @@ def enumerate_digraphs(n: int, filter: str = "all", sample_limit=None,
                              f"n = {ENUMERATION_CAP_SAMPLED}")
         rng = random.Random(seed)
         codes = (rng.randrange(total) for _ in range(sample_limit))
-    for code in codes:
-        G = _digraph_from_code(n, code, pairs)
-        if _passes(G, filter):
-            yield G
+    digraphs = (_digraph_from_code(n, code, pairs) for code in codes)
+    return (G for G in digraphs if _passes(G, filter))

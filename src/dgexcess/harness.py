@@ -1,10 +1,14 @@
 """Batch verification of the theory on enumerated corpora and families.
 
 Each check_* function takes an AnalysisContext and returns failure
-messages (empty list means the digraph passed).  check_digraph bundles
-them; verify_corpus walks the enumeration, optionally fanning digraphs
-out to worker processes, and every failure message embeds the digraph
-as an edge list so a counterexample is immediately reproducible.
+messages (empty list means the digraph passed).  The equality checks
+read the classifier verdicts full_report reads (dr_by_simple_set,
+dr_by_weighted_set, geodetic_dr_check, spectral_gaps) and hold them
+against the direct oracles.  check_digraph bundles the checks;
+verify_corpus runs it over the digraphs generators.enumerate_digraphs
+yields, optionally fanning them out to worker processes, and every
+failure message embeds the digraph as an edge list so a counterexample
+is immediately reproducible.
 
 Random subset systems are seeded from the digraph itself, so results
 do not depend on traversal or worker order.
@@ -12,6 +16,7 @@ do not depend on traversal or worker order.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,19 +24,19 @@ from multiprocessing import Pool
 
 import mpmath
 
-from .classify import (AnalysisContext, InconsistencyAlarm,
-                       generalized_odd_graph_check, odd_girth_spectral,
+from .classify import (AnalysisContext, InconsistencyAlarm, dr_by_simple_set,
+                       dr_by_weighted_set, generalized_odd_graph_check,
+                       geodetic_dr_check, odd_girth_spectral, spectral_gaps,
                        trichotomy)
 from .digraph import (Digraph, bipartite_test, geodetic_test, girth, is_infinite,
                       regularity_test)
-from .excess import (generalized_projection_sum, q_norm_check, simple_excess,
-                     spectral_excess, upper_projection_sum, wdr_projection_sum,
-                     weighted_excess)
+from .excess import (generalized_projection_sum, simple_excess,
+                     upper_projection_sum, wdr_projection_sum)
 from .generators import (circulant, complete, complete_bipartite,
-                         directed_cycle, hypercube, kneser_odd_graph,
-                         paley_tournament, path, petersen, tensor_lift)
-from .linalg import matrix_polynomial, power_traces
-from .orthopoly import conjugation_polynomial, spectral_predistance
+                         directed_cycle, enumerate_digraphs, hypercube,
+                         kneser_odd_graph, paley_tournament, path, petersen,
+                         tensor_lift)
+from .linalg import PerronError, SpectrumError, power_traces
 from .reportio import digraph_to_edgelist
 
 
@@ -108,44 +113,42 @@ def check_projection_sums(ctx: AnalysisContext, systems: int = 20) -> list:
 
 
 def check_simple_set(ctx: AnalysisContext) -> list:
-    """Simple excess never exceeds spectral excess; equality decides
-    distance-regularity exactly on the normal digraphs."""
+    """Simple excess never exceeds spectral excess; on the normal
+    digraphs the equality verdict (dr_by_simple_set) agrees with the
+    direct oracle."""
     G = ctx.G
     failures = []
-    eps_g = simple_excess(ctx.profile, ctx.basis.d, ctx.ds.diameter)
-    eps_d = spectral_excess(ctx.basis)
+    verdict = dr_by_simple_set(ctx)
+    eps_g = verdict.certificate["simple_excess"]
+    eps_d = verdict.certificate["spectral_excess"]
     if eps_g > eps_d:
         failures.append(_tag(G, f"simple excess {eps_g} > spectral excess {eps_d}"))
     if ctx.normal:
         is_dr = ctx.dr_direct.decision
-        if (eps_g == eps_d) != is_dr:
+        if verdict.decision != is_dr:
             failures.append(_tag(G, f"simple excess {eps_g} vs spectral {eps_d}: "
-                                    f"equality {eps_g == eps_d}, dr_direct {is_dr}"))
+                                    f"equality {verdict.decision}, dr_direct {is_dr}"))
     return failures
 
 
 def check_weighted_set(ctx: AnalysisContext, tol: float = 1e-9) -> list:
-    """Weighted excess equals spectral excess exactly on the normal
-    distance-regular digraphs (to tol on the numeric track), and equals
-    the simple excess exactly whenever the digraph is regular."""
+    """On the normal digraphs the weighted equality verdict
+    (dr_by_weighted_set: exact, or to tol on the numeric track) agrees
+    with the direct oracle, and the weighted excess equals the simple
+    excess exactly whenever the digraph is regular."""
     G = ctx.G
     if not ctx.normal:
         return []
     failures = []
-    eps_d = spectral_excess(ctx.basis)
-    eps_w = weighted_excess(ctx.weighted, ctx.ds, ctx.basis.d)
+    verdict = dr_by_weighted_set(ctx, tol)
+    eps_d = verdict.certificate["spectral_excess"]
+    eps_w = verdict.certificate["weighted_excess"]
     is_dr = ctx.dr_direct.decision
-    if ctx.weighted.exact:
-        if (eps_w == eps_d) != is_dr:
-            failures.append(_tag(G, f"weighted excess {eps_w} vs spectral {eps_d}: "
-                                    f"equality {eps_w == eps_d}, dr_direct {is_dr}"))
-    else:
-        with mpmath.workdps(ctx.weighted.dps):
-            gap = abs(mpmath.mpf(eps_d.numerator) / eps_d.denominator - eps_w)
-            close = bool(gap <= tol * max(1, float(eps_d)))
-        if close != is_dr:
-            failures.append(_tag(G, f"weighted excess {eps_w} vs spectral {eps_d}: "
-                                    f"|gap| = {float(gap)}, dr_direct {is_dr}"))
+    if verdict.decision != is_dr:
+        comparison = (f"equality {verdict.decision}" if ctx.weighted.exact else
+                      f"|gap| = {verdict.certificate['difference']}")
+        failures.append(_tag(G, f"weighted excess {eps_w} vs spectral {eps_d}: "
+                                f"{comparison}, dr_direct {is_dr}"))
     if regularity_test(G)[0]:
         eps_g = simple_excess(ctx.profile, ctx.basis.d, ctx.ds.diameter)
         if not ctx.weighted.exact:
@@ -158,16 +161,16 @@ def check_weighted_set(ctx: AnalysisContext, tol: float = 1e-9) -> list:
 
 
 def check_geodetic_set(ctx: AnalysisContext) -> list:
-    """Summed squared norms hit n exactly for the geodetic
-    distance-regular normal digraphs and only for them."""
+    """On the normal digraphs the summed squared norms hit n
+    (geodetic_dr_check) exactly for the geodetic distance-regular ones."""
     G = ctx.G
     if not ctx.normal:
         return []
-    value, attained = q_norm_check(ctx.basis, G.n)
+    verdict = geodetic_dr_check(ctx)
     expected = ctx.dr_direct.decision and geodetic_test(ctx.ds)
-    if attained != expected:
-        return [_tag(G, f"q-norm {value} attains n={G.n}: {attained}, "
-                        f"dr and geodetic: {expected}")]
+    if verdict.decision != expected:
+        return [_tag(G, f"q-norm {verdict.certificate['q_norm']} attains n={G.n}: "
+                        f"{verdict.decision}, dr and geodetic: {expected}")]
     return []
 
 
@@ -226,27 +229,21 @@ def check_odd_girth_suite(ctx: AnalysisContext) -> list:
 def check_conjugation(ctx: AnalysisContext, tol: float = 1e-8) -> list:
     """Numeric spectral route reproduces the exact pre-distance
     coefficients, and the conjugation polynomial maps A to its
-    transpose, on normal digraphs."""
+    transpose, on normal digraphs (the gaps of spectral_gaps).  A
+    numeric spectrum that cannot be built is a failure, reported as
+    full_report's alarm words it."""
     G = ctx.G
     if not ctx.normal:
         return []
     failures = []
-    spec = ctx.numeric_spectrum
-    sb = spectral_predistance(spec)
-    worst = 0.0
-    for p_exact, p_num in zip(ctx.basis.monic, sb.polys):
-        for i in range(max(p_exact.degree, p_num.degree) + 1):
-            worst = max(worst, abs(float(p_exact.coefficient(i))
-                                   - float(p_num.coefficient(i))))
-    if not worst < tol:
-        failures.append(_tag(G, f"spectral pre-distance coefficients off by {worst}"))
-    f = conjugation_polynomial(spec)
-    fA = matrix_polynomial(f, ctx.powers)
-    AT = G.adjacency.T
-    dev = max(abs(float(fA[i, j]) - float(AT[i, j]))
-              for i in range(G.n) for j in range(G.n))
-    if not dev < tol:
-        failures.append(_tag(G, f"f(A) differs from transpose by {dev}"))
+    messages = ("spectral pre-distance coefficients off by {}",
+                "f(A) differs from transpose by {}")
+    try:
+        for message, gap in zip(messages, spectral_gaps(ctx)):
+            if not gap < tol:
+                failures.append(_tag(G, message.format(gap)))
+    except (SpectrumError, PerronError) as e:
+        failures.append(_tag(G, f"spectral cross-checks: {e}"))
     return failures
 
 
@@ -276,51 +273,35 @@ class SuiteResult:
         return not self.failures
 
 
-def _verify_worker(args):
-    n, code, tol, systems = args
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    arcs = tuple(pairs[b] for b in range(len(pairs)) if (code >> b) & 1)
-    G = Digraph(n, arcs)
-    if not G.is_strongly_connected:
-        return 0, []
-    return 1, check_digraph(G, tol, systems)
-
-
-def _codes_for(n: int, sample, seed: int):
-    bits = n * (n - 1)
-    total = 1 << bits
-    if sample is None or sample >= total:
-        return range(total)
-    rng = random.Random(seed + n)
-    return [rng.randrange(total) for _ in range(sample)]
-
-
 def verify_corpus(max_n: int = 4, sample=None, seed: int = 0, jobs: int = 1,
                   tol: float = 1e-9, systems: int = 5):
-    """Run every per-digraph suite over all (or sampled) strongly
-    connected digraphs for each n up to max_n, plus the family suite."""
+    """Run every per-digraph suite over the strongly connected digraphs
+    enumerate_digraphs yields for each n up to max_n (all of them below
+    n = 5, `sample` seeded draws from n = 5 on), plus the family suite.
+    An n past the generator's enumeration caps is a suite failure that
+    names the cap."""
+    check = functools.partial(check_digraph, tol=tol, systems=systems)
     results = []
     for n in range(2, max_n + 1):
-        if n > 5 and sample is None:
-            results.append(SuiteResult(
-                f"corpus n={n}", 0,
-                [f"n={n} needs --sample (exhaustive enumeration capped at 5)"]))
+        limit = sample if n >= 5 else None
+        kind = "exhaustive" if limit is None else f"sampled {limit}"
+        label = f"corpus n={n} ({kind})"
+        try:
+            digraphs = enumerate_digraphs(n, "strongly_connected",
+                                          sample_limit=limit, seed=seed + n)
+        except ValueError as e:
+            results.append(SuiteResult(label, 0, [str(e)]))
             continue
-        codes = _codes_for(n, sample if n >= 5 else None, seed)
-        label = (f"corpus n={n} ({'sampled ' + str(len(codes)) if isinstance(codes, list) else 'exhaustive'})")
-        args = ((n, code, tol, systems) for code in codes)
         checked = 0
         failures = []
         if jobs > 1:
             with Pool(jobs) as pool:
-                for hit, fails in pool.imap_unordered(_verify_worker, args,
-                                                      chunksize=64):
-                    checked += hit
+                for fails in pool.imap_unordered(check, digraphs, chunksize=64):
+                    checked += 1
                     failures += fails
         else:
-            for a in args:
-                hit, fails = _verify_worker(a)
-                checked += hit
+            for fails in map(check, digraphs):
+                checked += 1
                 failures += fails
         results.append(SuiteResult(label, checked, failures))
     results.append(family_suite(tol))

@@ -5,10 +5,17 @@ Claims checked:
     three vertices and the standard families, with no failure, and a
     pool of two worker processes gives the same counts as one process
   * the verify command exits 0 on the same corpus
+  * verify_corpus samples n = 5 and 6 from enumerate_digraphs (same
+    digraphs, same seed), and an n past the sampled enumeration cap is
+    one suite failure that names the cap
+  * check_conjugation reports a numeric spectrum that loses rank as a
+    failure, in full_report's alarm words, instead of raising
 """
 
+from dgexcess import AnalysisContext, enumerate_digraphs, full_report, path
 from dgexcess.cli import main
-from dgexcess.harness import standard_families, verify_corpus
+from dgexcess.generators import ENUMERATION_CAP_SAMPLED
+from dgexcess.harness import check_conjugation, standard_families, verify_corpus
 
 
 def test_verify_corpus_serial_and_pooled_agree():
@@ -22,3 +29,29 @@ def test_verify_corpus_serial_and_pooled_agree():
 def test_verify_command_passes(capsys):
     assert main(["verify", "--max-n", "3"]) == 0
     assert "0 failure(s)" in capsys.readouterr().out
+
+
+def test_verify_corpus_follows_the_enumeration_caps():
+    results = verify_corpus(max_n=7, sample=2, seed=3)
+    suites = {suite.name.split()[1]: suite for suite in results[:-1]}
+    assert results[-1].name == "families" and results[-1].failures == []
+    for n in (5, 6):
+        assert suites[f"n={n}"].name == f"corpus n={n} (sampled 2)"
+        assert suites[f"n={n}"].failures == []
+    assert suites["n=5"].checked == sum(
+        1 for _ in enumerate_digraphs(5, "strongly_connected", sample_limit=2,
+                                      seed=3 + 5))
+    capped = suites["n=7"]
+    assert capped.checked == 0
+    assert len(capped.failures) == 1
+    assert f"capped at n = {ENUMERATION_CAP_SAMPLED}" in capped.failures[0]
+
+
+def test_check_conjugation_reports_lost_rank():
+    G = path(32)
+    failures = check_conjugation(AnalysisContext(G))
+    alarms = full_report(G).alarms
+    assert alarms == ["spectral cross-checks: spectral Gram-Schmidt lost rank "
+                      "at degree 26"]
+    assert len(failures) == 1
+    assert failures[0].splitlines()[0] == alarms[0]
