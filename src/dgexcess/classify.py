@@ -152,6 +152,16 @@ def _class_spread(B, classes, wanted=None, tol=None):
     return out, None
 
 
+def _class_ranges(blocks: np.ndarray, classes):
+    """Per-class minima and maxima of a stack of n x n integer matrices:
+    two arrays of shape (len(blocks), number of classes), the classes in
+    `classes` order."""
+    order, starts, _ = classes
+    flat = blocks.reshape(len(blocks), -1)[:, order]
+    return (np.minimum.reduceat(flat, starts[:-1], axis=1),
+            np.maximum.reduceat(flat, starts[:-1], axis=1))
+
+
 # -- Direct oracles ----------------------------------------------------------
 
 def wdr_direct(ds: DistanceStructure):
@@ -159,19 +169,24 @@ def wdr_direct(ds: DistanceStructure):
 
     Returns (Verdict, IntersectionTable); the table holds every
     intersection count on success and the refuting pair on failure.
+    Each i scans all j in one product; the scalar scan runs only on the
+    first (i, j) that fails, for its witness.
     """
-    D = ds.diameter
+    D, n = ds.diameter, ds.n
+    ks = ds.classes[2]
+    right = np.hstack(ds.layers)
     values = {}
     for i in range(D + 1):
-        for j in range(D + 1):
-            got, witness = _class_spread(ds.layers[i] @ ds.layers[j], ds.classes)
-            if witness is not None:
+        blocks = (ds.layers[i] @ right).reshape(n, D + 1, n).transpose(1, 0, 2)
+        lo, hi = _class_ranges(blocks, ds.classes)
+        for j, (lo_j, hi_j) in enumerate(zip(lo.tolist(), hi.tolist())):
+            if lo_j != hi_j:
+                _, witness = _class_spread(ds.layers[i] @ ds.layers[j], ds.classes)
                 witness.update({"i": i, "j": j})
                 table = IntersectionTable("wdr", values, False, witness)
                 cert = {"consistent": False, "witness": witness}
                 return Verdict("weakly-distance-regular", False, "direct", cert), table
-            for k, v in got.items():
-                values[(k, i, j)] = v
+            values.update(((k, i, j), v) for k, v in zip(ks, lo_j))
     table = IntersectionTable("wdr", values, True)
     cert = {"consistent": True, "classes_checked": len(values)}
     return Verdict("weakly-distance-regular", True, "direct", cert), table
@@ -185,15 +200,19 @@ def dr_direct(ds: DistanceStructure) -> Verdict:
         return Verdict("distance-regular", True, "direct",
                        {"consistent": True, "classes_checked": 0})
     A_T = ds.layers[1].T.copy()
+    ks = np.array(ds.classes[2])
+    lo, hi = _class_ranges((np.vstack(ds.layers) @ A_T).reshape(D + 1, ds.n, ds.n),
+                           ds.classes)
     checked = 0
     for i in range(D + 1):
-        wanted = set(range(max(1, i - 1), D + 1))
-        got, witness = _class_spread(ds.layers[i] @ A_T, ds.classes, wanted)
-        if witness is not None:
+        wanted = ks >= max(1, i - 1)
+        if (lo[i] != hi[i])[wanted].any():
+            _, witness = _class_spread(ds.layers[i] @ A_T, ds.classes,
+                                       set(ks[wanted].tolist()))
             witness.update({"i": i, "j": 1})
             return Verdict("distance-regular", False, "direct",
                            {"consistent": False, "witness": witness})
-        checked += len(got)
+        checked += int(wanted.sum())
     return Verdict("distance-regular", True, "direct",
                    {"consistent": True, "classes_checked": checked})
 

@@ -16,8 +16,8 @@ from .classify import (InconsistencyAlarm, dr_direct, full_report,
                        trichotomy, wdr_direct)
 from .digraph import (Digraph, GraphError, NotStronglyConnectedError,
                       bipartite_test, distance_structure, regularity_test)
-from .generators import FamilySpec, generate
-from .harness import verify_corpus
+from .generators import FamilySpec, enumerate_digraphs, generate
+from .harness import corpus_sample_limit, verify_corpus
 from .linalg import normality_test
 from .reportio import ParseError, digraph_to_edgelist, emit_report, parse_input
 
@@ -89,6 +89,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # an n past the enumeration caps raises here, before the first suite runs
+    for n in range(2, args.max_n + 1):
+        enumerate_digraphs(n, "strongly_connected",
+                           sample_limit=corpus_sample_limit(n, args.sample))
     results = verify_corpus(max_n=args.max_n, sample=args.sample,
                             seed=args.seed, jobs=args.jobs)
     exit_code = 0

@@ -67,20 +67,25 @@ class ProjectionTables:
     def terms_i(self) -> tuple:
         """<A_j, P_k(A)>^2 / delta_j = delta_k inner[j][k]^2 / (eps_k delta_j)."""
         d, e = self.delta, self.norms2
-        return _scaled([[d[k] * x ** 2 / (e[k] * d[j]) for j, x in enumerate(col)]
+        return _scaled([[(d[k].numerator * e[k].denominator * x.numerator ** 2 * d[j].denominator,
+                          d[k].denominator * e[k].numerator * x.denominator ** 2 * d[j].numerator)
+                         for j, x in enumerate(col)]
                         for k, col in enumerate(zip(*self.inner))])
 
     @cached_property
     def terms_ii(self) -> tuple:
         """<A_k, P_j(A)>^2 / delta_j = inner[k][j]^2 / eps_j."""
-        return _scaled([[x ** 2 / e for x, e in zip(row, self.norms2)]
+        return _scaled([[(x.numerator ** 2 * e.denominator, x.denominator ** 2 * e.numerator)
+                         for x, e in zip(row, self.norms2)]
                         for row in self.inner])
 
 
 def _scaled(rows) -> tuple:
-    """(rows * L as integers, L), L the least common denominator."""
-    L = math.lcm(*(t.denominator for row in rows for t in row))
-    return tuple(tuple(t.numerator * L // t.denominator for t in row) for row in rows), L
+    """(rows * L as integers, L) for rows of fractions held as (numerator,
+    positive denominator) pairs, L the least common reduced denominator."""
+    rows = [[(a // g, b // g) for a, b in row for g in (math.gcd(a, b),)] for row in rows]
+    L = math.lcm(*(b for row in rows for _, b in row))
+    return tuple(tuple(a * (L // b) for a, b in row) for row in rows), L
 
 
 def projection_tables(ds: DistanceStructure, basis: PredistanceBasis,

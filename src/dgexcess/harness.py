@@ -273,6 +273,12 @@ class SuiteResult:
         return not self.failures
 
 
+def corpus_sample_limit(n: int, sample):
+    """The sample limit verify_corpus enumerates n with: None (every
+    digraph) below n = 5, `sample` from n = 5 on."""
+    return sample if n >= 5 else None
+
+
 def verify_corpus(max_n: int = 4, sample=None, seed: int = 0, jobs: int = 1,
                   tol: float = 1e-9, systems: int = 5):
     """Run every per-digraph suite over the strongly connected digraphs
@@ -283,7 +289,7 @@ def verify_corpus(max_n: int = 4, sample=None, seed: int = 0, jobs: int = 1,
     check = functools.partial(check_digraph, tol=tol, systems=systems)
     results = []
     for n in range(2, max_n + 1):
-        limit = sample if n >= 5 else None
+        limit = corpus_sample_limit(n, sample)
         kind = "exhaustive" if limit is None else f"sampled {limit}"
         label = f"corpus n={n} ({kind})"
         try:

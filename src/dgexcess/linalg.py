@@ -2,6 +2,8 @@
 
 Two arithmetic tracks coexist.  All quantities derivable from integer
 matrix entries are exact at any size: the moments are Python integers,
+recovered by the Chinese remainder theorem from float64 products
+modulo word-size primes, each small enough that float64 stays exact,
 and the orthogonal basis, its norms and the minimal polynomial come out
 of fraction-free (Bareiss) elimination on them, which divides only
 exactly and forms ``fractions.Fraction`` values once, for the output.
@@ -9,12 +11,14 @@ Quantities that live at an irrational Perron value go through mpmath at
 a working precision controlled by the ``DGEXCESS_PRECISION``
 environment variable (decimal digits, default 50), read at call time.
 
-Matrix powers escalate from int64 to Python-integer object arrays
-before any entry can overflow; nothing here ever wraps silently.
+Matrix powers, which the projection tables and the matrix polynomials
+read, escalate from int64 to Python-integer object arrays before any
+entry can overflow; nothing here ever wraps silently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -24,9 +28,10 @@ from functools import cached_property
 import mpmath
 import numpy as np
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _prime
 
 _INT64_SAFE = 2 ** 62
+_FLOAT_EXACT = 2 ** 53   # float64 holds every integer of smaller magnitude
 
 
 class SpectrumError(RuntimeError):
@@ -146,11 +151,58 @@ class MonomialBasis:
         return self.minpoly.squarefree_part()
 
 
+def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
+    """Rows start..K-1 of the moment matrix m_ij = n <A^i, A^j>, the sum
+    of the entrywise product of A^i and A^j, for j < K, as exact Python
+    integers.
+
+    Modulo each prime p the powers A^0..A^{K-1} come from float64
+    matrix products, and the rows from one product of the stacked,
+    flattened powers with their transpose.  The residues lie in [0, p)
+    and p is small enough that every partial sum stays below 2^53, so
+    float64 computes these integers exactly.  Every entry of A^i is at
+    most r^i and every row of A^j sums to at most r^j in absolute value,
+    r the largest absolute row sum of A, so |m_ij| <= n r^(2K-2); primes
+    are added until their product exceeds twice that bound, and the
+    Chinese remainder theorem with a symmetric lift gives the integers.
+    """
+    n = A.shape[0]
+    r = max(int(np.abs(A).sum(axis=1).max()), 1)
+    bound = n * r ** (2 * (K - 1))
+    bits = (53 - (n * n).bit_length()) // 2
+    modulus, lift = 1, None
+    for i in itertools.count():
+        if modulus > 2 * bound:
+            break
+        p = _prime(i, bits)
+        Ap = (A % p).astype(np.float64)
+        assert n * (p - 1) * int(Ap.max(initial=0)) < _FLOAT_EXACT
+        assert n * n * (p - 1) ** 2 < _FLOAT_EXACT
+        V = np.empty((K, n * n))
+        V[0] = np.eye(n).ravel()
+        for k in range(1, K):
+            V[k] = (V[k - 1].reshape(n, n) @ Ap).astype(np.int64).ravel() % p
+        residues = (V[start:] @ V.T).astype(np.int64) % p
+        if lift is None:
+            lift = residues.astype(object)
+        else:
+            # p < 2^26, so every int64 product here stays below 2^52
+            step = (residues - (lift % p).astype(np.int64)) % p
+            lift = lift + modulus * (step * pow(modulus, -1, p) % p).astype(object)
+        modulus *= p
+    lift[lift > modulus // 2] -= modulus
+    return lift.tolist()
+
+
 def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
     """Gram-Schmidt over 1, x, x^2, ... by fraction-free elimination.
 
     Bareiss elimination (Bareiss 1968) runs row by row on the integer
-    moment matrix m_ij = n <A^i, A^j>, augmented with the identity.  Once
+    moment matrix m_ij = n <A^i, A^j>, augmented with the identity.  The
+    moment rows come from word-size primes by the Chinese remainder
+    theorem (_moment_rows), rows 0..7 first and then in doubling
+    blocks up to row n, until a leading minor vanishes; only powers.A
+    is read, so no power of A is formed as a matrix of big integers.  Once
     row k has been reduced by the pivot rows 0..k-1 it holds the leading
     minor D_k = det(m_ij)_{i,j<=k} as its pivot and D_{k-1} p_k in its
     augmented part, so <p_k, p_k> = D_k / (n D_{k-1}).  Every division
@@ -160,13 +212,16 @@ def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
     first vanishing minor gives the minimal polynomial.
     """
     n = powers.n
+    table = []    # rows of m_ij, extended until a leading minor vanishes
     pivots = []   # D_0, D_1, ...
     augs = []     # D_{k-1} p_k as integer coefficients
     cols = []     # cols[j][i]: row j's column-i entry when pivot i reduced it
     polys, norms2 = [], []
     k = 0
     while True:
-        row = [frobenius_sum(powers[i], powers[k]) for i in range(k + 1)]
+        if k == len(table):
+            table += _moment_rows(powers.A, k, min(max(2 * k, 8), n + 1))
+        row = table[k][:k + 1]
         aug = [0] * (k + 1)
         col = []
         prev = 1

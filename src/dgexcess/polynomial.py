@@ -279,7 +279,6 @@ class Polynomial:
 
 # -- Modular square-free part --------------------------------------------------
 
-_PRIME_TOP = 2 ** 62
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -308,10 +307,10 @@ def _is_prime(q: int) -> bool:
 
 
 @functools.cache
-def _prime(i: int) -> int:
-    """The i-th prime below 2^62, counting down from the largest (i = 0);
-    each is found once."""
-    q = (_PRIME_TOP if i == 0 else _prime(i - 1)) - 1
+def _prime(i: int, bits: int = 62) -> int:
+    """The i-th prime below 2^bits, counting down from the largest
+    (i = 0); each is found once."""
+    q = (1 << bits if i == 0 else _prime(i - 1, bits)) - 1
     while not _is_prime(q):
         q -= 1
     return q

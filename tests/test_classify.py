@@ -2,6 +2,8 @@
 
 Claims checked:
   * direct oracles decide the named graphs and carry witnesses
+  * the batched class scans of the direct oracles give the verdicts,
+    certificates, witnesses and tables of a plain per-class loop
   * distance-regular iff normal and weakly distance-regular, on corpus
   * spectral criteria agree with the direct oracles everywhere tested
   * weighted intersection tables are constant exactly for the weakly
@@ -15,8 +17,10 @@ Claims checked:
     profile
 """
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import dgexcess.classify as classify_module
@@ -53,6 +57,74 @@ def test_direct_oracles_named():
     assert not v.decision
     witness = v.certificate["witness"]
     assert witness is not None and len(witness["pairs"]) == 2
+
+
+def _plain_scan(B, dist, wanted):
+    """Per-class values of B, or the witness of the first class (in
+    increasing distance) whose entries differ: its first smallest and
+    first largest pair in row-major order."""
+    n = len(dist)
+    got = {}
+    for k in sorted(set(dist.ravel().tolist()) & wanted):
+        pairs = [(u, v) for u in range(n) for v in range(n) if dist[u, v] == k]
+        vals = [int(B[u, v]) for u, v in pairs]
+        lo, hi = min(vals), max(vals)
+        if lo != hi:
+            return got, {"class_distance": k,
+                         "pairs": [list(pairs[vals.index(lo)]), list(pairs[vals.index(hi)])],
+                         "values": [lo, hi]}
+        got[k] = lo
+    return got, None
+
+
+def _plain_wdr(dist):
+    D = int(dist.max())
+    layers = [(dist == k).astype(np.int64) for k in range(D + 1)]
+    values = []
+    for i in range(D + 1):
+        for j in range(D + 1):
+            got, witness = _plain_scan(layers[i] @ layers[j], dist, set(range(D + 1)))
+            if witness is not None:
+                witness.update({"i": i, "j": j})
+                return {"consistent": False, "witness": witness}, values
+            values += [((k, i, j), v) for k, v in got.items()]
+    return {"consistent": True, "classes_checked": len(values)}, values
+
+
+def _plain_dr(dist):
+    D = int(dist.max())
+    layers = [(dist == k).astype(np.int64) for k in range(D + 1)]
+    checked = 0
+    for i in range(D + 1):
+        got, witness = _plain_scan(layers[i] @ layers[1].T, dist,
+                                   set(range(max(1, i - 1), D + 1)))
+        if witness is not None:
+            witness.update({"i": i, "j": 1})
+            return {"consistent": False, "witness": witness}
+        checked += len(got)
+    return {"consistent": True, "classes_checked": checked}
+
+
+def test_direct_oracles_match_a_plain_class_loop():
+    rng = random.Random(235)
+    pairs = [(u, v) for u in range(12) for v in range(12) if u != v]
+    graphs = [G for n in (2, 3, 4) for G in enumerate_digraphs(n, "strongly_connected")]
+    graphs += [path(12), build_digraph(12, sorted(rng.sample(pairs, 72)))]
+    outcomes = set()
+    for G in graphs:
+        ds = distance_structure(G)
+        verdict, table = wdr_direct(ds)
+        cert, values = _plain_wdr(ds.dist)
+        assert verdict.certificate == cert and verdict.decision == cert["consistent"]
+        assert list(table.values.items()) == values
+        assert table.consistent == cert["consistent"]
+        assert table.witness == cert.get("witness")
+        if ds.n > 1:
+            dr_cert = _plain_dr(ds.dist)
+            assert dr_direct(ds).certificate == dr_cert
+            outcomes.add((cert["consistent"], dr_cert["consistent"]))
+    # both verdicts, and so the witness paths, were exercised
+    assert {(True, True), (False, False)} <= outcomes
 
 
 def test_wdr_table_contents():

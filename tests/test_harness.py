@@ -8,9 +8,13 @@ Claims checked:
   * verify_corpus samples n = 5 and 6 from enumerate_digraphs (same
     digraphs, same seed), and an n past the sampled enumeration cap is
     one suite failure that names the cap
+  * the verify command stops at once, with exit status 2, when an n
+    up to --max-n is past an enumeration cap
   * check_conjugation reports a numeric spectrum that loses rank as a
     failure, in full_report's alarm words, instead of raising
 """
+
+import time
 
 from dgexcess import AnalysisContext, enumerate_digraphs, full_report, path
 from dgexcess.cli import main
@@ -29,6 +33,14 @@ def test_verify_corpus_serial_and_pooled_agree():
 def test_verify_command_passes(capsys):
     assert main(["verify", "--max-n", "3"]) == 0
     assert "0 failure(s)" in capsys.readouterr().out
+
+
+def test_verify_command_fails_fast_past_the_caps(capsys):
+    # without --sample, n = 5 alone would enumerate 2^20 digraphs first
+    start = time.perf_counter()
+    assert main(["verify", "--max-n", "6"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "exhaustive enumeration capped at n = 5" in capsys.readouterr().err
 
 
 def test_verify_corpus_follows_the_enumeration_caps():

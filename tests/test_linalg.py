@@ -4,11 +4,14 @@ Claims checked:
   * MatrixPowers escalates past int64 without losing exactness
   * trace inner products and Frobenius sums agree with schoolbook math
   * the monomial Gram-Schmidt reproduces a textbook re-derivation
+  * the moment table from word-size primes equals the schoolbook
+    Frobenius sums, and the basis built on it forms no big-integer power
   * minimal polynomials of the named graphs come out exactly
   * eigenvalue clustering, multiplicities and Perron certification
   * Hoffman ingredients divide exactly and reject non-roots
 """
 
+import hashlib
 import os
 import random
 from fractions import Fraction
@@ -22,11 +25,12 @@ from dgexcess import (MatrixPowers, PerronError, Polynomial, SpectrumError,
                       build_digraph, circulant, complete, directed_cycle,
                       frobenius_sum,
                       hoffman_ingredients, hypercube, minimal_polynomial,
-                      normality_test, orthogonal_monomial_basis, path,
-                      perron_value, petersen, power_traces, spectrum,
-                      trace_inner_product, working_dps)
+                      normality_test, orthogonal_monomial_basis,
+                      paley_tournament, path, perron_value, petersen,
+                      power_traces, spectrum, trace_inner_product,
+                      working_dps)
 from dgexcess.generators import enumerate_digraphs
-from dgexcess.linalg import refine_real_root
+from dgexcess.linalg import _moment_rows, refine_real_root
 
 
 # -- Matrix powers and inner products ----------------------------------------
@@ -112,6 +116,51 @@ def test_monomial_basis_matches_naive_gram_schmidt():
              for G in wide]
     assert dhats == [12, 11, 11]
     assert minimal_polynomial(wide[2])[0].squarefree_part().degree == 11
+
+
+def test_moment_rows_match_schoolbook_sums():
+    # the first three have moments of at least 2^26.5 / n, past every
+    # prime n^2 (p - 1)^2 < 2^53 allows, so the table needs two or more
+    # primes; the last two have dhat far below n, so the elimination
+    # stops before the table reaches n + 1 rows
+    many_primes = [circulant(13, (1, 2, 3, 4, 5, 7)),
+                   _seeded_digraph(12, 72, 235), complete(8)]
+    short = [paley_tournament(19), hypercube(5)]
+    for G in many_primes + short:
+        n = G.n
+        mp = MatrixPowers(G.adjacency)
+        table = _moment_rows(mp.A, 0, n + 1)
+        assert table == [[frobenius_sum(mp[i], mp[j]) for j in range(n + 1)]
+                         for i in range(n + 1)]
+        assert all(type(m) is int for row in table for m in row)
+        assert _moment_rows(mp.A, 3, n + 1) == table[3:]
+        if G in many_primes:
+            assert n * n * max(map(max, table)) ** 2 >= 2 ** 53
+        mb = orthogonal_monomial_basis(MatrixPowers(G.adjacency))
+        basis, norms, minpoly = oracles.naive_gram_schmidt(
+            [[int(x) for x in row] for row in G.adjacency])
+        assert list(mb.norms2) == norms
+        assert [tuple(p.coeffs) for p in mb.polys] == [tuple(b) for b in basis]
+        assert tuple(mb.minpoly.coeffs) == tuple(minpoly)
+    assert [orthogonal_monomial_basis(MatrixPowers(G.adjacency)).dhat
+            for G in short] == [2, 5]
+
+
+def _digest(fractions):
+    text = ",".join(f"{x.numerator}/{x.denominator}" for x in fractions)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_monomial_basis_forms_no_object_powers():
+    mp = MatrixPowers(circulant(47, (1, 10, 23)).adjacency)
+    mb = orthogonal_monomial_basis(mp)
+    assert mb.dhat == 46
+    assert all(P.dtype != object for P in mp._pow)
+    # norms2 and minpoly as the frobenius_sum moments gave them
+    assert _digest(mb.norms2) == \
+        "b58ca4e2ab4a48a21c72903e4f465d739759d0688b5dd2b6b375a161008f0de0"
+    assert _digest(mb.minpoly.coeffs) == \
+        "6fd83e414a4180e4a68faf4293b43a693ce5537ce20bbda5c2cfeb48c9f7db62"
 
 
 def test_minimal_polynomials_named():
