@@ -319,9 +319,10 @@ def spectral_gaps(ctx: AnalysisContext):
     yield worst
     f = conjugation_polynomial(spec)
     fA = matrix_polynomial(f, ctx.powers)
-    AT = ctx.G.adjacency.T
-    yield float(max(abs(fA[i, j] - AT[i, j])
-                    for i in range(ctx.G.n) for j in range(ctx.G.n)))
+    # one array scan, so a NaN anywhere propagates and fails the gate;
+    # hypot is the modulus the scalar complex abs takes
+    gap = fA.astype(complex) - ctx.G.adjacency.T
+    yield float(np.hypot(gap.real, gap.imag).max())
 
 
 # -- Odd girth and the classification around it ------------------------------

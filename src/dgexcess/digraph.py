@@ -4,10 +4,16 @@ Vertices are 0..n-1, arcs are ordered pairs without loops or repeats.
 Everything downstream assumes strong connectivity; the checks that need
 it raise :class:`NotStronglyConnectedError` instead of guessing.
 
-Path counts are kept as Python integers (they outgrow int64 quickly on
-dense graphs) inside object arrays.  The infinite girth of an acyclic or
-odd-cycle-free graph is the :data:`INFINITE` singleton, which compares
-above every integer; it is never encoded as -1 or a large sentinel.
+Distances, geodesic counts and the odd girth come from breadth-first
+searches that run from all sources at once and advance one level per
+step, each level one float64 product of the frontier matrix with A.
+The sums in those products are of nonnegative integers, so a zero test
+is always exact and a count is exact below 2^53; past that the distance
+search finishes on Python integers.  Path counts are handed out as
+Python integers (they outgrow int64 quickly on dense graphs) inside
+object arrays.  The infinite girth of an acyclic or odd-cycle-free graph
+is the :data:`INFINITE` singleton, which compares above every integer;
+it is never encoded as -1 or a large sentinel.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+
+from .linalg import _FLOAT_EXACT
 
 
 class GraphError(ValueError):
@@ -183,31 +191,40 @@ class DistanceStructure:
 
 
 def distance_structure(G: Digraph) -> DistanceStructure:
+    """Distances and geodesic counts from all sources at once, one level
+    per step: the frontier F_k holds the geodesic counts of the pairs at
+    distance k, and F_{k+1} is F_k A restricted to the pairs not reached
+    yet, one float64 product per level.
+
+    Every entry of F_k A is a sum of nonnegative integers, so its sign is
+    exact, and so is its value below 2^53; a level with a new count at or
+    past 2^53 is redone on Python-int object arrays, which the remaining
+    levels keep.
+    """
     if not G.is_strongly_connected:
         raise NotStronglyConnectedError("distance structure needs strong connectivity")
     n = G.n
+    A = G.adjacency.astype(np.float64)
+    F = np.eye(n)
+    counts = F.copy()
     dist = np.full((n, n), -1, dtype=np.int64)
-    counts = np.zeros((n, n), dtype=object)
-    succ = G.successors
-    for u in range(n):
-        drow = dist[u]
-        crow = counts[u]
-        drow[u] = 0
-        crow[u] = 1
-        order = deque([u])
-        while order:
-            v = order.popleft()
-            dv = drow[v]
-            cv = crow[v]
-            for w in succ[v]:
-                if drow[w] < 0:
-                    drow[w] = dv + 1
-                    order.append(w)
-                if drow[w] == dv + 1:
-                    crow[w] += cv
-    D = int(dist.max())
-    layers = tuple((dist == k).astype(np.int64) for k in range(D + 1))
-    return DistanceStructure(n, dist, D, layers, counts)
+    np.fill_diagonal(dist, 0)
+    k = 0
+    while (dist < 0).any():
+        P = F @ A
+        new = (P > 0) & (dist < 0)
+        if P.dtype != object and P[new].max() >= _FLOAT_EXACT:
+            A = G.adjacency.astype(object)
+            F, counts = (M.astype(np.int64).astype(object) for M in (F, counts))
+            P = F @ A
+        k += 1
+        dist[new] = k
+        counts[new] = P[new]
+        F = np.where(new, P, 0)
+    if counts.dtype != object:
+        counts = counts.astype(np.int64).astype(object)
+    layers = tuple((dist == j).astype(np.int64) for j in range(k + 1))
+    return DistanceStructure(n, dist, k, layers, counts)
 
 
 @dataclass(frozen=True)
@@ -242,45 +259,37 @@ def girth(G: Digraph, ds: DistanceStructure = None):
     """Length of a shortest directed cycle; INFINITE only for the one-vertex graph."""
     if ds is None:
         ds = distance_structure(G)
-    best = INFINITE
-    for u, v in G.arcs:
-        back = ds.dist[v, u]
-        if back >= 0 and (is_infinite(best) or back + 1 < best):
-            best = int(back) + 1
-    return best
+    tails, heads = np.nonzero(G.adjacency)
+    if tails.size == 0:
+        return INFINITE
+    # an arc u -> v closes a shortest cycle through it with a geodesic v -> u
+    return 1 + int(ds.dist[heads, tails].min())
+
 
 def odd_girth(G: Digraph):
     """Length of a shortest odd directed cycle, INFINITE when none exists.
 
     A shortest odd closed walk is an odd cycle (any closed walk splits
     into cycles and an odd total forces an odd, no longer, part), so a
-    parity-layered search from each vertex suffices.
+    search over (source, vertex, parity) states suffices.  It runs from
+    all sources at once, one level per step: F_{k+1} is the support of
+    F_k A minus the states already seen at the parity of k + 1, and the
+    first odd level that reaches a source's own state closes the cycle.
     """
     if not G.is_strongly_connected:
         raise NotStronglyConnectedError("odd girth needs strong connectivity")
     n = G.n
-    succ = G.successors
-    best = INFINITE
-    for s in range(n):
-        # state (v, p): walk s -> v of parity p; target (s, 1)
-        seen = np.full((n, 2), -1, dtype=np.int64)
-        seen[s, 0] = 0
-        queue = deque([(s, 0)])
-        while queue:
-            v, p = queue.popleft()
-            d = seen[v, p]
-            if not is_infinite(best) and d + 1 >= best:
-                continue
-            for w in succ[v]:
-                q = p ^ 1
-                if seen[w, q] < 0:
-                    seen[w, q] = d + 1
-                    if w == s and q == 1:
-                        best = int(d) + 1
-                        queue.clear()
-                        break
-                    queue.append((w, q))
-    return best
+    A = G.adjacency.astype(np.float64)
+    F = np.eye(n, dtype=bool)
+    seen = [F.copy(), np.zeros((n, n), dtype=bool)]
+    k = 0
+    while F.any():
+        k += 1
+        F = ((F @ A) > 0) & ~seen[k % 2]
+        if k % 2 and F.diagonal().any():
+            return k
+        seen[k % 2] |= F
+    return INFINITE
 
 
 def girth_and_odd_girth(G: Digraph, ds: DistanceStructure = None):

@@ -35,7 +35,7 @@ import mpmath
 import numpy as np
 
 from .digraph import DeltaProfile, Digraph, DistanceStructure
-from .linalg import MatrixPowers, perron_vectors, trace_inner_product
+from .linalg import _INT64_SAFE, MatrixPowers, perron_vectors
 from .orthopoly import HoffmanPolynomial, PredistanceBasis
 
 
@@ -54,8 +54,9 @@ class ProjectionTables:
 
     inner[k][k] equals <A_k, A^k> (lower-degree terms of the monic
     polynomial die on the distance-k support), which is the mean
-    geodesic count delta'_k computed through matrix powers instead of
-    breadth-first search; the two routes agreeing is a cross-check.
+    geodesic count delta'_k computed through unmasked matrix powers
+    instead of the distance search's masked frontiers; the two routes
+    agreeing is a cross-check.
     """
 
     inner: tuple
@@ -91,13 +92,23 @@ def _scaled(rows) -> tuple:
 def projection_tables(ds: DistanceStructure, basis: PredistanceBasis,
                       powers: MatrixPowers = None) -> ProjectionTables:
     powers = _powers_for(ds, powers)
-    D = ds.diameter
-    # moments[k][i - k] = <A_k, A^i>; for i < k it vanishes by support
-    moments = [[trace_inner_product(ds.layers[k], powers[i]) for i in range(k, D + 1)]
-               for k in range(D + 1)]
-    inner = tuple(tuple(sum((c * m for c, m in zip(p.coeffs[k:], moments[k]) if c),
-                            Fraction(0)) for p in basis.monic[:D + 1])
-                  for k in range(D + 1))
+    n, D = ds.n, ds.diameter
+    # moments[k][i] = n <A_k, A^i>, one product of the stacked layers and
+    # powers; for i < k it vanishes by support
+    layers = np.stack([layer.ravel() for layer in ds.layers])
+    pw = np.stack([powers[i].ravel() for i in range(D + 1)])
+    if pw.dtype == object or int(np.abs(pw).max()) * n * n >= _INT64_SAFE:
+        layers, pw = layers.astype(object), pw.astype(object)
+    moments = (layers @ pw.T).tolist()
+    # inner[k][j] as one integer sum over the common denominator of
+    # monic_j's coefficients
+    cols = []
+    for p in basis.monic[:D + 1]:
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in p.coeffs]
+        cols.append([Fraction(sum(map(operator.mul, nums, row)), n * den)
+                     for row in moments])
+    inner = tuple(zip(*cols))
     norms2 = basis.norms2[:D + 1]
     return ProjectionTables(inner, tuple(inner[k][k] for k in range(D + 1)),
                             norms2, tuple(c * e for c, e in zip(basis.c2, norms2)))

@@ -15,10 +15,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from dgexcess import (AnalysisContext, build_digraph, circulant, complete,
-                      directed_cycle, dr_direct, enumerate_digraphs,
-                      generalized_projection_sum, hypercube, path, petersen,
-                      predistance_polynomials, q_norm_check, simple_excess,
+from dgexcess import (AnalysisContext, ProjectionTables, build_digraph,
+                      circulant, complete, directed_cycle, dr_direct,
+                      enumerate_digraphs, generalized_projection_sum,
+                      hypercube, path, petersen, predistance_polynomials,
+                      projection_tables, q_norm_check, simple_excess,
                       spectral_excess, tensor_lift, upper_projection_sum,
                       wdr_projection_sum)
 from dgexcess.harness import (check_conjugation, check_excess_product,
@@ -125,6 +126,49 @@ def test_projection_sums_match_fraction_sums(corpus):
     assert path_diag.holds and not path_diag.attained
     assert attained and below
     assert extra[2].tables.terms_i[1] > 2 ** 40
+
+
+def _fraction_tables(G, ds, basis):
+    """ProjectionTables from the definition: schoolbook powers and one
+    Fraction per moment <A_k, A^i>, summed term by term."""
+    n, D = G.n, ds.diameter
+    powers = oracles.naive_power_list(G.adjacency.tolist(), D)
+
+    layers = [layer.tolist() for layer in ds.layers]
+    moments = [[Fraction(sum(layer[x][y] * power[x][y]
+                             for x in range(n) for y in range(n)), n)
+                for power in powers] for layer in layers]
+    inner = tuple(tuple(sum((c * m for c, m in zip(p.coeffs, row)), Fraction(0))
+                        for p in basis.monic[:D + 1])
+                  for row in moments)
+    norms2 = basis.norms2[:D + 1]
+    return ProjectionTables(inner, tuple(inner[k][k] for k in range(D + 1)), norms2,
+                            tuple(c * e for c, e in zip(basis.c2, norms2))), powers
+
+
+def _lollipop(clique, tail):
+    """complete(clique) with a symmetric path of tail vertices hung on
+    its last vertex."""
+    arcs = [(u, v) for u in range(clique) for v in range(clique) if u != v]
+    for v in range(clique - 1, clique + tail - 1):
+        arcs += [(v, v + 1), (v + 1, v)]
+    return build_digraph(clique + tail, arcs)
+
+
+def test_projection_tables_match_fraction_reference(corpus):
+    for ctx in corpus:
+        reference, _ = _fraction_tables(ctx.G, ctx.ds, ctx.basis)
+        assert ctx.tables == reference
+    # path(40) reaches diameter 39; on the lollipops max|A^D| n^2 passes
+    # 2^62, so the moments leave int64, and with a 17-vertex tail (n = 29,
+    # D = 18) the largest moment itself passes 2^65
+    for G, D, wide in ((path(40), 39, False), (_lollipop(12, 16), 17, True),
+                       (_lollipop(12, 17), 18, True)):
+        ctx = AnalysisContext(G)
+        reference, powers = _fraction_tables(G, ctx.ds, ctx.basis)
+        assert ctx.ds.diameter == D
+        assert (max(map(max, powers[D])) * G.n ** 2 >= 2 ** 62) == wide
+        assert projection_tables(ctx.ds, ctx.basis) == ctx.tables == reference
 
 
 def test_criterion_2_simple_excess_corpus_and_sampled(corpus):

@@ -11,6 +11,8 @@ Claims checked:
   * trichotomy branch assignments and their precondition
   * full reports stay alarm-free and serialize evidence on both sides
   * a failed weighted track becomes an alarm, not an exception
+  * the array scan for max |f(A) - A^T| gives the float of a scalar
+    scan, complex coefficients included, and lets a NaN through
   * the odd girth and the direct distance-regularity oracle run once
     per digraph, however many verdicts and checks read them
   * so do the direct weak distance-regularity oracle and the delta
@@ -29,12 +31,14 @@ from dgexcess import (AnalysisContext, MatrixPowers, build_digraph, complete,
                       dr_by_weighted_set, dr_direct, enumerate_digraphs,
                       full_report, generalized_odd_graph_check,
                       geodetic_dr_check, hoffman_matrix, hoffman_polynomial,
-                      hypercube, odd_girth_spectral, odd_girth_walks, path,
-                      petersen, power_traces, tensor_lift, trichotomy,
+                      hypercube, odd_girth_spectral, odd_girth_walks,
+                      paley_tournament, path, petersen, power_traces,
+                      tensor_lift, trichotomy,
                       wdr_by_projection, wdr_direct, weighted_intersection_table,
                       INFINITE)
 from dgexcess.harness import check_digraph
-from dgexcess.linalg import PerronError
+from dgexcess.linalg import PerronError, matrix_polynomial
+from dgexcess.polynomial import Polynomial
 from dgexcess.reportio import emit_report
 
 
@@ -276,6 +280,49 @@ def test_full_report_records_a_failed_weighted_track(monkeypatch):
         assert "weighted_decision" not in report.verdicts["dr"].certificate
         assert emit_report(report, "json") and emit_report(report, "text")
     assert full_report(petersen()).verdicts["dr"].decision
+
+
+def _complex_conjugation(spec):
+    """Lagrange interpolation of z -> conj z on the eigenvalues, keeping
+    the imaginary parts of the coefficients."""
+    lam = [complex(z) for z, _ in spec.values]
+    full = Polynomial((1.0 + 0j,))
+    for z in lam:
+        full = full * Polynomial((-z, 1.0 + 0j))
+    f = Polynomial.zero()
+    for z in lam:
+        quotient, _ = full.synthetic_divide(z)
+        f = f + quotient.scale(np.conj(z) / quotient(z))
+    return f
+
+
+@pytest.mark.parametrize("G, coefficients", [(directed_cycle(40), "complex"),
+                                             (paley_tournament(19), "real")])
+def test_transpose_gap_equals_scalar_scan(monkeypatch, G, coefficients):
+    if coefficients == "complex":
+        # directed_cycle(40)'s interpolant has imaginary parts that
+        # conjugation_polynomial rejects; feed it to the scan as it is
+        monkeypatch.setattr(classify_module, "conjugation_polynomial",
+                            _complex_conjugation)
+    ctx = AnalysisContext(G)
+    gap = list(classify_module.spectral_gaps(ctx))[1]
+    f = classify_module.conjugation_polynomial(ctx.numeric_spectrum)
+    assert any(isinstance(c, complex) for c in f.coeffs) == (coefficients == "complex")
+    fA, AT = matrix_polynomial(f, ctx.powers), G.adjacency.T
+    assert gap == float(max(abs(fA[i, j] - AT[i, j])
+                            for i in range(G.n) for j in range(G.n)))
+
+
+def test_transpose_gap_propagates_nan(monkeypatch):
+    def nan_last(f, powers):
+        fA = matrix_polynomial(f, powers)
+        fA[-1, -1] = float("nan")
+        return fA
+
+    monkeypatch.setattr(classify_module, "matrix_polynomial", nan_last)
+    gaps = list(classify_module.spectral_gaps(AnalysisContext(petersen())))
+    assert np.isnan(gaps[1]) and not gaps[1] < 1e-8
+    assert full_report(petersen()).crosschecks["conjugation_transposes"] is False
 
 
 def test_full_report_disconnected():

@@ -3,7 +3,10 @@
 Claims checked:
   * build validation rejects loops, duplicates, range violations
   * BFS distances agree with Floyd-Warshall on random digraphs
-  * geodesic counts agree with explicit path enumeration
+  * geodesic counts agree with explicit path enumeration, on the n <= 4
+    corpus and on seeded digraphs up to n = 12, as Python ints
+  * geodesic counts stay exact past 2^53, where the frontier search
+    leaves float64 for Python ints
   * girth and odd girth agree with brute-force cycle search
   * delta profile, bipartite, geodetic and regularity behave on the
     named graphs with hand-computed values
@@ -21,8 +24,8 @@ from dgexcess import (Digraph, DuplicateArcError, INFINITE, LoopArcError,
                       bipartite_test, build_digraph, complete, delta_profile,
                       directed_cycle, distance_structure, enumerate_digraphs,
                       geodetic_test, girth, girth_and_odd_girth, hypercube,
-                      is_infinite, odd_girth, path, petersen, regularity_test,
-                      strong_connectivity)
+                      is_infinite, kneser_odd_graph, odd_girth, path, petersen,
+                      regularity_test, strong_connectivity, tensor_lift)
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -37,6 +40,41 @@ def random_sc_digraphs(n, count, seed):
             break
     assert len(out) == count
     return out
+
+
+def small_corpus():
+    """Every strongly connected labeled digraph on one to four vertices."""
+    return [G for n in (1, 2, 3, 4)
+            for G in enumerate_digraphs(n, "strongly_connected")]
+
+
+def seeded_sc_digraphs(count, seed, sizes=range(5, 13)):
+    """Seeded strongly connected digraphs with n cycling through sizes and
+    a random arc count between n and 3n."""
+    rng = random.Random(seed)
+    sizes = list(sizes)
+    out = []
+    while len(out) < count:
+        n = sizes[len(out) % len(sizes)]
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        G = build_digraph(n, rng.sample(pairs, rng.randint(n, 3 * n)))
+        if G.is_strongly_connected:
+            out.append(G)
+    return out
+
+
+def assert_matches_oracles(G):
+    ds = distance_structure(G)
+    ref = oracles.fw_distances(G.n, G.arcs)
+    assert ds.dist.dtype == np.int64
+    assert all(layer.dtype == np.int64 for layer in ds.layers)
+    assert ds.diameter == max(max(row) for row in ref)
+    for u in range(G.n):
+        for v in range(G.n):
+            assert ds.dist[u, v] == ref[u][v]
+            count = ds.path_counts[u, v]
+            assert type(count) is int
+            assert count == oracles.count_geodesics(G.n, G.arcs, u, v, ref)
 
 
 # -- Construction ------------------------------------------------------------
@@ -99,6 +137,38 @@ def test_geodesic_counts_match_enumeration():
                     oracles.count_geodesics(G.n, G.arcs, u, v, ref)
 
 
+def test_distance_structure_matches_oracles_on_small_corpus():
+    corpus = small_corpus()
+    assert len(corpus) == 1 + 1 + 18 + 1606
+    for G in corpus:
+        assert_matches_oracles(G)
+
+
+def test_distance_structure_matches_oracles_on_seeded_digraphs():
+    for G in seeded_sc_digraphs(30, seed=505):
+        assert_matches_oracles(G)
+
+
+@pytest.mark.parametrize("cycle, m, top_bits", [
+    (27, 4, 52),    # largest count 4^26 = 2^52: float64 throughout
+    (28, 4, 54),    # 2^54 on the last level only
+    (30, 4, 58),    # from 2^54 on, three levels on Python ints
+    (36, 3, 55),    # 3^35: odd counts past 2^53, which float64 cannot hold
+])
+def test_geodesic_counts_exact_past_float_range(cycle, m, top_bits):
+    # in the m-fold lift of a directed cycle, a geodesic of length k >= 1
+    # picks one of m copies at each of its k - 1 inner vertices
+    ds = distance_structure(tensor_lift(directed_cycle(cycle), m))
+    u = np.arange(cycle * m) // m
+    k = (u[None, :] - u[:, None]) % cycle
+    k[(k == 0) & ~np.eye(cycle * m, dtype=bool)] = cycle
+    assert (ds.dist == k).all() and ds.diameter == cycle
+    expected = [1] + [m ** (j - 1) for j in range(1, cycle + 1)]
+    assert all(type(c) is int and c == expected[j]
+               for c, j in zip(ds.path_counts.flat, k.flat))
+    assert max(ds.path_counts.flat).bit_length() - 1 == top_bits
+
+
 def test_distance_structure_requires_strong_connectivity():
     with pytest.raises(NotStronglyConnectedError):
         distance_structure(build_digraph(2, [(0, 1)]))
@@ -122,6 +192,20 @@ def test_girth_and_odd_girth_match_brute_force():
         bo = oracles.brute_odd_girth(G.n, G.arcs)
         assert g == (INFINITE if bg is oracles.INF else bg)
         assert go == (INFINITE if bo is oracles.INF else bo)
+
+
+def test_odd_girth_matches_brute_force_on_small_corpus():
+    for G in small_corpus():
+        bo = oracles.brute_odd_girth(G.n, G.arcs)
+        assert odd_girth(G) == (INFINITE if bo is oracles.INF else bo)
+
+
+def test_odd_girth_fixed_values():
+    for G in (hypercube(5), directed_cycle(8), build_digraph(1, [])):
+        assert odd_girth(G) is INFINITE
+    assert odd_girth(directed_cycle(7)) == 7
+    odd5 = kneser_odd_graph(5)
+    assert odd_girth(odd5) == 9 == 2 * distance_structure(odd5).diameter + 1
 
 
 def test_girth_named_values():
