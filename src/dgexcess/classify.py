@@ -15,7 +15,7 @@ comparison, including any tolerance used on the numeric track.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -59,10 +59,13 @@ class IntersectionTable:
 class AnalysisContext:
     """Shared scaffolding for the classifiers on one digraph.
 
-    Everything cheap and exact is computed eagerly; the Hoffman-weighted
-    pieces, the numeric spectrum, the odd girth and the direct weak and
-    plain distance-regularity oracles are cached on first use, so every
-    classifier and check on the context reads one value.
+    The exact core (distance structure, delta profile, powers, bases,
+    normality, projection tables) is computed eagerly.  Every other
+    invariant with two or more readers is cached on first use, so each
+    classifier and check reads one value: hoffman, weighted,
+    numeric_spectrum, odd_girth, bipartite, simple_excess, the diagonal
+    and triangular projection bounds wdr_projection and upper_projection,
+    wdr_direct, dr_direct and generalized_odd_graph.
     """
 
     def __init__(self, G: Digraph, tol: float = 1e-9, dps=None, cluster_tol=None):
@@ -83,8 +86,7 @@ class AnalysisContext:
 
     @cached_property
     def hoffman(self):
-        return hoffman_polynomial(self.G, self.powers, self.monomial.minpoly, self.dps,
-                                  squarefree=self.monomial.squarefree)
+        return hoffman_polynomial(self.G, self.powers, self.monomial.minpoly, self.dps)
 
     @cached_property
     def weighted(self):
@@ -92,12 +94,27 @@ class AnalysisContext:
 
     @cached_property
     def numeric_spectrum(self):
-        return spectrum(self.G, self.cluster_tol, minpoly=self.monomial.minpoly,
-                        dps=self.dps, squarefree=self.monomial.squarefree)
+        return spectrum(self.G, self.cluster_tol, self.monomial.minpoly, self.dps)
 
     @cached_property
     def odd_girth(self):
         return odd_girth(self.G)
+
+    @cached_property
+    def bipartite(self) -> bool:
+        return bipartite_test(self.G)
+
+    @cached_property
+    def simple_excess(self) -> Fraction:
+        return simple_excess(self.profile, self.basis.d, self.ds.diameter)
+
+    @cached_property
+    def wdr_projection(self):
+        return wdr_projection_sum(self.ds, self.basis, self.powers, self.tables)
+
+    @cached_property
+    def upper_projection(self):
+        return upper_projection_sum(self.ds, self.basis, self.powers, self.tables)
 
     @cached_property
     def wdr_direct(self):
@@ -106,6 +123,10 @@ class AnalysisContext:
     @cached_property
     def dr_direct(self) -> Verdict:
         return dr_direct(self.ds)
+
+    @cached_property
+    def generalized_odd_graph(self) -> Verdict:
+        return generalized_odd_graph_check(self)
 
 
 def _ctx(G) -> AnalysisContext:
@@ -242,17 +263,20 @@ def weighted_intersection_table(ds: DistanceStructure, HA: np.ndarray,
 
 # -- Spectral-side criteria --------------------------------------------------
 
+_NOT_NORMAL = "equality criterion needs a normal digraph; not normal"
+
+
 def dr_by_simple_set(G) -> Verdict:
     """Distance-regularity via simple excess = spectral excess (exact)."""
     ctx = _ctx(G)
-    eps_g = simple_excess(ctx.profile, ctx.basis.d, ctx.ds.diameter)
+    eps_g = ctx.simple_excess
     eps_d = spectral_excess(ctx.basis)
     cert = {"simple_excess": eps_g, "spectral_excess": eps_d,
             "difference": eps_d - eps_g, "normal": ctx.normal}
     if not ctx.normal:
-        cert["note"] = "equality criterion needs a normal digraph; not normal"
-        return Verdict("distance-regular", False, "spectral-exact", cert)
-    return Verdict("distance-regular", eps_g == eps_d, "spectral-exact", cert)
+        cert["note"] = _NOT_NORMAL
+    return Verdict("distance-regular", ctx.normal and eps_g == eps_d,
+                   "spectral-exact", cert)
 
 
 def dr_by_weighted_set(G, tol: float = 1e-9) -> Verdict:
@@ -267,19 +291,17 @@ def dr_by_weighted_set(G, tol: float = 1e-9) -> Verdict:
     cert = {"weighted_excess": eps_w, "spectral_excess": eps_d, "normal": ctx.normal}
     if ctx.weighted.exact:
         cert["difference"] = eps_d - eps_w
-        decision = ctx.normal and eps_w == eps_d
-        if not ctx.normal:
-            cert["note"] = "equality criterion needs a normal digraph; not normal"
-        return Verdict("distance-regular", decision, "spectral-exact", cert)
-    with mpmath.workdps(ctx.weighted.dps):
-        gap = abs(mpmath.mpf(eps_d.numerator) / eps_d.denominator - eps_w)
-        close = bool(gap <= tol * max(1, float(eps_d)))
-    cert["difference"] = float(gap)
-    cert["tolerance"] = tol * max(1, float(eps_d))
+        method, equal = "spectral-exact", eps_w == eps_d
+    else:
+        with mpmath.workdps(ctx.weighted.dps):
+            gap = abs(mpmath.mpf(eps_d.numerator) / eps_d.denominator - eps_w)
+            equal = bool(gap <= tol * max(1, float(eps_d)))
+        cert["difference"] = float(gap)
+        cert["tolerance"] = tol * max(1, float(eps_d))
+        method = "spectral-numeric"
     if not ctx.normal:
-        cert["note"] = "equality criterion needs a normal digraph; not normal"
-        return Verdict("distance-regular", False, "spectral-numeric", cert)
-    return Verdict("distance-regular", close, "spectral-numeric", cert)
+        cert["note"] = _NOT_NORMAL
+    return Verdict("distance-regular", ctx.normal and equal, method, cert)
 
 
 def geodetic_dr_check(G) -> Verdict:
@@ -288,15 +310,14 @@ def geodetic_dr_check(G) -> Verdict:
     value, attained = q_norm_check(ctx.basis, ctx.G.n)
     cert = {"q_norm": value, "n": ctx.G.n, "normal": ctx.normal}
     if not ctx.normal:
-        cert["note"] = "equality criterion needs a normal digraph; not normal"
+        cert["note"] = _NOT_NORMAL
     return Verdict("geodetic-distance-regular", ctx.normal and attained,
                    "spectral-exact", cert)
 
 
 def wdr_by_projection(G) -> Verdict:
     """Weak distance-regularity via the diagonal projection sum hitting n."""
-    ctx = _ctx(G)
-    pb = wdr_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables, ctx.profile)
+    pb = _ctx(G).wdr_projection
     cert = {"projection_sum": pb.total, "n": pb.bound}
     return Verdict("weakly-distance-regular", pb.attained, "spectral-exact", cert)
 
@@ -393,9 +414,9 @@ def trichotomy(G) -> TrichotomyResult:
     D = ctx.ds.diameter
     bound = min(2 * d - 1, 2 * D + 1)
     branches = []
-    if bipartite_test(ctx.G):
+    if ctx.bipartite:
         branches.append("bipartite")
-    if generalized_odd_graph_check(ctx).decision:
+    if ctx.generalized_odd_graph.decision:
         branches.append("generalized-odd-graph")
     if not is_infinite(g_o) and g_o <= bound:
         branches.append("small-odd-girth")
@@ -445,6 +466,11 @@ def _spectrum_block(spec) -> dict:
     }
 
 
+def _with_evidence(v: Verdict, **extra) -> Verdict:
+    """v with extra entries appended to its certificate."""
+    return replace(v, certificate=dict(v.certificate, **extra))
+
+
 def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
                 source=None) -> AnalysisReport:
     """Every invariant, verdict and cross-check on one digraph.
@@ -463,7 +489,6 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
     g, g_o = girth(G, ctx.ds), ctx.odd_girth
     regular, degree = regularity_test(G)
     geodetic = geodetic_test(ctx.ds)
-    bipartite = bipartite_test(G)
     d = ctx.basis.d
     D = ctx.ds.diameter
 
@@ -472,7 +497,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         "normal": ctx.normal,
         "regular": regular,
         "geodetic": geodetic,
-        "bipartite": bipartite,
+        "bipartite": ctx.bipartite,
     }
     report.metrics = {
         "diameter": D, "d": d, "dhat": ctx.basis.dhat,
@@ -487,13 +512,8 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
     except (SpectrumError, PerronError) as e:
         alarms.append(f"spectrum: {e}")
 
-    eps_simple = simple_excess(ctx.profile, d, D)
-    eps_spectral = spectral_excess(ctx.basis)
-    report.excess = {
-        "simple": eps_simple,
-        "spectral": eps_spectral,
-        "exact": True,
-    }
+    report.excess = {"simple": ctx.simple_excess,
+                     "spectral": spectral_excess(ctx.basis), "exact": True}
     # A weighted track that fails (no certifiable Perron value, or an
     # arithmetic fault) is an alarm; the weighted verdict and its
     # cross-check are then left out of the report.
@@ -507,8 +527,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         alarms.append(f"weighted excess: {e}")
         weighted = None
 
-    diag = wdr_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables, ctx.profile)
-    upper = upper_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables, ctx.profile)
+    diag, upper = ctx.wdr_projection, ctx.upper_projection
     q_value, q_attained = q_norm_check(ctx.basis, G.n)
     report.bounds = {
         "wdr_projection": {"total": diag.total, "per_k": list(diag.per_k)},
@@ -522,29 +541,22 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
     weighted_v = None if weighted is None else dr_by_weighted_set(ctx, tol)
     geodetic_v = geodetic_dr_check(ctx)
     projection_v = wdr_by_projection(ctx)
-    gog_v = generalized_odd_graph_check(ctx)
 
     # Headline verdicts are the spectral criteria where they apply; the
     # direct-oracle outcome rides along in each certificate.
     if ctx.normal:
-        cert = dict(simple_v.certificate, direct_decision=dr_v.decision)
+        extra = {"direct_decision": dr_v.decision}
         if weighted_v is not None:
-            cert["weighted_decision"] = weighted_v.decision
-        headline_dr = Verdict(simple_v.name, simple_v.decision, simple_v.method, cert)
+            extra["weighted_decision"] = weighted_v.decision
+        headline_dr = _with_evidence(simple_v, **extra)
     else:
-        headline_dr = Verdict(dr_v.name, dr_v.decision, dr_v.method,
-                              dict(dr_v.certificate, normal=False))
+        headline_dr = _with_evidence(dr_v, normal=False)
     report.verdicts = {
-        "wdr": Verdict(projection_v.name, projection_v.decision,
-                       projection_v.method,
-                       dict(projection_v.certificate,
-                            direct_decision=wdr_v.decision)),
+        "wdr": _with_evidence(projection_v, direct_decision=wdr_v.decision),
         "dr": headline_dr,
-        "geodetic_dr": Verdict(geodetic_v.name, geodetic_v.decision,
-                               geodetic_v.method,
-                               dict(geodetic_v.certificate,
-                                    direct_decision=dr_v.decision and geodetic)),
-        "generalized_odd_graph": gog_v,
+        "geodetic_dr": _with_evidence(geodetic_v,
+                                      direct_decision=dr_v.decision and geodetic),
+        "generalized_odd_graph": ctx.generalized_odd_graph,
     }
     if ctx.normal:
         try:

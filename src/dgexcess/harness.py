@@ -4,7 +4,10 @@ Each check_* function takes an AnalysisContext and returns failure
 messages (empty list means the digraph passed).  The equality checks
 read the classifier verdicts full_report reads (dr_by_simple_set,
 dr_by_weighted_set, geodetic_dr_check, spectral_gaps) and hold them
-against the direct oracles.  check_digraph bundles the checks;
+against the direct oracles; the invariants they share come from the
+context's cached properties, so every check on one context reads one
+value.  A numeric spectrum or a weighted track that cannot be built is
+a failure worded as full_report's alarm.  check_digraph bundles the checks;
 verify_corpus runs it over the digraphs generators.enumerate_digraphs
 yields, optionally fanning them out to worker processes, and every
 failure message embeds the digraph as an edge list so a counterexample
@@ -25,13 +28,10 @@ from multiprocessing import Pool
 import mpmath
 
 from .classify import (AnalysisContext, InconsistencyAlarm, dr_by_simple_set,
-                       dr_by_weighted_set, generalized_odd_graph_check,
-                       geodetic_dr_check, odd_girth_spectral, spectral_gaps,
-                       trichotomy)
-from .digraph import (Digraph, bipartite_test, geodetic_test, girth, is_infinite,
-                      regularity_test)
-from .excess import (generalized_projection_sum, simple_excess,
-                     upper_projection_sum, wdr_projection_sum)
+                       dr_by_weighted_set, geodetic_dr_check, odd_girth_spectral,
+                       spectral_gaps, trichotomy)
+from .digraph import Digraph, geodetic_test, girth, is_infinite, regularity_test
+from .excess import generalized_projection_sum
 from .generators import (circulant, complete, complete_bipartite,
                          directed_cycle, enumerate_digraphs, hypercube,
                          kneser_odd_graph, paley_tournament, path, petersen,
@@ -76,26 +76,22 @@ def check_projection_sums(ctx: AnalysisContext, systems: int = 20) -> list:
     failures = []
     is_wdr = ctx.wdr_direct[0].decision
 
-    diag = wdr_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables, ctx.profile)
-    upper = upper_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables,
-                                 ctx.profile)
+    diag, upper = ctx.wdr_projection, ctx.upper_projection
     for label, pb in (("diagonal", diag), ("triangular", upper)):
         if not pb.holds:
             failures.append(_tag(G, f"{label} projection sum {pb.total} > {n}"))
         if pb.attained != is_wdr:
             failures.append(_tag(G, f"{label} sum {pb.total} attains n={n}: "
                                     f"{pb.attained}, but wdr_direct: {is_wdr}"))
-    if not diag.per_k_holds:
-        failures.append(_tag(G, "a per-class diagonal projection exceeds delta_k"))
-    if not upper.per_k_holds:
-        failures.append(_tag(G, "a per-class triangular projection exceeds delta_k"))
+        if not all(pb.per_k_holds):
+            failures.append(_tag(G, f"a per-class {label} projection exceeds delta_k"))
 
     rng = _graph_rng(G)
     D = ctx.ds.diameter
     for system in random_subset_systems(D, systems, rng, force_diagonal=True):
         for variant in ("i", "ii"):
             pb = generalized_projection_sum(ctx.ds, ctx.basis, system, variant,
-                                            ctx.powers, ctx.tables, ctx.profile)
+                                            tables=ctx.tables)
             if not pb.holds:
                 failures.append(_tag(G, f"subset-system sum (variant {variant}) "
                                         f"{pb.total} > {n} for {system}"))
@@ -105,7 +101,7 @@ def check_projection_sums(ctx: AnalysisContext, systems: int = 20) -> list:
                                         f"wdr_direct: {is_wdr} for {system}"))
     for system in random_subset_systems(D, 2, rng, force_diagonal=False):
         pb = generalized_projection_sum(ctx.ds, ctx.basis, system, "i",
-                                        ctx.powers, ctx.tables, ctx.profile)
+                                        tables=ctx.tables)
         if not pb.holds:
             failures.append(_tag(G, f"free subset-system sum {pb.total} > {n} "
                                     f"for {system}"))
@@ -135,12 +131,16 @@ def check_weighted_set(ctx: AnalysisContext, tol: float = 1e-9) -> list:
     """On the normal digraphs the weighted equality verdict
     (dr_by_weighted_set: exact, or to tol on the numeric track) agrees
     with the direct oracle, and the weighted excess equals the simple
-    excess exactly whenever the digraph is regular."""
+    excess exactly whenever the digraph is regular.  A weighted track
+    that cannot be built is one failure, in full_report's alarm words."""
     G = ctx.G
     if not ctx.normal:
         return []
+    try:
+        verdict = dr_by_weighted_set(ctx, tol)
+    except (ArithmeticError, PerronError) as e:
+        return [_tag(G, f"weighted excess: {e}")]
     failures = []
-    verdict = dr_by_weighted_set(ctx, tol)
     eps_d = verdict.certificate["spectral_excess"]
     eps_w = verdict.certificate["weighted_excess"]
     is_dr = ctx.dr_direct.decision
@@ -150,7 +150,7 @@ def check_weighted_set(ctx: AnalysisContext, tol: float = 1e-9) -> list:
         failures.append(_tag(G, f"weighted excess {eps_w} vs spectral {eps_d}: "
                                 f"{comparison}, dr_direct {is_dr}"))
     if regularity_test(G)[0]:
-        eps_g = simple_excess(ctx.profile, ctx.basis.d, ctx.ds.diameter)
+        eps_g = ctx.simple_excess
         if not ctx.weighted.exact:
             failures.append(_tag(G, "regular digraph landed on the numeric "
                                     "weighted track"))
@@ -181,9 +181,9 @@ def check_excess_product(ctx: AnalysisContext, tol: float = 1e-9) -> list:
     G = ctx.G
     if not ctx.dr_direct.decision:
         return []
-    eps_g = simple_excess(ctx.profile, ctx.basis.d, ctx.ds.diameter)
+    eps_g = ctx.simple_excess
     delta_D = ctx.profile.delta[ctx.ds.diameter]
-    s_prime = ctx.monomial.squarefree.derivative()
+    s_prime = ctx.monomial.minpoly.squarefree_part().derivative()
     lam = ctx.hoffman
     if lam.lambda0_exact is not None:
         pi0 = s_prime(lam.lambda0_exact)
@@ -367,9 +367,9 @@ def family_suite(tol: float = 1e-9) -> SuiteResult:
         if "girth" in expected and girth(G, ctx.ds) != expected["girth"]:
             failures.append(_tag(G, f"{label}: girth {girth(G, ctx.ds)} "
                                     f"!= {expected['girth']}"))
-        if expected.get("bipartite") and not bipartite_test(G):
+        if expected.get("bipartite") and not ctx.bipartite:
             failures.append(_tag(G, f"{label}: expected bipartite"))
-        if expected.get("gog") and not generalized_odd_graph_check(ctx).decision:
+        if expected.get("gog") and not ctx.generalized_odd_graph.decision:
             failures.append(_tag(G, f"{label}: expected generalized odd graph"))
         if expected.get("normal") and not ctx.normal:
             failures.append(_tag(G, f"{label}: expected normal"))

@@ -23,7 +23,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -144,11 +143,6 @@ class MonomialBasis:
     @property
     def dhat(self) -> int:
         return len(self.polys) - 1
-
-    @cached_property
-    def squarefree(self) -> Polynomial:
-        """Square-free part of the minimal polynomial, factored once."""
-        return self.minpoly.squarefree_part()
 
 
 def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
@@ -330,14 +324,13 @@ def refine_real_root(s: Polynomial, seed: float, dps: int):
         return +x, None
 
 
-def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None, *,
-                 squarefree: Polynomial = None):
+def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None):
     """Largest real eigenvalue, refined to working precision and certified
-    exact when rational.  Returns (mpf, Fraction | None).  squarefree is
-    the square-free part of minpoly when the caller already has it."""
+    exact when rational.  Returns (mpf, Fraction | None).  A regular
+    digraph of degree k with minpoly(k) = 0 returns k at once; any other
+    is polished on minpoly's square-free part, computed once per minpoly."""
     if dps is None:
         dps = working_dps()
-    s = minpoly.squarefree_part() if squarefree is None else squarefree
     n = A.shape[0]
     if n == 1:
         return mpmath.mpf(0), Fraction(0)
@@ -345,11 +338,11 @@ def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None, *,
     row = A.sum(axis=1)
     if np.all(row == row[0]) and np.all(A.sum(axis=0) == row[0]):
         k = int(row[0])
-        if s(k) == 0:
+        if minpoly(k) == 0:
             return mpmath.mpf(k), Fraction(k)
     w = np.linalg.eigvals(A.astype(np.float64))
     seed = float(max(z.real for z in w if abs(z.imag) < 1e-6 * max(1.0, abs(z))))
-    return refine_real_root(s, seed, dps)
+    return refine_real_root(minpoly.squarefree_part(), seed, dps)
 
 
 def _solve_m_matrix(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -442,12 +435,6 @@ class Spectrum:
     def exact_lambda0(self) -> bool:
         return self.lambda0_exact is not None
 
-    def multiplicity(self, value) -> int:
-        for z, m in self.values:
-            if abs(z - value) <= max(self.cluster_tol, 1e-12):
-                return m
-        return 0
-
     def pi0(self):
         """prod (lambda0 - lambda_i) over the non-Perron distinct values."""
         lam = float(self.lambda0)
@@ -474,17 +461,15 @@ def _newton_complex(coeffs, dcoeffs, z, iterations=80):
     return z
 
 
-def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None, *,
-             squarefree: Polynomial = None) -> Spectrum:
+def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spectrum:
     """Numeric spectrum reconciled against the exact distinct-root count.
 
     Floating eigenvalues are clustered at cluster_tol (default 1e-8
     times the largest absolute row sum), each cluster Newton-polished on
-    the square-free part of the minimal polynomial, and coinciding
-    clusters merged.  If the survivors do not number exactly
-    deg(squarefree) the discrepancy is raised as SpectrumError rather
-    than absorbed.  squarefree is the square-free part of minpoly when
-    the caller already has it.
+    the square-free part of the minimal polynomial (computed once per
+    minpoly and kept), and coinciding clusters merged.  If the survivors
+    do not number exactly its degree the discrepancy is raised as
+    SpectrumError rather than absorbed.
     """
     A = np.asarray(getattr(G, "adjacency", G))
     if minpoly is None:
@@ -492,7 +477,7 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None, *,
     n = A.shape[0]
     if dps is None:
         dps = working_dps()
-    s = minpoly.squarefree_part() if squarefree is None else squarefree
+    s = minpoly.squarefree_part()
     n_distinct = s.degree
     tol = cluster_tol
     if tol is None:

@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .digraph import Digraph, distance_structure, delta_profile, regularity_test
+from .digraph import Digraph, distance_structure, delta_profile
 from .linalg import (MatrixPowers, MonomialBasis, Spectrum, SpectrumError,
                      hoffman_ingredients, matrix_polynomial,
                      orthogonal_monomial_basis, perron_value, working_dps)
@@ -79,7 +79,7 @@ def predistance_polynomials(G: Digraph, powers: MatrixPowers = None,
     dhat = monomial_basis.dhat
     if D > dhat:
         raise ArithmeticError(f"diameter {D} exceeds minimal polynomial bound {dhat}")
-    d = monomial_basis.squarefree.degree - 1
+    d = monomial_basis.minpoly.squarefree_part().degree - 1
     c2 = tuple(profile.delta[k] / monomial_basis.norms2[k] for k in range(D + 1)) \
         + (Fraction(1),) * (dhat - D)
     return PredistanceBasis(monomial_basis.polys, monomial_basis.norms2, c2,
@@ -179,23 +179,16 @@ class HoffmanPolynomial:
 
 
 def hoffman_polynomial(G: Digraph, powers: MatrixPowers = None,
-                       minpoly: Polynomial = None, dps=None, *,
-                       squarefree: Polynomial = None) -> HoffmanPolynomial:
-    """H and the Perron value it is scaled at; squarefree is the
-    square-free part of minpoly when the caller already has it."""
+                       minpoly: Polynomial = None, dps=None) -> HoffmanPolynomial:
+    """H and the Perron value it is scaled at, which perron_value finds
+    (at once for a regular digraph, whose degree it is)."""
     if dps is None:
         dps = working_dps()
     if powers is None:
         powers = MatrixPowers(G.adjacency)
     if minpoly is None:
         minpoly = orthogonal_monomial_basis(powers).minpoly
-    is_reg, degree = regularity_test(G)
-    if is_reg and G.n > 1 and minpoly(degree) == 0:
-        lam_exact = Fraction(degree)
-        lam = mpmath.mpf(degree)
-    else:
-        lam, lam_exact = perron_value(G.adjacency, minpoly, dps,
-                                      squarefree=squarefree)
+    lam, lam_exact = perron_value(G.adjacency, minpoly, dps)
     if lam_exact is not None:
         S, S0 = hoffman_ingredients(minpoly, lam_exact)
         if S0 == 0:

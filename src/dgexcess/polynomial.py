@@ -28,8 +28,6 @@ def _trim(coeffs):
 
 
 def _is_zero(x) -> bool:
-    if _is_exact_scalar(x):
-        return x == 0
     # inexact scalars trim only on literal zero; tolerances are the caller's job
     return x == 0
 
@@ -37,7 +35,7 @@ def _is_zero(x) -> bool:
 class Polynomial:
     """Immutable dense polynomial; ``exact`` is True iff all coefficients are rational."""
 
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("coeffs", "exact", "_squarefree")
 
     def __init__(self, coeffs):
         c = _trim(coeffs)
@@ -224,6 +222,15 @@ class Polynomial:
 
     def squarefree_part(self) -> "Polynomial":
         """m / gcd(m, m'), monic; its degree counts the distinct roots of m.
+
+        Computed once, by _squarefree_part, and kept in a private slot:
+        later calls return the same object."""
+        if not hasattr(self, "_squarefree"):
+            object.__setattr__(self, "_squarefree", self._squarefree_part())
+        return self._squarefree
+
+    def _squarefree_part(self) -> "Polynomial":
+        """squarefree_part, uncached.
 
         Computed modularly (von zur Gathen and Gerhard, Modern Computer
         Algebra, ch. 6).  m is cleared to a primitive integer polynomial

@@ -13,8 +13,10 @@ Claims checked:
   * a failed weighted track becomes an alarm, not an exception
   * the array scan for max |f(A) - A^T| gives the float of a scalar
     scan, complex coefficients included, and lets a NaN through
-  * the odd girth and the direct distance-regularity oracle run once
-    per digraph, however many verdicts and checks read them
+  * the odd girth, the direct distance-regularity oracle, bipartiteness,
+    the generalized-odd-graph verdict, the two projection bounds and the
+    simple excess run once per digraph, however many verdicts and checks
+    read them
   * so do the direct weak distance-regularity oracle and the delta
     profile
 """
@@ -332,7 +334,10 @@ def test_full_report_disconnected():
 
 
 def test_odd_girth_and_dr_oracle_computed_once(monkeypatch):
-    calls = {"odd_girth": 0, "dr_direct": 0}
+    names = ("odd_girth", "dr_direct", "bipartite_test",
+             "generalized_odd_graph_check", "wdr_projection_sum",
+             "upper_projection_sum", "simple_excess")
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         inner = getattr(classify_module, name)
@@ -342,13 +347,13 @@ def test_odd_girth_and_dr_oracle_computed_once(monkeypatch):
             return inner(*args)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(classify_module, name, counted(name))
     for run in (full_report, check_digraph):
         for G in (petersen(), directed_cycle(5), complete(4)):
-            calls.update(odd_girth=0, dr_direct=0)
+            calls.update(dict.fromkeys(names, 0))
             run(G)
-            assert calls == {"odd_girth": 1, "dr_direct": 1}, (run.__name__, G.n)
+            assert calls == dict.fromkeys(names, 1), (run.__name__, G.n)
 
 
 def test_wdr_oracle_and_delta_profile_computed_once(monkeypatch):

@@ -138,7 +138,7 @@ def test_projection_sums_named():
     ctx = ctx_for(path(3))
     diag = wdr_projection_sum(ctx.ds, ctx.basis)
     assert diag.total == Fraction(17, 6) and not diag.attained
-    assert diag.holds and diag.per_k_holds
+    assert diag.holds and all(diag.per_k_holds)
 
 
 def test_q_norm_named_values():

@@ -12,14 +12,23 @@ Claims checked:
     up to --max-n is past an enumeration cap
   * check_conjugation reports a numeric spectrum that loses rank as a
     failure, in full_report's alarm words, instead of raising
+  * check_weighted_set does the same for a weighted track that fails
+    with a PerronError or an ArithmeticError
+  * check_projection_sums reports a per-class projection above delta_k
 """
 
 import time
 
-from dgexcess import AnalysisContext, enumerate_digraphs, full_report, path
+import pytest
+
+import dgexcess.classify as classify_module
+from dgexcess import (AnalysisContext, PerronError, ProjectionBound,
+                      enumerate_digraphs, full_report, path, petersen)
 from dgexcess.cli import main
 from dgexcess.generators import ENUMERATION_CAP_SAMPLED
-from dgexcess.harness import check_conjugation, standard_families, verify_corpus
+from dgexcess.harness import (check_conjugation, check_projection_sums,
+                              check_weighted_set, standard_families,
+                              verify_corpus)
 
 
 def test_verify_corpus_serial_and_pooled_agree():
@@ -67,3 +76,27 @@ def test_check_conjugation_reports_lost_rank():
                       "at degree 26"]
     assert len(failures) == 1
     assert failures[0].splitlines()[0] == alarms[0]
+
+
+@pytest.mark.parametrize("error", [PerronError("no certifiable Perron value"),
+                                   ArithmeticError("weighted layer vanished")])
+def test_check_weighted_set_reports_a_failed_weighted_track(monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(classify_module, "weighted_layers", failing)
+    for G in (petersen(), path(3)):
+        alarms = full_report(G).alarms
+        failures = check_weighted_set(AnalysisContext(G))
+        assert alarms == [f"weighted excess: {error}"]
+        assert len(failures) == 1
+        assert failures[0].splitlines()[0] == alarms[0]
+
+
+def test_check_projection_sums_reports_a_per_class_excess(monkeypatch):
+    monkeypatch.setattr(ProjectionBound, "per_k_holds",
+                        property(lambda self: (True, False)))
+    failures = check_projection_sums(AnalysisContext(petersen()), systems=0)
+    assert [f.splitlines()[0] for f in failures] == [
+        "a per-class diagonal projection exceeds delta_k",
+        "a per-class triangular projection exceeds delta_k"]

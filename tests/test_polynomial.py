@@ -85,6 +85,7 @@ def test_gcd_and_squarefree_part():
     b = P(-1, 1) * P(-3, 1)
     assert Polynomial.gcd(a, b) == P(-1, 1)
     assert a.squarefree_part() == P(-1, 1) * P(-2, 1)
+    assert a.squarefree_part() is a.squarefree_part()    # computed once
     sq = P(0, -2, 0, 1)                    # x^3 - 2x, already squarefree
     assert sq.squarefree_part() == sq.monic()
     assert Polynomial.gcd(a, Polynomial.zero()) == a.monic()
