@@ -213,7 +213,9 @@ class ProjectionBound:
 
     @property
     def per_k_holds(self) -> tuple:
-        return tuple(v <= b for v, b in zip(self.per_k, self.per_k_bound))
+        L = self.denominator
+        return tuple(v * b.denominator <= b.numerator * L
+                     for v, b in zip(self.per_k_num, self.per_k_bound))
 
 
 def wdr_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
@@ -249,19 +251,21 @@ def generalized_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
     if tables is None:
         tables = projection_tables(ds, basis, powers)
     D = ds.diameter
-    subsets = [sorted(set(int(j) for j in S)) for S in subsets]
+    subsets = list(subsets)
     if len(subsets) != D + 1:
         raise ValueError(f"need {D + 1} index subsets, got {len(subsets)}")
+    terms, L = tables.terms_i if variant == "i" else tables.terms_ii
+    per_k = []
     for k, S in enumerate(subsets):
+        S = set(map(int, S))
         if not S:
             raise ValueError(f"subset for layer {k} is empty")
-        if S[0] < 0 or S[-1] > D:
+        if min(S) < 0 or max(S) > D:
             raise ValueError(f"subset for layer {k} leaves the range 0..{D}")
         if variant == "ii" and k not in S:
             raise ValueError(f"variant ii needs {k} in its own subset")
-    terms, L = tables.terms_i if variant == "i" else tables.terms_ii
-    per_k = tuple(sum(terms[k][j] for j in S) for k, S in enumerate(subsets))
-    return ProjectionBound(per_k, L, ds.n, tables.delta)
+        per_k.append(sum(map(terms[k].__getitem__, S)))
+    return ProjectionBound(tuple(per_k), L, ds.n, tables.delta)
 
 
 def q_norm_check(basis: PredistanceBasis, n: int):

@@ -3,10 +3,13 @@
 Two arithmetic tracks coexist.  All quantities derivable from integer
 matrix entries are exact at any size: the moments are Python integers,
 recovered by the Chinese remainder theorem from float64 products
-modulo word-size primes, each small enough that float64 stays exact,
-and the orthogonal basis, its norms and the minimal polynomial come out
-of fraction-free (Bareiss) elimination on them, which divides only
-exactly and forms ``fractions.Fraction`` values once, for the output.
+modulo word-size primes, each small enough that float64 stays exact.
+Fraction-free (Bareiss) elimination on them gives the leading minors,
+hence the norms of the orthogonal basis, and the basis polynomials and
+the minimal polynomial come from its triangle by fraction-free
+back-substitution: the minimal polynomial at once, each basis
+polynomial when it is first read.  Every division is exact, and
+``fractions.Fraction`` values are formed only for the output.
 Quantities that live at an irrational Perron value go through mpmath at
 a working precision controlled by the ``DGEXCESS_PRECISION``
 environment variable (decimal digits, default 50), read at call time.
@@ -20,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,19 +135,69 @@ class MonomialBasis:
     """Monic orthogonal polynomials of A under the trace inner product.
 
     polys[k] has degree k and Fraction coefficients; norms2[k] =
-    <p_k, p_k> > 0 is a Fraction.  Both are read off the fraction-free
-    elimination of the integer moment matrix (orthogonal_monomial_basis).
+    <p_k, p_k> > 0 is a Fraction.  Both come from the fraction-free
+    elimination of the integer moment matrix (orthogonal_monomial_basis):
+    norms2 and the minimal polynomial at once, and polys as a read-only
+    sequence that back-substitutes p_k on its first read and keeps it.
     The first monic residual with norm zero is the minimal polynomial, so
-    dhat = its degree minus one = len(polys) - 1.
+    dhat = its degree minus one = len(polys) - 1, read without forming
+    any p_k.
     """
 
-    polys: tuple
+    polys: Sequence
     norms2: tuple
     minpoly: Polynomial
 
     @property
     def dhat(self) -> int:
         return len(self.polys) - 1
+
+
+def _back_substitute(pivots: list, upper: list, k: int) -> Polynomial:
+    """The monic p_k from the elimination's pivots D_i and upper rows.
+
+    c = D_{k-1} p_k solves U c = 0 on rows 0..k-1, where U[i][i] = D_i
+    and U[i][j] = upper[i][j - i - 1] for j > i: pivot row i is an
+    integer combination of moment rows 0..i, each orthogonal to p_k.
+    Starting from c_k = D_{k-1}, each c_i is an integer (a minor, by
+    Cramer's rule), so every division by D_i is exact.
+    """
+    den = pivots[k - 1] if k else 1
+    c = [0] * k + [den]
+    for i in range(k - 1, -1, -1):
+        c[i] = -sum(map(operator.mul, upper[i], c[i + 1:])) // pivots[i]
+    return Polynomial(tuple(Fraction(a, den) for a in c))
+
+
+class _MonicSequence(Sequence):
+    """p_0, ..., p_dhat, each back-substituted on its first read."""
+
+    def __init__(self, pivots: list, upper: list):
+        self._pivots, self._upper = pivots, upper
+        self._polys = [None] * len(pivots)
+
+    def __len__(self) -> int:
+        return len(self._polys)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        p = self._polys[k]
+        if p is None:
+            k %= len(self)
+            p = self._polys[k] = _back_substitute(self._pivots, self._upper, k)
+        return p
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _MonicSequence)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
@@ -192,54 +247,46 @@ def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
     """Gram-Schmidt over 1, x, x^2, ... by fraction-free elimination.
 
     Bareiss elimination (Bareiss 1968) runs row by row on the integer
-    moment matrix m_ij = n <A^i, A^j>, augmented with the identity.  The
-    moment rows come from word-size primes by the Chinese remainder
-    theorem (_moment_rows), rows 0..7 first and then in doubling
-    blocks up to row n, until a leading minor vanishes; only powers.A
-    is read, so no power of A is formed as a matrix of big integers.  Once
-    row k has been reduced by the pivot rows 0..k-1 it holds the leading
-    minor D_k = det(m_ij)_{i,j<=k} as its pivot and D_{k-1} p_k in its
-    augmented part, so <p_k, p_k> = D_k / (n D_{k-1}).  Every division
-    is an exact integer one; Fractions are formed only for the output.
-    Row k needs only m_k0..m_kk: by symmetry, entry j of pivot row i
-    equals the entry row j had in column i when pivot i reduced it.  The
-    first vanishing minor gives the minimal polynomial.
+    moment matrix m_ij = n <A^i, A^j>.  The moment rows come from
+    word-size primes by the Chinese remainder theorem (_moment_rows),
+    rows 0..7 first and then in doubling blocks up to row n, until a
+    leading minor vanishes; only powers.A is read, so no power of A is
+    formed as a matrix of big integers.  Once row k has been reduced by
+    the pivot rows 0..k-1 it holds the leading minor D_k = det(m_ij)_{i,j<=k}
+    as its pivot, and <p_k, p_k> = D_k / (n D_{k-1}).  Row k needs only
+    m_k0..m_kk: by symmetry, entry k of pivot row i equals the entry row
+    k has in column i when pivot i reduces it, so that entry is appended
+    to pivot row i as it is read.  Every division is an exact integer
+    one.  The first vanishing minor gives the minimal polynomial, formed
+    at once by back-substitution (_back_substitute); p_0..p_dhat are
+    formed the same way, each on its first read.
     """
     n = powers.n
     table = []    # rows of m_ij, extended until a leading minor vanishes
     pivots = []   # D_0, D_1, ...
-    augs = []     # D_{k-1} p_k as integer coefficients
-    cols = []     # cols[j][i]: row j's column-i entry when pivot i reduced it
-    polys, norms2 = [], []
+    upper = []    # upper[i][j - i - 1]: entry j > i of pivot row i
+    norms2 = []
     k = 0
     while True:
         if k == len(table):
             table += _moment_rows(powers.A, k, min(max(2 * k, 8), n + 1))
         row = table[k][:k + 1]
-        aug = [0] * (k + 1)
-        col = []
         prev = 1
         for i, piv in enumerate(pivots):
             f = row[i]
-            col.append(f)
-            for j in range(i + 1, k):
-                row[j] = (piv * row[j] - f * cols[j][i]) // prev
-            row[k] = (piv * row[k] - f * f) // prev
-            for j, a in enumerate(augs[i]):
-                aug[j] = (piv * aug[j] - f * a) // prev
+            up = upper[i]
+            up.append(f)
+            for j, u in enumerate(up, i + 1):
+                row[j] = (piv * row[j] - f * u) // prev
             prev = piv
-        # the leading entry, 1 at the start, was scaled by D_i / D_{i-1}
-        # at each step; prev = D_{k-1}, and aug / prev is the monic p_k
-        aug[k] = prev
-        poly = Polynomial(tuple(Fraction(a, prev) for a in aug))
+        # row[k] = D_k and prev = D_{k-1}
         if row[k] == 0:
-            return MonomialBasis(tuple(polys), tuple(norms2), poly)
+            return MonomialBasis(_MonicSequence(pivots, upper), tuple(norms2),
+                                 _back_substitute(pivots, upper, k))
         if row[k] < 0:
             raise ArithmeticError("negative norm in Gram-Schmidt, moment table corrupt")
         pivots.append(row[k])
-        augs.append(aug)
-        cols.append(col)
-        polys.append(poly)
+        upper.append([])
         norms2.append(Fraction(row[k], n * prev))
         k += 1
         if k > n:

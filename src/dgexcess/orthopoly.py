@@ -20,6 +20,7 @@ cross-check of that route.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,13 +38,14 @@ from .polynomial import Polynomial
 class PredistanceBasis:
     """Monic orthogonal polynomials with the layer data needed downstream.
 
-    monic[k] is the degree-k pre-distance polynomial, norms2[k] its
-    squared norm (the generic weight epsilon_k).  c2[k] = delta_k /
-    epsilon_k rescales to the norm of the distance-k layer for k up to
-    the diameter and is 1 past it; only the square is ever stored.
+    monic[k] is the degree-k pre-distance polynomial, formed on its
+    first read (MonomialBasis.polys), norms2[k] its squared norm (the
+    generic weight epsilon_k).  c2[k] = delta_k / epsilon_k rescales to
+    the norm of the distance-k layer for k up to the diameter and is 1
+    past it; only the square is ever stored.
     """
 
-    monic: tuple
+    monic: Sequence
     norms2: tuple
     c2: tuple
     diameter: int

@@ -45,6 +45,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # unpickling through __init__, since __setattr__ forbids restoring slots
+        return (Polynomial, (self.coeffs,))
+
     # -- constructors --------------------------------------------------------
 
     @classmethod

@@ -171,6 +171,13 @@ def test_projection_tables_match_fraction_reference(corpus):
         assert projection_tables(ctx.ds, ctx.basis) == ctx.tables == reference
 
 
+def test_monomial_basis_matches_naive_on_corpus(corpus):
+    for ctx in corpus:
+        _, norms, minpoly = oracles.naive_gram_schmidt(ctx.G.adjacency.tolist())
+        assert list(ctx.monomial.norms2) == norms
+        assert ctx.monomial.minpoly.coeffs == tuple(minpoly)
+
+
 def test_criterion_2_simple_excess_corpus_and_sampled(corpus):
     started = time.monotonic()
     failures = []

@@ -19,6 +19,8 @@ Claims checked:
     read them
   * so do the direct weak distance-regularity oracle and the delta
     profile
+  * a full report forms the pre-distance polynomials only up to the
+    diameter, and the minimal polynomial once
 """
 
 import random
@@ -33,7 +35,7 @@ from dgexcess import (AnalysisContext, MatrixPowers, build_digraph, complete,
                       dr_by_weighted_set, dr_direct, enumerate_digraphs,
                       full_report, generalized_odd_graph_check,
                       geodetic_dr_check, hoffman_matrix, hoffman_polynomial,
-                      hypercube, odd_girth_spectral, odd_girth_walks,
+                      circulant, hypercube, odd_girth_spectral, odd_girth_walks,
                       paley_tournament, path, petersen, power_traces,
                       tensor_lift, trichotomy,
                       wdr_by_projection, wdr_direct, weighted_intersection_table,
@@ -381,3 +383,19 @@ def test_wdr_oracle_and_delta_profile_computed_once(monkeypatch):
     calls.update(wdr_direct=0)
     assert check_projection_sums(ctx) == check_projection_sums(ctx) == []
     assert calls["wdr_direct"] == 1
+
+
+def test_full_report_forms_predistance_polynomials_up_to_the_diameter(monkeypatch):
+    import dgexcess.linalg as linalg_module
+    formed = []
+    inner = linalg_module._back_substitute
+
+    def counted(pivots, upper, k):
+        formed.append(k)
+        return inner(pivots, upper, k)
+    monkeypatch.setattr(linalg_module, "_back_substitute", counted)
+    report = full_report(circulant(37, (1, 10, 23)))
+    D, dhat = report.metrics["diameter"], report.metrics["dhat"]
+    assert (D, dhat) == (5, 36)
+    # the minimal polynomial, then p_0..p_D, each once
+    assert formed == [dhat + 1] + list(range(D + 1))

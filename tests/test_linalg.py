@@ -3,7 +3,8 @@
 Claims checked:
   * MatrixPowers escalates past int64 without losing exactness
   * trace inner products and Frobenius sums agree with schoolbook math
-  * the monomial Gram-Schmidt reproduces a textbook re-derivation
+  * the monomial Gram-Schmidt reproduces a textbook re-derivation, with
+    the pre-distance polynomials read in any order and pickled part-read
   * the moment table from word-size primes equals the schoolbook
     Frobenius sums, and the basis built on it forms no big-integer power
   * minimal polynomials of the named graphs come out exactly
@@ -13,6 +14,7 @@ Claims checked:
 
 import hashlib
 import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -116,6 +118,41 @@ def test_monomial_basis_matches_naive_gram_schmidt():
              for G in wide]
     assert dhats == [12, 11, 11]
     assert minimal_polynomial(wide[2])[0].squarefree_part().degree == 11
+
+
+def test_monomial_basis_polys_read_in_any_order():
+    for G in (path(12), circulant(13, (1, 2, 3, 4, 5, 7)),
+              _seeded_digraph(12, 72, 235)):
+        basis, _, _ = oracles.naive_gram_schmidt(
+            [[int(x) for x in row] for row in G.adjacency])
+        naive = tuple(Polynomial(tuple(b)) for b in basis)
+        top = len(naive) - 1
+        mb = orthogonal_monomial_basis(MatrixPowers(G.adjacency))
+        assert len(mb.polys) == top + 1 == mb.dhat + 1
+        assert mb.polys[top] == naive[top]
+        assert mb.polys[-1] is mb.polys[top]
+        assert [mb.polys[-k] for k in (2, 5, top + 1)] == \
+            [naive[-k] for k in (2, 5, top + 1)]
+        for cut in (slice(3, 7), slice(None, None, -2), slice(-4, None),
+                    slice(top + 5, None), slice(None)):
+            assert mb.polys[cut] == naive[cut]
+        assert tuple(mb.polys) == naive and mb.polys == naive
+        assert list(reversed(mb.polys)) == list(reversed(naive))
+        for k in (top + 1, -top - 2):
+            with pytest.raises(IndexError):
+                mb.polys[k]
+
+
+def test_monomial_basis_pickles_part_read():
+    G = _seeded_digraph(12, 72, 235)
+    mb = orthogonal_monomial_basis(MatrixPowers(G.adjacency))
+    first = mb.polys[:3]
+    back = pickle.loads(pickle.dumps(mb))
+    assert back.polys[:3] == first
+    assert back.dhat == mb.dhat and back.norms2 == mb.norms2
+    assert back.minpoly == mb.minpoly
+    assert tuple(back.polys) == tuple(mb.polys)
+    assert back == mb
 
 
 def test_moment_rows_match_schoolbook_sums():

@@ -6,11 +6,13 @@ Claims checked:
   * monic gcd and the squarefree part behave on known factorizations
   * the modular squarefree part equals m / gcd(m, m') from the rational
     Euclidean gcd, also past an unlucky prime
-  * exactness tracking and immutability hold up
+  * exactness tracking and immutability hold up, and pickling round-trips
 """
 
+import pickle
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from dgexcess import (MatrixPowers, Polynomial, enumerate_digraphs,
@@ -105,6 +107,16 @@ def test_immutability_and_hashing():
         p.coeffs = (3,)
     assert hash(P(1, 2)) == hash(P(1, 2))
     assert P(1, 2) != P(1, 2, 3)
+
+
+def test_pickle_round_trip():
+    exact = P(Fraction(-4, 3), 0, 1)
+    inexact = P(mpmath.mpf("0.5"), mpmath.mpf(2) / 3)
+    for p in (exact, inexact, P(1, 2), P()):
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q.coeffs == p.coeffs and q.exact == p.exact
+    assert pickle.loads(pickle.dumps(exact)).squarefree_part() == \
+        exact.squarefree_part()
 
 
 def test_map_coefficients():
