@@ -13,8 +13,10 @@ H(A) is never formed.  The Perron value is simple, so H(A) = n u v^T /
 (v^T u) with u and v the right and left Perron vectors, and each
 weighted layer is a sum of vector products over one distance class,
 O(n^2) in all.  Regular digraphs have u = v = 1 and weighted layers
-equal to the plain ones; a rational Perron value keeps them exact, and
-an irrational one puts them on the mpmath track.
+equal to the plain ones; a rational Perron value keeps them exact.  An
+irrational one gives u and v as fixed-point integers accurate past the
+working precision, so the class sums stay exact integer sums and only
+the one division per layer rounds, in mpmath.
 
 All inner products against the normalized polynomials P_k enter only
 squared, so the irrational normalization c_k = sqrt(delta_k/epsilon_k)
@@ -158,18 +160,19 @@ def weighted_layers(G: Digraph, hp: HoffmanPolynomial, ds: DistanceStructure,
 
     H(A) = n u v^T / (v^T u), so delta~_k = n sum u_x^2 v_y^2 / (v^T u)^2
     and <A~_k, A^k> = sum u_x v_y N_xy / (v^T u) over dist(x, y) = k, with
-    N the geodesic counts.  Exact (Fractions) when the Perron value is
-    rational, and regular digraphs give the plain layers; otherwise the
-    sums run in mpmath at hp.dps.  powers is accepted for the callers
-    that hold one and is not needed.
+    N the geodesic counts.  u and v are Python integers on both tracks,
+    so the sums are exact; each layer is a Fraction when the Perron
+    value is rational (regular digraphs give the plain layers), and
+    otherwise the fixed-point vectors' sums rounded once to hp.dps
+    digits.  powers is accepted for the callers that hold one and is
+    not needed.
     """
     if hp.exact:
         u, v = perron_vectors(G.adjacency, hp.lambda0_exact)
         return WeightedLayers(*_weighted_sums(ds, u, v, Fraction), True, hp.dps)
     with mpmath.workdps(hp.dps):
         u, v = perron_vectors(G.adjacency, hp.lambda0)
-        return WeightedLayers(*_weighted_sums(ds, u, v, operator.truediv),
-                              False, hp.dps)
+        return WeightedLayers(*_weighted_sums(ds, u, v, mpmath.fdiv), False, hp.dps)
 
 
 def weighted_excess(W: WeightedLayers, ds: DistanceStructure, d: int):

@@ -12,7 +12,9 @@ polynomial when it is first read.  Every division is exact, and
 ``fractions.Fraction`` values are formed only for the output.
 Quantities that live at an irrational Perron value go through mpmath at
 a working precision controlled by the ``DGEXCESS_PRECISION``
-environment variable (decimal digits, default 50), read at call time.
+environment variable (decimal digits, default 50), read at call time;
+the Perron vectors there are fixed-point integers, refined past that
+precision by float64 solves against exact integer residuals.
 
 Matrix powers, which the projection tables and the matrix polynomials
 read, escalate from int64 to Python-integer object arrays before any
@@ -393,13 +395,12 @@ def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None):
 
 
 def _solve_m_matrix(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b for a nonsingular M-matrix held as an object array.
+    """Solve M x = b exactly for a nonsingular M-matrix of Fractions held
+    as an object array.
 
     Every leading principal minor of such a matrix is positive, so
     Gaussian elimination needs no pivoting and each pivot is checked to
-    be positive.  Works entrywise in whatever scalars M carries
-    (Fractions exactly, mpf at the current precision) and skips the
-    zero entries of sparse rows and columns.
+    be positive.  Skips the zero entries of sparse rows and columns.
     """
     M, b = M.copy(), b.copy()
     m = len(b)
@@ -424,17 +425,75 @@ def _solve_m_matrix(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _exact_perron_vector(A: np.ndarray, lam: Fraction) -> np.ndarray:
+    """Right Perron vector of A at a rational lam, as Python integers."""
+    m = A.shape[0] - 1
+    M = np.array([[lam * (i == j) - int(A[i, j]) for j in range(m)]
+                  for i in range(m)], dtype=object)
+    x = _solve_m_matrix(M, np.array([Fraction(int(c)) for c in A[:-1, -1]], dtype=object))
+    scale = math.lcm(*(c.denominator for c in x))
+    x = np.array([int(c * scale) for c in x] + [scale], dtype=object)
+    if A[-1].astype(object).dot(x) != lam * scale:
+        raise PerronError("Perron vector misses the dropped equation")
+    return x
+
+
+def _refined_perron_vector(A: np.ndarray, lam, dps: int) -> np.ndarray:
+    """Right Perron vector of A at an mpf lam, as Python integers in fixed
+    point with the last entry 2^bits, by mixed-precision iterative
+    refinement: each step forms the residual of the principal system
+    exactly on integers and solves for the correction in float64.
+
+    Raises PerronError when the float64 solve fails, when the
+    corrections do not fall below 2^-(dps+5 digits) max|x| within
+    bits/8 steps (a step that gains less than a byte is diverging), when
+    an entry is not positive, or when the dropped equation misses by
+    more than 10^(-dps//2) relative.
+    """
+    bits = math.ceil((dps + 20) * math.log2(10))
+    tol = math.ceil((dps + 5) * math.log2(10))
+    one = 1 << bits
+    L = int(mpmath.ldexp(lam, bits))
+    Ap = A[:-1, :-1].astype(object)
+    b = A[:-1, -1].astype(object) * one
+    M = float(lam) * np.eye(len(b)) - A[:-1, :-1]
+    x = np.zeros(len(b), dtype=object)
+    for _ in range(bits // 8):
+        r = b - ((x * L) >> bits) + Ap.dot(x)
+        try:
+            dx = np.linalg.solve(M, [ri / one for ri in r])
+            step = np.array([(p << bits) // q for p, q in map(float.as_integer_ratio, dx)],
+                            dtype=object)
+        except (np.linalg.LinAlgError, OverflowError, ValueError):
+            # singular or non-finite in float64
+            raise PerronError("Perron vector refinement lost the float64 solve") from None
+        x += step
+        if max(map(abs, step)) << tol <= max(map(abs, x)):
+            break
+    else:
+        raise PerronError(f"Perron vector refinement did not converge at {dps} digits")
+    if not all(c > 0 for c in x):
+        raise PerronError("Perron vector has a non-positive entry")
+    x = np.append(x, one)
+    dropped = A[-1].astype(object).dot(x)
+    if abs(dropped - L) * 10 ** (dps // 2) > dropped + L:
+        raise PerronError("Perron vector misses the dropped equation")
+    return x
+
+
 def perron_vectors(A: np.ndarray, lambda0):
     """Right and left Perron vectors u, v (A u = lambda0 u, v^T A = lambda0 v^T).
 
     Any positive rescaling of u or v leaves u v^T / (v^T u) unchanged;
-    both come back as object arrays.  A regular digraph gives the
-    all-ones vectors.  Otherwise each comes from the principal
-    (n-1) x (n-1) system of lambda0 I - A with its last entry set to 1;
-    the system is nonsingular because A is irreducible and nonnegative.
-    It is solved exactly when lambda0 is rational, with the vector then
-    rescaled to Python integers, and in mpmath at the current precision
-    otherwise.
+    both come back as object arrays of positive Python integers.  A
+    regular digraph gives the all-ones vectors.  Otherwise each comes
+    from the principal (n-1) x (n-1) system of lambda0 I - A with its
+    last entry fixed; the system is nonsingular because A is irreducible
+    and nonnegative.  It is solved exactly when lambda0 is rational, and
+    otherwise by iterative refinement in fixed point to the current
+    mpmath precision plus twenty digits.  Either way the dropped n-th
+    equation is checked (exactly, or to half the digits) and a miss
+    raises PerronError.
     """
     A = np.asarray(A)
     n = A.shape[0]
@@ -442,20 +501,11 @@ def perron_vectors(A: np.ndarray, lambda0):
     if np.all(row == row[0]) and np.all(col == row[0]):
         ones = np.ones(n, dtype=np.int64).astype(object)
         return ones, ones
-    num = Fraction if isinstance(lambda0, (int, Fraction)) else mpmath.mpf
-    lam = num(lambda0)
-    M = np.array([[lam * (i == j) - int(A[i, j]) for j in range(n - 1)]
-                  for i in range(n - 1)], dtype=object)
-
-    def solve(M, b):
-        x = _solve_m_matrix(M, np.array([num(int(c)) for c in b], dtype=object))
-        x = np.append(x, num(1))
-        if num is not Fraction:
-            return x
-        scale = math.lcm(*(c.denominator for c in x))
-        return np.array([int(c * scale) for c in x], dtype=object)
-
-    return solve(M, A[:-1, -1]), solve(M.T.copy(), A[-1, :-1])
+    if isinstance(lambda0, (int, Fraction)):
+        lam = Fraction(lambda0)
+        return _exact_perron_vector(A, lam), _exact_perron_vector(A.T, lam)
+    lam, dps = mpmath.mpf(lambda0), mpmath.mp.dps
+    return _refined_perron_vector(A, lam, dps), _refined_perron_vector(A.T, lam, dps)
 
 
 @dataclass(frozen=True)
@@ -587,7 +637,9 @@ def hoffman_ingredients(minpoly: Polynomial, lambda0):
     """Split m(x) = (x - lambda0) S(x); returns (S, S(lambda0)).
 
     Exact when lambda0 is rational; otherwise carried out in mpmath at
-    the precision of lambda0.
+    the current precision, and the division remainder m(lambda0) must
+    stay within 10^(-working_dps()//2) times the Horner magnitude
+    sum |c_k| lambda0^k, the scale its rounding error grows with.
     """
     if isinstance(lambda0, (int, Fraction)):
         S, rem = minpoly.synthetic_divide(Fraction(lambda0))
@@ -596,7 +648,6 @@ def hoffman_ingredients(minpoly: Polynomial, lambda0):
         return S, S(Fraction(lambda0))
     m_mpf = _poly_mpf(minpoly)
     S, rem = m_mpf.synthetic_divide(mpmath.mpf(lambda0))
-    scale = max(abs(c) for c in m_mpf.coeffs)
-    if abs(rem) > scale * mpmath.mpf(10) ** (-working_dps() // 2):
+    if abs(rem) > _magnitude(m_mpf, lambda0) * mpmath.mpf(10) ** (-working_dps() // 2):
         raise ValueError("claimed Perron value leaves a large division residual")
     return S, S(mpmath.mpf(lambda0))

@@ -22,11 +22,13 @@ from dgexcess import (AnalysisContext, ProjectionTables, build_digraph,
                       projection_tables, q_norm_check, simple_excess,
                       spectral_excess, tensor_lift, upper_projection_sum,
                       wdr_projection_sum)
+from dgexcess.classify import full_report
 from dgexcess.harness import (check_conjugation, check_excess_product,
                               check_geodetic_set, check_odd_girth_suite,
                               check_projection_sums, check_simple_set,
                               check_weighted_set, family_suite,
                               random_subset_systems, standard_families)
+from test_excess import random_non_regular
 
 EXPECTED_COUNTS = {2: 1, 3: 18, 4: 1606}
 
@@ -316,3 +318,15 @@ def test_criterion_9_generator_contracts():
     _conclude(9, "advertised family properties hold via direct oracles; "
                  "cycle lifts are distance-regular with D = g",
               suite.checked + 6, started, failures)
+
+
+@pytest.mark.parametrize("n", [40, 50])
+def test_numeric_weighted_track_completes_on_wide_random_digraphs(n):
+    """Large irrational-Perron inputs end with a weighted excess, not an
+    error or a weighted-track alarm."""
+    for seed in range(3):
+        G = random_non_regular(n, round(0.1 * n * (n - 1)), seed)
+        report = full_report(G)
+        assert report.excess["weighted_exact"] is False, (n, seed)
+        assert not [a for a in report.alarms if a.startswith("weighted excess:")], \
+            (n, seed, report.alarms)

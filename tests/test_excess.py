@@ -8,6 +8,11 @@ Claims checked:
   * subset-system validation and the masked-power consistency rule
   * the weighted layers from the Perron vectors match the layers
     reweighted by the evaluated Hoffman matrix H(A)
+  * the refined Perron vectors are positive integers that solve the
+    full eigenproblem to the working precision, and a perturbed Perron
+    value fails the dropped equation
+  * an irrational Perron value with a large division remainder in
+    absolute terms still passes the Hoffman residual gate
 """
 
 import random
@@ -16,7 +21,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from dgexcess import (AnalysisContext, build_digraph, complete,
+from dgexcess import (AnalysisContext, PerronError, build_digraph, complete,
                       complete_bipartite, directed_cycle, delta_profile,
                       distance_structure, enumerate_digraphs,
                       generalized_projection_sum, hoffman_matrix, hypercube,
@@ -26,7 +31,9 @@ from dgexcess import (AnalysisContext, build_digraph, complete,
                       strong_connectivity, trace_inner_product,
                       upper_projection_sum, wdr_projection_sum,
                       weighted_excess, weighted_layers)
+from dgexcess.classify import full_report
 from dgexcess.harness import standard_families
+from dgexcess.linalg import hoffman_ingredients, perron_vectors
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -260,8 +267,9 @@ def test_weighted_layers_regular_are_the_plain_layers():
 def test_weighted_layers_numeric_match_hoffman_route(monkeypatch, precision):
     if precision is not None:
         monkeypatch.setenv("DGEXCESS_PRECISION", precision)
-    graphs = [path(3), path(5), complete_bipartite(1, 3),
-              random_non_regular(9, 20, seed=11)]
+    graphs = [path(3), path(5), path(12), complete_bipartite(1, 3),
+              random_non_regular(9, 20, seed=11),
+              random_non_regular(16, 48, seed=3)]
     for G in graphs:
         ctx = ctx_for(G)
         W = ctx.weighted
@@ -277,3 +285,55 @@ def test_weighted_layers_signature_and_fields():
     W = weighted_layers(ctx.G, ctx.hoffman, ctx.ds)
     assert W == weighted_layers(ctx.G, ctx.hoffman, ctx.ds, ctx.powers)
     assert not hasattr(W, "matrices")
+
+
+@pytest.mark.parametrize("precision", [None, "80"])
+def test_refined_perron_vectors_solve_the_eigenproblem(monkeypatch, precision):
+    if precision is not None:
+        monkeypatch.setenv("DGEXCESS_PRECISION", precision)
+    for G in (path(40), random_non_regular(36, 126, seed=1)):
+        ctx = ctx_for(G)
+        hp = ctx.hoffman
+        assert not hp.exact
+        A = G.adjacency.astype(object)
+        with mpmath.workdps(hp.dps):
+            u, v = perron_vectors(G.adjacency, hp.lambda0)
+        for x, M in ((u, A), (v, A.T)):
+            assert all(type(c) is int and c > 0 for c in x)
+            with mpmath.workdps(hp.dps + 20):
+                lam = mpmath.mpf(hp.lambda0)
+                got = [mpmath.mpf(c) for c in M.dot(x)]
+                want = [lam * c for c in x]
+                gap = max(abs(a - b) for a, b in zip(got, want))
+                assert gap <= max(want) * mpmath.mpf(10) ** (5 - hp.dps)
+
+
+def test_perturbed_perron_value_misses_the_dropped_equation():
+    # the star K_{1,4} has Perron value 2; at 3 the principal system
+    # still has a positive solution, which only row n refutes
+    A = complete_bipartite(1, 4).adjacency
+    perron_vectors(A, Fraction(2))
+    with pytest.raises(PerronError):
+        perron_vectors(A, Fraction(3))
+    for G in (path(40), random_non_regular(36, 126, seed=1)):
+        hp = ctx_for(G).hoffman
+        with mpmath.workdps(hp.dps):
+            wrong = hp.lambda0 * (1 + mpmath.mpf(10) ** -20)
+            with pytest.raises(PerronError):
+                perron_vectors(G.adjacency, wrong)
+
+
+def test_hoffman_gate_scales_with_the_perron_value():
+    # lambda0 ~ 4.85 and a degree-50 minimal polynomial: the remainder
+    # m(lambda0) is large in absolute terms but tiny against the Horner
+    # magnitude sum |c_k| lambda0^k
+    G = random_non_regular(50, 245, seed=0)
+    report = full_report(G)
+    assert report.excess["weighted_exact"] is False
+    assert not [a for a in report.alarms if a.startswith("weighted excess:")]
+    ctx = ctx_for(G)
+    minpoly, lam = ctx.monomial.minpoly, ctx.hoffman.lambda0
+    with mpmath.workdps(ctx.dps):
+        hoffman_ingredients(minpoly, lam)
+        with pytest.raises(ValueError):
+            hoffman_ingredients(minpoly, lam + mpmath.mpf("1e-3"))
