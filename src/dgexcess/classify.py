@@ -29,9 +29,9 @@ from .digraph import (Digraph, DistanceStructure, INFINITE, is_infinite,
 from .excess import (masked_power_check, projection_tables, q_norm_check,
                      simple_excess, spectral_excess, upper_projection_sum,
                      wdr_projection_sum, weighted_excess, weighted_layers)
-from .linalg import (MatrixPowers, PerronError, SpectrumError, matrix_polynomial,
-                     normality_test, orthogonal_monomial_basis, spectrum,
-                     working_dps)
+from .linalg import (MatrixPowers, PerronError, SpectrumError, exact_matmul,
+                     matrix_polynomial, normality_test, orthogonal_monomial_basis,
+                     spectrum, working_dps)
 from .orthopoly import (conjugation_polynomial, hoffman_polynomial,
                         predistance_polynomials, spectral_predistance)
 
@@ -65,7 +65,7 @@ class AnalysisContext:
     classifier and check reads one value: hoffman, weighted,
     numeric_spectrum, odd_girth, bipartite, simple_excess, the diagonal
     and triangular projection bounds wdr_projection and upper_projection,
-    wdr_direct, dr_direct and generalized_odd_graph.
+    q_norm, wdr_direct, dr_direct and generalized_odd_graph.
     """
 
     def __init__(self, G: Digraph, tol: float = 1e-9, dps=None, cluster_tol=None):
@@ -115,6 +115,10 @@ class AnalysisContext:
     @cached_property
     def upper_projection(self):
         return upper_projection_sum(self.ds, self.basis, self.powers, self.tables)
+
+    @cached_property
+    def q_norm(self):
+        return q_norm_check(self.basis, self.G.n)
 
     @cached_property
     def wdr_direct(self):
@@ -190,19 +194,19 @@ def wdr_direct(ds: DistanceStructure):
 
     Returns (Verdict, IntersectionTable); the table holds every
     intersection count on success and the refuting pair on failure.
-    Each i scans all j in one product; the scalar scan runs only on the
-    first (i, j) that fails, for its witness.
+    Each i scans all j in one stacked product; the scalar scan runs only
+    on the first (i, j) that fails, for its witness.  Every count is at
+    most n, so the products are exact in float64.
     """
     D, n = ds.diameter, ds.n
     ks = ds.classes[2]
-    right = np.hstack(ds.layers)
+    S = np.array(ds.layers, dtype=np.float64)   # converted once
     values = {}
     for i in range(D + 1):
-        blocks = (ds.layers[i] @ right).reshape(n, D + 1, n).transpose(1, 0, 2)
-        lo, hi = _class_ranges(blocks, ds.classes)
+        lo, hi = _class_ranges(exact_matmul(S[i], S, n), ds.classes)
         for j, (lo_j, hi_j) in enumerate(zip(lo.tolist(), hi.tolist())):
             if lo_j != hi_j:
-                _, witness = _class_spread(ds.layers[i] @ ds.layers[j], ds.classes)
+                _, witness = _class_spread(exact_matmul(S[i], S[j], n), ds.classes)
                 witness.update({"i": i, "j": j})
                 table = IntersectionTable("wdr", values, False, witness)
                 cert = {"consistent": False, "witness": witness}
@@ -215,20 +219,21 @@ def wdr_direct(ds: DistanceStructure):
 
 def dr_direct(ds: DistanceStructure) -> Verdict:
     """Constancy of |Gamma^+_i(u) n Gamma^+_1(v)| over pairs at distance
-    k >= 1, for each i up to k+1."""
-    D = ds.diameter
+    k >= 1, for each i up to k+1; the counts are at most n, so exact in
+    float64."""
+    D, n = ds.diameter, ds.n
     if D == 0:
         return Verdict("distance-regular", True, "direct",
                        {"consistent": True, "classes_checked": 0})
-    A_T = ds.layers[1].T.copy()
+    S = np.array(ds.layers, dtype=np.float64)   # converted once
+    A_T = S[1].T
     ks = np.array(ds.classes[2])
-    lo, hi = _class_ranges((np.vstack(ds.layers) @ A_T).reshape(D + 1, ds.n, ds.n),
-                           ds.classes)
+    lo, hi = _class_ranges(exact_matmul(S, A_T, n), ds.classes)
     checked = 0
     for i in range(D + 1):
         wanted = ks >= max(1, i - 1)
         if (lo[i] != hi[i])[wanted].any():
-            _, witness = _class_spread(ds.layers[i] @ A_T, ds.classes,
+            _, witness = _class_spread(exact_matmul(S[i], A_T, n), ds.classes,
                                        set(ks[wanted].tolist()))
             witness.update({"i": i, "j": 1})
             return Verdict("distance-regular", False, "direct",
@@ -307,7 +312,7 @@ def dr_by_weighted_set(G, tol: float = 1e-9) -> Verdict:
 def geodetic_dr_check(G) -> Verdict:
     """Geodetic distance-regularity via the summed squared norms hitting n."""
     ctx = _ctx(G)
-    value, attained = q_norm_check(ctx.basis, ctx.G.n)
+    value, attained = ctx.q_norm
     cert = {"q_norm": value, "n": ctx.G.n, "normal": ctx.normal}
     if not ctx.normal:
         cert["note"] = _NOT_NORMAL
@@ -365,15 +370,25 @@ def odd_girth_walks(G: Digraph):
 
     With a nonnegative adjacency matrix tr(A^k) != 0 exactly when a
     closed walk of length k exists, so reachability powers decide the
-    trace test without big-integer arithmetic.
+    trace test without big-integer arithmetic; each entry of a product
+    of 0/1 matrices is at most n, so the products run in float64.  The
+    next odd walk state is a function of the current one, so once a
+    state repeats an earlier one the sequence is periodic, every state
+    to come has been seen (with a zero trace), and the search stops.
     """
-    A = G.adjacency
-    walk = A.copy()
-    step2 = ((A @ A) > 0).astype(np.int64)
-    for k in range(1, G.n + 1, 2):
-        if np.trace(walk) != 0:
+    n = G.n
+    walk = G.adjacency.astype(np.float64)
+    step2 = (exact_matmul(walk, walk, n) > 0).astype(np.float64)
+    seen = {np.packbits(walk > 0).tobytes()}
+    for k in range(1, n + 1, 2):
+        if walk.trace() != 0:
             return k
-        walk = ((walk @ step2) > 0).astype(np.int64)
+        reach = exact_matmul(walk, step2, n) > 0
+        state = np.packbits(reach).tobytes()
+        if state in seen:
+            break
+        seen.add(state)
+        walk = reach.astype(np.float64)
     return INFINITE
 
 
@@ -528,7 +543,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         weighted = None
 
     diag, upper = ctx.wdr_projection, ctx.upper_projection
-    q_value, q_attained = q_norm_check(ctx.basis, G.n)
+    q_value, q_attained = ctx.q_norm
     report.bounds = {
         "wdr_projection": {"total": diag.total, "per_k": list(diag.per_k)},
         "upper_projection": {"total": upper.total, "per_k": list(upper.per_k)},

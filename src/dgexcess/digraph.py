@@ -176,6 +176,8 @@ class DistanceStructure:
     diameter: int
     layers: tuple             # layers[k][u, v] = 1 iff dist(u, v) == k
     path_counts: np.ndarray   # object array of Python ints, geodesics u -> v
+    # float64 copy of path_counts when every count is below 2^53, else None
+    path_counts_float: np.ndarray = None
 
     @cached_property
     def classes(self) -> tuple:
@@ -221,10 +223,11 @@ def distance_structure(G: Digraph) -> DistanceStructure:
         dist[new] = k
         counts[new] = P[new]
         F = np.where(new, P, 0)
+    counts_float = None
     if counts.dtype != object:
-        counts = counts.astype(np.int64).astype(object)
+        counts_float, counts = counts, counts.astype(np.int64).astype(object)
     layers = tuple((dist == j).astype(np.int64) for j in range(k + 1))
-    return DistanceStructure(n, dist, k, layers, counts)
+    return DistanceStructure(n, dist, k, layers, counts, counts_float)
 
 
 @dataclass(frozen=True)
@@ -244,12 +247,22 @@ class DeltaProfile:
 
 
 def delta_profile(ds: DistanceStructure) -> DeltaProfile:
-    D = ds.diameter
-    counts = np.zeros((D + 1, ds.n), dtype=np.int64)
-    prime = np.zeros((D + 1, ds.n), dtype=object)
-    for k, layer in enumerate(ds.layers):
-        counts[k] = layer.sum(axis=1)
-        prime[k] = (ds.path_counts * layer.astype(object)).sum(axis=1)
+    """Per-vertex layer sizes and geodesic sums, one bin per (k, u).
+
+    A vertex's geodesic sum is at most n times the largest count, so
+    below 2^53 it is summed exactly in float64; otherwise on Python ints.
+    """
+    D, n = ds.diameter, ds.n
+    bins = (ds.dist * n + np.arange(n)[:, None]).ravel()   # k n + u
+    counts = np.bincount(bins, minlength=(D + 1) * n).reshape(D + 1, n)
+    pc = ds.path_counts_float
+    if pc is not None and n * int(pc.max()) < _FLOAT_EXACT:
+        prime = np.bincount(bins, weights=pc.ravel(), minlength=(D + 1) * n)
+        prime = prime.astype(np.int64).astype(object).reshape(D + 1, n)
+    else:
+        prime = np.zeros((D + 1, n), dtype=object)
+        for k, layer in enumerate(ds.layers):
+            prime[k] = (ds.path_counts * layer.astype(object)).sum(axis=1)
     delta = tuple(Fraction(int(counts[k].sum()), ds.n) for k in range(D + 1))
     delta_prime = tuple(Fraction(int(prime[k].sum()), ds.n) for k in range(D + 1))
     return DeltaProfile(delta, delta_prime, counts, prime)

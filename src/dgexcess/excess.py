@@ -37,7 +37,7 @@ import mpmath
 import numpy as np
 
 from .digraph import DeltaProfile, Digraph, DistanceStructure
-from .linalg import _INT64_SAFE, MatrixPowers, perron_vectors
+from .linalg import MatrixPowers, exact_matmul, perron_vectors
 from .orthopoly import HoffmanPolynomial, PredistanceBasis
 
 
@@ -95,13 +95,13 @@ def projection_tables(ds: DistanceStructure, basis: PredistanceBasis,
                       powers: MatrixPowers = None) -> ProjectionTables:
     powers = _powers_for(ds, powers)
     n, D = ds.n, ds.diameter
-    # moments[k][i] = n <A_k, A^i>, one product of the stacked layers and
-    # powers; for i < k it vanishes by support
-    layers = np.stack([layer.ravel() for layer in ds.layers])
+    # moments[k][i] = n <A_k, A^i>, one product of the stacked 0/1 layers
+    # and powers, each at most n^2 max|A^i|; for i < k it vanishes by
+    # support
+    layers = np.array(ds.layers, dtype=np.float64).reshape(D + 1, n * n)
     pw = np.stack([powers[i].ravel() for i in range(D + 1)])
-    if pw.dtype == object or int(np.abs(pw).max()) * n * n >= _INT64_SAFE:
-        layers, pw = layers.astype(object), pw.astype(object)
-    moments = (layers @ pw.T).tolist()
+    bound = n * n * max(map(powers.bound, range(D + 1)))
+    moments = exact_matmul(layers, pw.T, bound).tolist()
     # inner[k][j] as one integer sum over the common denominator of
     # monic_j's coefficients
     cols = []
@@ -283,11 +283,14 @@ def q_norm_check(basis: PredistanceBasis, n: int):
 
 
 def masked_power_check(ds: DistanceStructure, powers: MatrixPowers = None) -> bool:
-    """Walks of length exactly dist(u, v) are geodesics; the walk matrix
-    masked to each layer must reproduce the geodesic counts."""
+    """Walks of length exactly dist(u, v) are geodesics; on each layer's
+    support the walk matrix must reproduce the geodesic counts, compared
+    as Python integers."""
     powers = _powers_for(ds, powers)
-    for k in range(ds.diameter + 1):
-        layer = ds.layers[k].astype(object)
-        if not ((powers[k].astype(object) * layer) == ds.path_counts * layer).all():
+    order, starts, ks = ds.classes
+    counts = ds.path_counts.ravel()
+    for c, k in enumerate(ks):
+        support = order[starts[c]:starts[c + 1]]
+        if powers[k].ravel()[support].tolist() != counts[support].tolist():
             return False
     return True

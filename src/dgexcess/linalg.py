@@ -16,9 +16,14 @@ environment variable (decimal digits, default 50), read at call time;
 the Perron vectors there are fixed-point integers, refined past that
 precision by float64 solves against exact integer residuals.
 
-Matrix powers, which the projection tables and the matrix polynomials
-read, escalate from int64 to Python-integer object arrays before any
-entry can overflow; nothing here ever wraps silently.
+Every other integer matrix product goes through exact_matmul, which
+takes the caller's proven bound on the product's entries and picks the
+arithmetic from it: a float64 (BLAS) product below 2^53, int64 below
+2^62, Python-integer object arrays beyond.  Matrix powers, which the
+projection tables and the matrix polynomials read, take each step that
+way, so they escalate from float64 through int64 to object arrays
+before any entry can round or overflow; nothing here ever wraps
+silently.
 """
 
 from __future__ import annotations
@@ -57,8 +62,36 @@ def working_dps() -> int:
     return max(dps, 15)
 
 
+def exact_matmul(P: np.ndarray, Q: np.ndarray, bound: int) -> np.ndarray:
+    """P @ Q exactly, for integer matrices with sum_k |P_ik| |Q_kj| <= bound
+    for every i, j, a bound the caller has proved.
+
+    Every partial sum is then at most bound in absolute value, so below
+    2^53 a float64 (BLAS) product is exact in any summation order and
+    is cast back to int64; below 2^62 the product runs in int64, and
+    beyond that on Python-int object arrays.  Returns int64 in the first
+    two cases and object otherwise.  Operands may be int64, object, or
+    float64 holding integers below 2^53; a float64 operand is used as
+    is, so a caller that multiplies by the same matrix again converts it
+    once.
+    """
+    if bound < _FLOAT_EXACT:
+        return (np.asarray(P, dtype=np.float64)
+                @ np.asarray(Q, dtype=np.float64)).astype(np.int64)
+    P, Q = (M if M.dtype == object else M.astype(np.int64, copy=False) for M in (P, Q))
+    if bound < _INT64_SAFE:
+        return P @ Q
+    return P.astype(object) @ Q.astype(object)
+
+
 class MatrixPowers:
-    """Lazily extended list I, A, A^2, ... with overflow-safe dtype escalation."""
+    """Lazily extended list I, A, A^2, ... of exact integer matrices.
+
+    Each step is one exact_matmul at the bound max|A^k| times the largest
+    absolute column sum of A, so a power is int64 until its entries may
+    pass 2^62 and a Python-int object array from then on.  bound(k) is
+    that proven bound on the entries of A^k, kept from its step.
+    """
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A)
@@ -67,21 +100,26 @@ class MatrixPowers:
         self.n = A.shape[0]
         self.A = A.astype(np.int64)
         self._pow = [np.eye(self.n, dtype=np.int64), self.A]
-        self._max_col = int(np.abs(self.A).sum(axis=0).max())
+        self._max_col = max(int(np.abs(self.A).sum(axis=0).max()), 1)
+        self._bounds = [1, self._max_col]
+        # converted once; exact, since every entry is below 2^53 when the
+        # column sums are, and exact_matmul converts it back past 2^53
+        self._right = self.A.astype(np.float64) if self._max_col < _FLOAT_EXACT else self.A
 
     def __getitem__(self, k: int) -> np.ndarray:
         if k < 0:
             raise IndexError("negative power")
         while len(self._pow) <= k:
             last = self._pow[-1]
-            if last.dtype == object:
-                nxt = last @ self.A.astype(object)
-            elif int(np.abs(last).max()) * max(self._max_col, 1) >= _INT64_SAFE:
-                nxt = last.astype(object) @ self.A.astype(object)
-            else:
-                nxt = last @ self.A
-            self._pow.append(nxt)
+            bound = int(np.abs(last).max()) * self._max_col
+            self._pow.append(exact_matmul(last, self._right, bound))
+            self._bounds.append(bound)
         return self._pow[k]
+
+    def bound(self, k: int) -> int:
+        """A proven bound on the entries of A^k in absolute value."""
+        self[k]
+        return self._bounds[k]
 
     def trace(self, k: int) -> int:
         return int(np.trace(self[k]))
@@ -126,8 +164,12 @@ def matrix_polynomial(p: Polynomial, powers: MatrixPowers) -> np.ndarray:
 
 
 def normality_test(A: np.ndarray) -> bool:
-    A = A.astype(np.int64)
-    return bool((A @ A.T == A.T @ A).all())
+    """A A^T == A^T A, exactly, at the bound n max|A|^2 on either product."""
+    A = np.asarray(A)
+    bound = A.shape[0] * int(np.abs(A).max(initial=0)) ** 2
+    if bound < _FLOAT_EXACT:
+        A = A.astype(np.float64)    # converted once for both products
+    return bool((exact_matmul(A, A.T, bound) == exact_matmul(A.T, A, bound)).all())
 
 
 # -- Orthogonal monomial basis and the minimal polynomial -------------------
@@ -633,14 +675,17 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spect
                     minpoly.degree - 1, tol)
 
 
-def hoffman_ingredients(minpoly: Polynomial, lambda0):
+def hoffman_ingredients(minpoly: Polynomial, lambda0, dps=None):
     """Split m(x) = (x - lambda0) S(x); returns (S, S(lambda0)).
 
     Exact when lambda0 is rational; otherwise carried out in mpmath at
     the current precision, and the division remainder m(lambda0) must
-    stay within 10^(-working_dps()//2) times the Horner magnitude
-    sum |c_k| lambda0^k, the scale its rounding error grows with.
+    stay within 10^(-dps//2) times the Horner magnitude sum |c_k|
+    lambda0^k, the scale its rounding error grows with.  dps is the
+    precision lambda0 was refined to, working_dps() when not given.
     """
+    if dps is None:
+        dps = working_dps()
     if isinstance(lambda0, (int, Fraction)):
         S, rem = minpoly.synthetic_divide(Fraction(lambda0))
         if rem != 0:
@@ -648,6 +693,6 @@ def hoffman_ingredients(minpoly: Polynomial, lambda0):
         return S, S(Fraction(lambda0))
     m_mpf = _poly_mpf(minpoly)
     S, rem = m_mpf.synthetic_divide(mpmath.mpf(lambda0))
-    if abs(rem) > _magnitude(m_mpf, lambda0) * mpmath.mpf(10) ** (-working_dps() // 2):
+    if abs(rem) > _magnitude(m_mpf, lambda0) * mpmath.mpf(10) ** (-dps // 2):
         raise ValueError("claimed Perron value leaves a large division residual")
     return S, S(mpmath.mpf(lambda0))

@@ -198,7 +198,7 @@ def hoffman_polynomial(G: Digraph, powers: MatrixPowers = None,
         H = S.scale(Fraction(G.n) / S0)
         return HoffmanPolynomial(H, True, lam, lam_exact, dps)
     with mpmath.workdps(dps):
-        S, S0 = hoffman_ingredients(minpoly, lam)
+        S, S0 = hoffman_ingredients(minpoly, lam, dps)
         H = S.scale(G.n / S0)
     return HoffmanPolynomial(H, False, lam, None, dps)
 

@@ -18,7 +18,8 @@ import oracles
 from dgexcess import (AnalysisContext, ProjectionTables, build_digraph,
                       circulant, complete, directed_cycle, dr_direct,
                       enumerate_digraphs, generalized_projection_sum,
-                      hypercube, path, petersen, predistance_polynomials,
+                      hypercube, kneser_odd_graph, path, petersen,
+                      predistance_polynomials,
                       projection_tables, q_norm_check, simple_excess,
                       spectral_excess, tensor_lift, upper_projection_sum,
                       wdr_projection_sum)
@@ -330,3 +331,17 @@ def test_numeric_weighted_track_completes_on_wide_random_digraphs(n):
         assert report.excess["weighted_exact"] is False, (n, seed)
         assert not [a for a in report.alarms if a.startswith("weighted excess:")], \
             (n, seed, report.alarms)
+
+
+@pytest.mark.parametrize("G, generalized_odd", [(hypercube(8), False),
+                                                (kneser_odd_graph(6), True)],
+                         ids=["hypercube8", "kneser6"])
+def test_large_few_eigenvalue_families_report_distance_regular(G, generalized_odd):
+    """n = 256 and 462: the report decides distance-regularity on both
+    routes, with no alarm."""
+    report = full_report(G)
+    assert report.alarms == []
+    assert report.verdicts["dr"].decision
+    assert report.verdicts["dr"].certificate["direct_decision"]
+    assert report.verdicts["wdr"].decision
+    assert report.verdicts["generalized_odd_graph"].decision is generalized_odd

@@ -21,6 +21,10 @@ Claims checked:
     profile
   * a full report forms the pre-distance polynomials only up to the
     diameter, and the minimal polynomial once
+  * so does the q-norm check, once per report and per check_digraph
+  * the direct oracles' tables, witnesses and counts hold Python ints
+  * the walk route to the odd girth agrees with the trace route, and
+    stops on a bipartite input once a walk state repeats
 """
 
 import random
@@ -135,6 +139,39 @@ def test_direct_oracles_match_a_plain_class_loop():
     assert {(True, True), (False, False)} <= outcomes
 
 
+def _python_ints(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return all(map(_python_ints, value))
+    return type(value) is int
+
+
+def test_direct_oracle_tables_and_witnesses_hold_python_ints():
+    graphs = [G for n in (2, 3, 4) for G in enumerate_digraphs(n, "strongly_connected")]
+    rng = random.Random(11)
+    random_non_dr = 0
+    while random_non_dr < 25:
+        n = rng.randint(5, 12)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        G = build_digraph(n, sorted(rng.sample(pairs, rng.randint(n, 3 * n))))
+        if G.is_strongly_connected and not dr_direct(distance_structure(G)).decision:
+            graphs.append(G)
+            random_non_dr += 1
+    witnesses = 0
+    for G in graphs:
+        ds = distance_structure(G)
+        verdict, table = wdr_direct(ds)
+        dr = dr_direct(ds)
+        assert all(map(_python_ints, table.values.values()))
+        assert all(map(_python_ints, table.values.keys()))
+        for cert in (verdict.certificate, dr.certificate):
+            if cert["consistent"]:
+                assert type(cert["classes_checked"]) is int
+            else:
+                witnesses += 1
+                assert all(_python_ints(v) for v in cert["witness"].values())
+    assert witnesses > 50
+
+
 def test_wdr_table_contents():
     verdict, table = wdr_direct(distance_structure(directed_cycle(4)))
     assert verdict.decision and table.consistent
@@ -226,6 +263,34 @@ def test_odd_girth_routes_agree():
         assert odd_girth_spectral(power_traces(G, G.n)) == odd_girth_walks(G)
     assert odd_girth_spectral([1, 0, 4, 0, 2]) is INFINITE
     assert odd_girth_spectral([1, 0, 4, 6]) == 3
+
+
+def test_odd_girth_walks_agree_with_traces():
+    graphs = [G for n in (1, 2, 3, 4) for G in enumerate_digraphs(n, "strongly_connected")]
+    graphs += [hypercube(6), directed_cycle(8), build_digraph(1, [])]
+    for G in graphs:
+        assert odd_girth_walks(G) == odd_girth_spectral(power_traces(G, G.n)), G
+    assert odd_girth_walks(hypercube(6)) is INFINITE
+    assert odd_girth_walks(directed_cycle(8)) is INFINITE
+    assert odd_girth_walks(build_digraph(1, [])) is INFINITE
+
+
+def test_odd_girth_walks_stop_once_a_state_repeats(monkeypatch):
+    products = []
+    inner = classify_module.exact_matmul
+
+    def counted(P, Q, bound):
+        products.append(bound)
+        return inner(P, Q, bound)
+    monkeypatch.setattr(classify_module, "exact_matmul", counted)
+    # hypercube(6): the odd walk states reach every odd distance by A^5,
+    # and A^7 repeats A^5; one product for A^2, three steps
+    assert odd_girth_walks(hypercube(6)) is INFINITE
+    assert len(products) == 4
+    products.clear()
+    # directed_cycle(8): permutation states A, A^3, A^5, A^7, then A^9 = A
+    assert odd_girth_walks(directed_cycle(8)) is INFINITE
+    assert len(products) == 5
 
 
 def test_generalized_odd_graph_members():
@@ -356,6 +421,26 @@ def test_odd_girth_and_dr_oracle_computed_once(monkeypatch):
             calls.update(dict.fromkeys(names, 0))
             run(G)
             assert calls == dict.fromkeys(names, 1), (run.__name__, G.n)
+
+
+def test_q_norm_check_runs_once_per_report(monkeypatch):
+    calls = []
+    inner = classify_module.q_norm_check
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(classify_module, "q_norm_check", counted)
+    for G in (petersen(), directed_cycle(5), NONNORMAL):
+        calls.clear()
+        report = full_report(G)
+        assert len(calls) == 1, G
+        assert report.bounds["q_norm"]["value"] == \
+            report.verdicts["geodetic_dr"].certificate["q_norm"]
+    for G in (petersen(), directed_cycle(5)):
+        calls.clear()
+        check_digraph(G)
+        assert len(calls) == 1, G
 
 
 def test_wdr_oracle_and_delta_profile_computed_once(monkeypatch):

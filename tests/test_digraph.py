@@ -10,6 +10,8 @@ Claims checked:
   * girth and odd girth agree with brute-force cycle search
   * delta profile, bipartite, geodetic and regularity behave on the
     named graphs with hand-computed values
+  * the delta profile's geodesic sums are exact Python ints on either
+    side of 2^53, summed in float64 or on Python ints
 """
 
 import random
@@ -232,6 +234,27 @@ def test_delta_profile_sums_to_n():
         prof = delta_profile(distance_structure(G))
         assert sum(prof.delta) == G.n
         assert all(p >= d for p, d in zip(prof.delta_prime, prof.delta))
+
+
+@pytest.mark.parametrize("cycle, m", [
+    (20, 4),    # counts up to 4^19, row sums below 2^53: float64 sums
+    (26, 4),    # counts below 2^53, but n times the largest is not
+    (30, 4),    # counts past 2^53: Python ints throughout
+])
+def test_delta_profile_geodesic_sums_are_exact(cycle, m):
+    ds = distance_structure(tensor_lift(directed_cycle(cycle), m))
+    prof = delta_profile(ds)
+    counts = ds.path_counts.tolist()
+    for k in range(ds.diameter + 1):
+        rows = [sum(c for c, d in zip(crow, drow) if d == k)
+                for crow, drow in zip(counts, ds.dist.tolist())]
+        assert prof.vertex_prime[k].tolist() == rows
+        assert all(type(x) is int for x in prof.vertex_prime[k])
+        assert prof.vertex_counts[k].tolist() == (ds.dist == k).sum(axis=1).tolist()
+        assert prof.delta_prime[k] == Fraction(sum(rows), ds.n)
+    # in the lift each vertex sees m^(k-1) geodesics to each of its m
+    # successors' copies, so the layer-k sum is m^k for 1 <= k < cycle
+    assert prof.vertex_prime[cycle - 1][0] == m ** (cycle - 1)
 
 
 def test_bipartite_and_geodetic_and_regular():

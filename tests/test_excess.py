@@ -12,17 +12,21 @@ Claims checked:
     full eigenproblem to the working precision, and a perturbed Perron
     value fails the dropped equation
   * an irrational Perron value with a large division remainder in
-    absolute terms still passes the Hoffman residual gate
+    absolute terms still passes the Hoffman residual gate, which is
+    sized from the precision the caller works at
+  * a wrong geodesic count on any layer, past int64 too, fails the
+    masked-power rule
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from dgexcess import (AnalysisContext, PerronError, build_digraph, complete,
-                      complete_bipartite, directed_cycle, delta_profile,
+from dgexcess import (AnalysisContext, MatrixPowers, PerronError, build_digraph,
+                      complete, complete_bipartite, directed_cycle, delta_profile,
                       distance_structure, enumerate_digraphs,
                       generalized_projection_sum, hoffman_matrix, hypercube,
                       masked_power_check, path, petersen,
@@ -200,6 +204,16 @@ def test_masked_power_rule():
     assert masked_power_check(distance_structure(petersen()))
 
 
+def test_masked_power_rule_fails_on_a_wrong_count():
+    ds = distance_structure(path(5))
+    assert masked_power_check(ds, MatrixPowers(ds.layers[1]))
+    # each pair is compared on its own layer, past int64 too
+    for pair, wrong in (((0, 3), 2), ((0, 4), 2 ** 70), ((2, 2), 0)):
+        bad = dataclasses.replace(ds, path_counts=ds.path_counts.copy())
+        bad.path_counts[pair] = wrong
+        assert not masked_power_check(bad), (pair, wrong)
+
+
 # -- Weighted layers: Perron vectors against the evaluated H(A) --------------
 
 def hoffman_route(ctx):
@@ -337,3 +351,27 @@ def test_hoffman_gate_scales_with_the_perron_value():
         hoffman_ingredients(minpoly, lam)
         with pytest.raises(ValueError):
             hoffman_ingredients(minpoly, lam + mpmath.mpf("1e-3"))
+
+
+@pytest.mark.parametrize("precision", [20, 80])
+def test_hoffman_gate_follows_the_callers_precision(precision):
+    # lambda0 of path(40) is refined to `precision` digits and gated at
+    # half of them, whatever DGEXCESS_PRECISION says
+    ctx = AnalysisContext(path(40), dps=precision)
+    hp = ctx.hoffman
+    assert hp.dps == precision and not hp.exact
+    with mpmath.workdps(precision + 10):
+        assert abs(hp.lambda0 - 2 * mpmath.cos(mpmath.pi / 41)) < \
+            mpmath.mpf(10) ** -(precision - 2)
+    W = ctx.weighted
+    assert W.dps == precision
+    with mpmath.workdps(precision):
+        assert abs(weighted_excess(W, ctx.ds, ctx.basis.d) - mpmath.mpf(1) / 20) < \
+            mpmath.mpf(10) ** -(precision // 2)
+        # a Perron value off in digit 20 leaves a relative remainder near
+        # 10^-32: inside a gate at 10^-25, outside one at 10^-40
+        wrong = hp.lambda0 * (1 + mpmath.mpf(10) ** -20)
+        if precision == 80:
+            with pytest.raises(ValueError):
+                hoffman_ingredients(ctx.monomial.minpoly, wrong, precision)
+            hoffman_ingredients(ctx.monomial.minpoly, wrong, 50)

@@ -2,6 +2,10 @@
 
 Claims checked:
   * MatrixPowers escalates past int64 without losing exactness
+  * exact_matmul switches from float64 to int64 at 2^53 and to Python
+    ints at 2^62, and a product float64 would round comes back exact
+  * MatrixPowers equals schoolbook powers up to A^n across all three
+    arithmetic tiers
   * trace inner products and Frobenius sums agree with schoolbook math
   * the monomial Gram-Schmidt reproduces a textbook re-derivation, with
     the pre-distance polynomials read in any order and pickled part-read
@@ -32,7 +36,7 @@ from dgexcess import (MatrixPowers, PerronError, Polynomial, SpectrumError,
                       power_traces, spectrum, trace_inner_product,
                       working_dps)
 from dgexcess.generators import enumerate_digraphs
-from dgexcess.linalg import _moment_rows, refine_real_root
+from dgexcess.linalg import _FLOAT_EXACT, _moment_rows, exact_matmul, refine_real_root
 
 
 # -- Matrix powers and inner products ----------------------------------------
@@ -54,6 +58,73 @@ def test_matrix_powers_escalates_past_int64():
     assert int(P30[0, 1]) == ref[0][1]
     assert int(P30[0, 0]) == ref[0][0]
     assert ref[0][1] > 2 ** 63         # the check was not vacuous
+
+
+@pytest.mark.parametrize("top, dtype", [
+    (2 ** 53 - 1, np.int64),    # float64 tier, at its last exact integer
+    (2 ** 53 + 1, np.int64),    # int64 tier: float64 would give 2^53
+    (2 ** 62 - 1, np.int64),
+    (2 ** 62 + 1, object),      # Python ints
+    (2 ** 63 + 1, object),      # past int64 altogether
+])
+def test_exact_matmul_tier_boundaries(top, dtype):
+    # [1 1] [a; b] = a + b = top, with a and b below 2^62 and the bound tight
+    a = top // 2
+    P = np.array([[1, 1]], dtype=np.int64)
+    Q = np.array([[a], [top - a]], dtype=np.int64)
+    out = exact_matmul(P, Q, top)
+    assert out.dtype == dtype
+    assert int(out[0, 0]) == top and type(out.tolist()[0][0]) is int
+
+
+def test_exact_matmul_keeps_odd_products_past_2_53_exact():
+    rng = random.Random(53)
+    n = 6
+    # entries up to 2^48 against entries up to 2^5: products reach 2^54,
+    # and most of them are odd, so float64 would round them
+    P = np.array([[rng.randrange(1, 2 ** 48) | 1 for _ in range(n)] for _ in range(n)],
+                 dtype=object)
+    Q = np.array([[rng.randrange(1, 2 ** 5) | 1 for _ in range(n)] for _ in range(n)],
+                 dtype=object)
+    exact = P @ Q
+    bound = int(abs(P).max()) * int(abs(Q).sum(axis=0).max())
+    assert _FLOAT_EXACT <= bound < 2 ** 62
+    got = exact_matmul(P.astype(np.int64), Q.astype(np.int64).astype(np.float64), bound)
+    assert got.dtype == np.int64 and (got.astype(object) == exact).all()
+    rounded = (P.astype(np.float64) @ Q.astype(np.float64)).astype(np.int64)
+    assert (rounded.astype(object) != exact).any()    # not vacuous
+    # the same with signs, past int64, on Python ints
+    big = P * (2 ** 20) - 2 ** 67
+    got = exact_matmul(big, Q, int(abs(big).max()) * int(abs(Q).sum(axis=0).max()))
+    assert got.dtype == object and (got == big @ Q).all()
+
+
+def _lollipop(clique: int, tail: int):
+    """A complete graph on `clique` vertices with a path of `tail` more
+    vertices hung from vertex clique - 1, both ways."""
+    arcs = [(u, v) for u in range(clique) for v in range(clique) if u != v]
+    for v in range(clique - 1, clique + tail - 1):
+        arcs += [(v, v + 1), (v + 1, v)]
+    return build_digraph(clique + tail, arcs)
+
+
+@pytest.mark.parametrize("G", [path(40), _lollipop(10, 20)], ids=["path40", "lollipop"])
+def test_matrix_powers_match_schoolbook_powers(G):
+    A = [[int(x) for x in row] for row in G.adjacency]
+    naive = oracles.naive_power_list(A, G.n)
+    mp = MatrixPowers(G.adjacency)
+    for k, P in enumerate(naive):
+        assert mp[k].tolist() == P, k
+        assert max(abs(x) for row in P for x in row) <= mp.bound(k), k
+    tops = [max(max(row) for row in P) for P in naive]
+    dtypes = [mp[k].dtype for k in range(G.n + 1)]
+    if G.n == 40:
+        # path(40): every bound stays below 2^53, so every step is float64
+        assert max(tops) < _FLOAT_EXACT and object not in dtypes
+    else:
+        # the lollipop passes 2^53 in int64, then 2^62 on Python ints
+        assert any(t >= _FLOAT_EXACT and d == np.int64 for t, d in zip(tops, dtypes))
+        assert dtypes[-1] == object and tops[-1] > 2 ** 63
 
 
 def test_frobenius_sum_matches_schoolbook():
