@@ -15,6 +15,7 @@ comparison, including any tolerance used on the numeric track.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -51,16 +52,47 @@ class Verdict:
 @dataclass(frozen=True)
 class IntersectionTable:
     kind: str          # "wdr", "dr" or "weighted"
-    values: dict       # (k, i, j) -> count (exact or numeric)
+    values: Mapping    # (k, i, j) -> count (exact or numeric)
     consistent: bool
     witness: dict = None
+
+
+class _CountBlocks(Mapping):
+    """(k, i, j) -> count, read from wdr_direct's per-class minima.
+
+    blocks holds (i, rows) pairs, rows[j] the counts of the classes in
+    ks order; the dict is formed on the first read of a count, and its
+    length is known without it."""
+
+    def __init__(self, ks: list, blocks: list):
+        self._ks, self._blocks = ks, blocks
+
+    @cached_property
+    def _values(self) -> dict:
+        ks = self._ks
+        return {(k, i, j): v for i, rows in self._blocks
+                for j, row in enumerate(rows.tolist()) for k, v in zip(ks, row)}
+
+    def __getitem__(self, key):
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._ks) * sum(len(rows) for _, rows in self._blocks)
 
 
 class AnalysisContext:
     """Shared scaffolding for the classifiers on one digraph.
 
     The exact core (distance structure, delta profile, powers, bases,
-    normality, projection tables) is computed eagerly.  Every other
+    normality, projection tables) is computed eagerly.  The bases and
+    the projection tables are held on integers, the pre-distance
+    polynomials as numerators over the elimination's pivots and the
+    tables as N_kj = n D_{j-1} <A_k, p_j(A)>; the Fraction polynomials
+    and the tables' Fraction views are formed only when read, and the
+    projection sums never read them.  Every other
     invariant with two or more readers is cached on first use, so each
     classifier and check reads one value: hoffman, weighted,
     numeric_spectrum, odd_girth, bipartite, simple_excess, the diagonal
@@ -196,22 +228,26 @@ def wdr_direct(ds: DistanceStructure):
     intersection count on success and the refuting pair on failure.
     Each i scans all j in one stacked product; the scalar scan runs only
     on the first (i, j) that fails, for its witness.  Every count is at
-    most n, so the products are exact in float64.
+    most n, so the products are exact in float64.  The table keeps each
+    i's per-class minima and forms its (k, i, j) dict only when a count
+    is read; classes_checked is its length, counted without it.
     """
     D, n = ds.diameter, ds.n
-    ks = ds.classes[2]
     S = np.array(ds.layers, dtype=np.float64)   # converted once
-    values = {}
+    blocks = []
+    values = _CountBlocks(ds.classes[2], blocks)
     for i in range(D + 1):
         lo, hi = _class_ranges(exact_matmul(S[i], S, n), ds.classes)
-        for j, (lo_j, hi_j) in enumerate(zip(lo.tolist(), hi.tolist())):
-            if lo_j != hi_j:
-                _, witness = _class_spread(exact_matmul(S[i], S[j], n), ds.classes)
-                witness.update({"i": i, "j": j})
-                table = IntersectionTable("wdr", values, False, witness)
-                cert = {"consistent": False, "witness": witness}
-                return Verdict("weakly-distance-regular", False, "direct", cert), table
-            values.update(((k, i, j), v) for k, v in zip(ks, lo_j))
+        spread = np.flatnonzero((lo != hi).any(axis=1))
+        if spread.size:
+            j = int(spread[0])
+            blocks.append((i, lo[:j]))
+            _, witness = _class_spread(exact_matmul(S[i], S[j], n), ds.classes)
+            witness.update({"i": i, "j": j})
+            table = IntersectionTable("wdr", values, False, witness)
+            cert = {"consistent": False, "witness": witness}
+            return Verdict("weakly-distance-regular", False, "direct", cert), table
+        blocks.append((i, lo))
     table = IntersectionTable("wdr", values, True)
     cert = {"consistent": True, "classes_checked": len(values)}
     return Verdict("weakly-distance-regular", True, "direct", cert), table

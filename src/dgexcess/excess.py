@@ -20,16 +20,22 @@ the one division per layer rounds, in mpmath.
 
 All inner products against the normalized polynomials P_k enter only
 squared, so the irrational normalization c_k = sqrt(delta_k/epsilon_k)
-never appears: each term is c_k^2 times a rational, hence exact, and
-each variant's terms are tabulated once per digraph as integers over one
-common denominator, so a projection sum is an integer sum.
+never appears: each term is c_k^2 times a rational, hence exact.  The
+rationals are never formed as Fractions on the way to a verdict.  The
+elimination gives each p_k as an integer vector over the leading minor
+D_{k-1} and its squared norm as D_k / (n D_{k-1}), so the projection
+tables hold integers only: N_kj = n D_{j-1} <A_k, p_j(A)>, the pivots
+and the layer sizes n delta_k.  Each variant's terms are then integers
+over one structured common denominator, n times the lcm of the pivot
+products D_{j-1} D_j (and of the layer sizes, for variant i), and a
+projection sum is an integer sum compared against n times it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -52,43 +58,77 @@ def _powers_for(ds: DistanceStructure, powers) -> MatrixPowers:
 
 @dataclass(frozen=True)
 class ProjectionTables:
-    """inner[k][j] = <A_k, monic_j(A)> for k, j up to the diameter.
+    """The projections <A_k, p_j(A)> for k, j up to the diameter, held as
+    integers.
 
-    inner[k][k] equals <A_k, A^k> (lower-degree terms of the monic
-    polynomial die on the distance-k support), which is the mean
-    geodesic count delta'_k computed through unmasked matrix powers
-    instead of the distance search's masked frontiers; the two routes
-    agreeing is a cross-check.
+    numerators[k][j] = N_kj = n D_{j-1} <A_k, p_j(A)>, the moments
+    n <A_k, A^i> dotted with p_j's integer numerator vector D_{j-1} p_j;
+    pivots are the leading minors D_0..D_D of the moment matrix, with
+    D_{-1} = 1, so that epsilon_j = D_j / (n D_{j-1}); sizes[k] = |A_k| =
+    n delta_k counts the pairs at distance k.
+
+    inner, delta_prime, norms2 (epsilon_j) and delta are the same data
+    as Fractions, each formed on its first read.  inner[k][k] equals
+    <A_k, A^k> (lower-degree terms of the monic polynomial die on the
+    distance-k support), which is the mean geodesic count delta'_k
+    computed through unmasked matrix powers instead of the distance
+    search's masked frontiers; the two routes agreeing is a cross-check.
     """
 
-    inner: tuple
-    delta_prime: tuple
-    norms2: tuple    # epsilon_j
-    delta: tuple     # delta_k, bounds the layer-k piece of every sum
+    n: int
+    numerators: tuple
+    pivots: tuple
+    sizes: tuple
+
+    @cached_property
+    def _dens(self) -> tuple:
+        """n D_{j-1}, the denominator of inner[k][j]."""
+        return tuple(self.n * p for p in (1,) + self.pivots[:-1])
+
+    @cached_property
+    def inner(self) -> tuple:
+        return tuple(tuple(map(Fraction, row, self._dens)) for row in self.numerators)
+
+    @cached_property
+    def delta_prime(self) -> tuple:
+        return tuple(Fraction(row[k], m) for k, (row, m) in
+                     enumerate(zip(self.numerators, self._dens)))
+
+    @cached_property
+    def norms2(self) -> tuple:
+        return tuple(map(Fraction, self.pivots, self._dens))
+
+    @cached_property
+    def delta(self) -> tuple:
+        """delta_k, bounds the layer-k piece of every sum."""
+        return tuple(Fraction(s, self.n) for s in self.sizes)
 
     @cached_property
     def terms_i(self) -> tuple:
-        """<A_j, P_k(A)>^2 / delta_j = delta_k inner[j][k]^2 / (eps_k delta_j)."""
-        d, e = self.delta, self.norms2
-        return _scaled([[(d[k].numerator * e[k].denominator * x.numerator ** 2 * d[j].denominator,
-                          d[k].denominator * e[k].numerator * x.denominator ** 2 * d[j].numerator)
-                         for j, x in enumerate(col)]
-                        for k, col in enumerate(zip(*self.inner))])
+        """<A_j, P_k(A)>^2 / delta_j = |A_k| N_jk^2 / (n D_{k-1} D_k |A_j|),
+        as (rows times L, L) with L = n M lcm_j |A_j|."""
+        M, mult = self._pivot_scale
+        A = self.sizes
+        lcm_sizes = math.lcm(*A)
+        per_j = [lcm_sizes // a for a in A]
+        return (tuple(tuple(a * m * x * x * s for x, s in zip(col, per_j))
+                      for a, m, col in zip(A, mult, zip(*self.numerators))),
+                self.n * M * lcm_sizes)
 
     @cached_property
     def terms_ii(self) -> tuple:
-        """<A_k, P_j(A)>^2 / delta_j = inner[k][j]^2 / eps_j."""
-        return _scaled([[(x.numerator ** 2 * e.denominator, x.denominator ** 2 * e.numerator)
-                         for x, e in zip(row, self.norms2)]
-                        for row in self.inner])
+        """<A_k, P_j(A)>^2 / delta_j = N_kj^2 / (n D_{j-1} D_j), as
+        (rows times L, L) with L = n M."""
+        M, mult = self._pivot_scale
+        return (tuple(tuple(x * x * m for x, m in zip(row, mult))
+                      for row in self.numerators), self.n * M)
 
-
-def _scaled(rows) -> tuple:
-    """(rows * L as integers, L) for rows of fractions held as (numerator,
-    positive denominator) pairs, L the least common reduced denominator."""
-    rows = [[(a // g, b // g) for a, b in row for g in (math.gcd(a, b),)] for row in rows]
-    L = math.lcm(*(b for row in rows for _, b in row))
-    return tuple(tuple(a * (L // b) for a, b in row) for row in rows), L
+    @cached_property
+    def _pivot_scale(self) -> tuple:
+        """M = lcm_j D_{j-1} D_j and the multipliers M / (D_{j-1} D_j)."""
+        products = list(map(operator.mul, (1,) + self.pivots[:-1], self.pivots))
+        M = math.lcm(*products)
+        return M, [M // q for q in products]
 
 
 def projection_tables(ds: DistanceStructure, basis: PredistanceBasis,
@@ -102,18 +142,12 @@ def projection_tables(ds: DistanceStructure, basis: PredistanceBasis,
     pw = np.stack([powers[i].ravel() for i in range(D + 1)])
     bound = n * n * max(map(powers.bound, range(D + 1)))
     moments = exact_matmul(layers, pw.T, bound).tolist()
-    # inner[k][j] as one integer sum over the common denominator of
-    # monic_j's coefficients
-    cols = []
-    for p in basis.monic[:D + 1]:
-        den = math.lcm(*(c.denominator for c in p.coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in p.coeffs]
-        cols.append([Fraction(sum(map(operator.mul, nums, row)), n * den)
-                     for row in moments])
-    inner = tuple(zip(*cols))
-    norms2 = basis.norms2[:D + 1]
-    return ProjectionTables(inner, tuple(inner[k][k] for k in range(D + 1)),
-                            norms2, tuple(c * e for c, e in zip(basis.c2, norms2)))
+    # N[k][j] = n D_{j-1} <A_k, p_j(A)>, one integer dot product each
+    monic = basis.monic
+    nums = [monic.numerator(j) for j in range(D + 1)]
+    N = tuple(tuple(sum(map(operator.mul, c, row)) for c in nums) for row in moments)
+    sizes = tuple(map(int, layers.sum(axis=1).tolist()))
+    return ProjectionTables(n, N, tuple(monic.pivots[:D + 1]), sizes)
 
 
 # -- The three excess quantities --------------------------------------------
@@ -191,16 +225,21 @@ def weighted_excess(W: WeightedLayers, ds: DistanceStructure, d: int):
 class ProjectionBound:
     """A sum of squared projections that reaches n exactly on the weakly
     distance-regular graphs.  Its layer pieces, each bounded by delta_k,
-    are integers over one denominator; total and per_k read them as Fractions."""
+    are integers over one denominator, summed once into total_num; total
+    and per_k read them as Fractions."""
 
     per_k_num: tuple
     denominator: int
     bound: int
     per_k_bound: tuple
+    total_num: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "total_num", sum(self.per_k_num))
 
     @property
     def total(self) -> Fraction:
-        return Fraction(sum(self.per_k_num), self.denominator)
+        return Fraction(self.total_num, self.denominator)
 
     @property
     def per_k(self) -> tuple:
@@ -208,11 +247,11 @@ class ProjectionBound:
 
     @property
     def holds(self) -> bool:
-        return sum(self.per_k_num) <= self.bound * self.denominator
+        return self.total_num <= self.bound * self.denominator
 
     @property
     def attained(self) -> bool:
-        return sum(self.per_k_num) == self.bound * self.denominator
+        return self.total_num == self.bound * self.denominator
 
     @property
     def per_k_holds(self) -> tuple:
@@ -258,16 +297,17 @@ def generalized_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
     if len(subsets) != D + 1:
         raise ValueError(f"need {D + 1} index subsets, got {len(subsets)}")
     terms, L = tables.terms_i if variant == "i" else tables.terms_ii
+    indices = set(range(D + 1))
     per_k = []
-    for k, S in enumerate(subsets):
+    for k, (S, row) in enumerate(zip(subsets, terms)):
         S = set(map(int, S))
         if not S:
             raise ValueError(f"subset for layer {k} is empty")
-        if min(S) < 0 or max(S) > D:
+        if not S <= indices:
             raise ValueError(f"subset for layer {k} leaves the range 0..{D}")
         if variant == "ii" and k not in S:
             raise ValueError(f"variant ii needs {k} in its own subset")
-        per_k.append(sum(map(terms[k].__getitem__, S)))
+        per_k.append(sum([row[j] for j in S]))
     return ProjectionBound(tuple(per_k), L, ds.n, tables.delta)
 
 

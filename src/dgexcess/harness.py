@@ -52,16 +52,17 @@ def random_subset_systems(D: int, count: int, rng, force_diagonal=True):
     """Random S_0..S_D with nonempty S_k subseteq {0..D}; k in S_k when
     force_diagonal (the regime where attaining the bound characterizes
     weak distance-regularity)."""
+    draw = rng.random
+    indices = range(D + 1)
     out = []
     for _ in range(count):
         system = []
-        for k in range(D + 1):
-            S = {j for j in range(D + 1) if rng.random() < 0.5}
-            if force_diagonal:
-                S.add(k)
-            elif not S:
-                S.add(rng.randrange(D + 1))
-            system.append(sorted(S))
+        for k in indices:
+            # one draw per j, in order, whether or not j is forced in
+            S = [j for j in indices if draw() < 0.5 or (force_diagonal and j == k)]
+            if not S:
+                S.append(rng.randrange(D + 1))
+            system.append(S)
         out.append(system)
     return out
 

@@ -8,8 +8,9 @@ Fraction-free (Bareiss) elimination on them gives the leading minors,
 hence the norms of the orthogonal basis, and the basis polynomials and
 the minimal polynomial come from its triangle by fraction-free
 back-substitution: the minimal polynomial at once, each basis
-polynomial when it is first read.  Every division is exact, and
-``fractions.Fraction`` values are formed only for the output.
+polynomial's integer numerator when it is first read.  Every division
+is exact, and ``fractions.Fraction`` values are formed only for the
+output.
 Quantities that live at an irrational Perron value go through mpmath at
 a working precision controlled by the ``DGEXCESS_PRECISION``
 environment variable (decimal digits, default 50), read at call time;
@@ -182,7 +183,9 @@ class MonomialBasis:
     <p_k, p_k> > 0 is a Fraction.  Both come from the fraction-free
     elimination of the integer moment matrix (orthogonal_monomial_basis):
     norms2 and the minimal polynomial at once, and polys as a read-only
-    sequence that back-substitutes p_k on its first read and keeps it.
+    sequence that back-substitutes p_k on integers on its first read,
+    polys.numerator(k) = D_{k-1} p_k over polys.denominator(k) = D_{k-1},
+    and forms the Fraction polynomial only when polys[k] is read.
     The first monic residual with norm zero is the minimal polynomial, so
     dhat = its degree minus one = len(polys) - 1, read without forming
     any p_k.
@@ -197,39 +200,61 @@ class MonomialBasis:
         return len(self.polys) - 1
 
 
-def _back_substitute(pivots: list, upper: list, k: int) -> Polynomial:
-    """The monic p_k from the elimination's pivots D_i and upper rows.
+def _back_substitute(pivots: list, upper: list, k: int) -> tuple:
+    """c_k = D_{k-1} p_k, the monic p_k's integer numerator vector (lowest
+    degree first), from the elimination's pivots D_i and upper rows.
 
-    c = D_{k-1} p_k solves U c = 0 on rows 0..k-1, where U[i][i] = D_i
-    and U[i][j] = upper[i][j - i - 1] for j > i: pivot row i is an
-    integer combination of moment rows 0..i, each orthogonal to p_k.
-    Starting from c_k = D_{k-1}, each c_i is an integer (a minor, by
-    Cramer's rule), so every division by D_i is exact.
+    c solves U c = 0 on rows 0..k-1, where U[i][i] = D_i and U[i][j] =
+    upper[i][j - i - 1] for j > i: pivot row i is an integer combination
+    of moment rows 0..i, each orthogonal to p_k.  Starting from c_k =
+    D_{k-1}, each c_i is an integer (a minor, by Cramer's rule), so
+    every division by D_i is exact.
     """
-    den = pivots[k - 1] if k else 1
-    c = [0] * k + [den]
+    c = [0] * k + [pivots[k - 1] if k else 1]
     for i in range(k - 1, -1, -1):
         c[i] = -sum(map(operator.mul, upper[i], c[i + 1:])) // pivots[i]
+    return tuple(c)
+
+
+def _monic(c: tuple, den: int) -> Polynomial:
+    """The polynomial c / den with Fraction coefficients."""
     return Polynomial(tuple(Fraction(a, den) for a in c))
 
 
 class _MonicSequence(Sequence):
-    """p_0, ..., p_dhat, each back-substituted on its first read."""
+    """p_0, ..., p_dhat on integers: numerator(k) = c_k = D_{k-1} p_k is
+    back-substituted on its first read, and the Fraction polynomial
+    p_k = c_k / D_{k-1} is formed from it only when p_k itself is read.
+    pivots holds D_0, ..., D_dhat."""
 
     def __init__(self, pivots: list, upper: list):
-        self._pivots, self._upper = pivots, upper
+        self.pivots, self._upper = pivots, upper
+        self._nums = [None] * len(pivots)
         self._polys = [None] * len(pivots)
 
     def __len__(self) -> int:
         return len(self._polys)
 
+    def numerator(self, k: int) -> tuple:
+        """c_k, the integer coefficients of D_{k-1} p_k."""
+        k = range(len(self))[k]
+        c = self._nums[k]
+        if c is None:
+            c = self._nums[k] = _back_substitute(self.pivots, self._upper, k)
+        return c
+
+    def denominator(self, k: int) -> int:
+        """D_{k-1}, with D_{-1} = 1: p_k = numerator(k) / denominator(k)."""
+        k = range(len(self))[k]
+        return self.pivots[k - 1] if k else 1
+
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(map(self.__getitem__, range(len(self))[k]))
+        k = range(len(self))[k]
         p = self._polys[k]
         if p is None:
-            k %= len(self)
-            p = self._polys[k] = _back_substitute(self._pivots, self._upper, k)
+            p = self._polys[k] = _monic(self.numerator(k), self.denominator(k))
         return p
 
     def __iter__(self):
@@ -303,7 +328,7 @@ def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
     to pivot row i as it is read.  Every division is an exact integer
     one.  The first vanishing minor gives the minimal polynomial, formed
     at once by back-substitution (_back_substitute); p_0..p_dhat are
-    formed the same way, each on its first read.
+    back-substituted the same way, each on its first read.
     """
     n = powers.n
     table = []    # rows of m_ij, extended until a leading minor vanishes
@@ -325,8 +350,8 @@ def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
             prev = piv
         # row[k] = D_k and prev = D_{k-1}
         if row[k] == 0:
-            return MonomialBasis(_MonicSequence(pivots, upper), tuple(norms2),
-                                 _back_substitute(pivots, upper, k))
+            minpoly = _monic(_back_substitute(pivots, upper, k), prev)
+            return MonomialBasis(_MonicSequence(pivots, upper), tuple(norms2), minpoly)
         if row[k] < 0:
             raise ArithmeticError("negative norm in Gram-Schmidt, moment table corrupt")
         pivots.append(row[k])

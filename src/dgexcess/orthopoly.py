@@ -39,10 +39,13 @@ class PredistanceBasis:
     """Monic orthogonal polynomials with the layer data needed downstream.
 
     monic[k] is the degree-k pre-distance polynomial, formed on its
-    first read (MonomialBasis.polys), norms2[k] its squared norm (the
-    generic weight epsilon_k).  c2[k] = delta_k / epsilon_k rescales to
-    the norm of the distance-k layer for k up to the diameter and is 1
-    past it; only the square is ever stored.
+    first read (MonomialBasis.polys); monic.numerator(k) and
+    monic.denominator(k) give it on integers, as D_{k-1} p_k over the
+    leading minor D_{k-1}, and monic.pivots holds D_0..D_dhat.
+    norms2[k] is its squared norm (the generic weight epsilon_k).
+    c2[k] = delta_k / epsilon_k rescales to the norm of the distance-k
+    layer for k up to the diameter and is 1 past it; only the square is
+    ever stored.
     """
 
     monic: Sequence

@@ -330,8 +330,8 @@ def _prime(i: int, bits: int = 62) -> int:
 def _primitive(coeffs) -> list:
     """The integer polynomial with positive leading coefficient and
     content 1 that is a rational multiple of coeffs."""
-    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content

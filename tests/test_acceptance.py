@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from dgexcess import (AnalysisContext, ProjectionTables, build_digraph,
+from dgexcess import (AnalysisContext, build_digraph,
                       circulant, complete, directed_cycle, dr_direct,
                       enumerate_digraphs, generalized_projection_sum,
                       hypercube, kneser_odd_graph, path, petersen,
@@ -29,6 +29,7 @@ from dgexcess.harness import (check_conjugation, check_excess_product,
                               check_projection_sums, check_simple_set,
                               check_weighted_set, family_suite,
                               random_subset_systems, standard_families)
+from dgexcess.linalg import _moment_rows
 from test_excess import random_non_regular
 
 EXPECTED_COUNTS = {2: 1, 3: 18, 4: 1606}
@@ -132,7 +133,8 @@ def test_projection_sums_match_fraction_sums(corpus):
 
 
 def _fraction_tables(G, ds, basis):
-    """ProjectionTables from the definition: schoolbook powers and one
+    """The Fraction views of ProjectionTables (inner, delta_prime,
+    norms2, delta) from the definition: schoolbook powers and one
     Fraction per moment <A_k, A^i>, summed term by term."""
     n, D = G.n, ds.diameter
     powers = oracles.naive_power_list(G.adjacency.tolist(), D)
@@ -145,8 +147,12 @@ def _fraction_tables(G, ds, basis):
                         for p in basis.monic[:D + 1])
                   for row in moments)
     norms2 = basis.norms2[:D + 1]
-    return ProjectionTables(inner, tuple(inner[k][k] for k in range(D + 1)), norms2,
-                            tuple(c * e for c, e in zip(basis.c2, norms2))), powers
+    return (inner, tuple(inner[k][k] for k in range(D + 1)), norms2,
+            tuple(c * e for c, e in zip(basis.c2, norms2))), powers
+
+
+def _views(tables):
+    return tables.inner, tables.delta_prime, tables.norms2, tables.delta
 
 
 def _lollipop(clique, tail):
@@ -158,20 +164,51 @@ def _lollipop(clique, tail):
     return build_digraph(clique + tail, arcs)
 
 
-def test_projection_tables_match_fraction_reference(corpus):
-    for ctx in corpus:
-        reference, _ = _fraction_tables(ctx.G, ctx.ds, ctx.basis)
-        assert ctx.tables == reference
+def _reference_inputs():
     # path(40) reaches diameter 39; on the lollipops max|A^D| n^2 passes
     # 2^62, so the moments leave int64, and with a 17-vertex tail (n = 29,
     # D = 18) the largest moment itself passes 2^65
-    for G, D, wide in ((path(40), 39, False), (_lollipop(12, 16), 17, True),
-                       (_lollipop(12, 17), 18, True)):
+    return ((path(40), 39, False), (_lollipop(12, 16), 17, True),
+            (_lollipop(12, 17), 18, True))
+
+
+def test_projection_tables_match_fraction_reference(corpus):
+    # the tables hold integers; their Fraction views are what the
+    # definition gives
+    for ctx in corpus:
+        reference, _ = _fraction_tables(ctx.G, ctx.ds, ctx.basis)
+        assert _views(ctx.tables) == reference
+    for G, D, wide in _reference_inputs():
         ctx = AnalysisContext(G)
         reference, powers = _fraction_tables(G, ctx.ds, ctx.basis)
         assert ctx.ds.diameter == D
         assert (max(map(max, powers[D])) * G.n ** 2 >= 2 ** 62) == wide
-        assert projection_tables(ctx.ds, ctx.basis) == ctx.tables == reference
+        fresh = projection_tables(ctx.ds, ctx.basis)
+        assert fresh == ctx.tables
+        assert _views(fresh) == _views(ctx.tables) == reference
+        assert all(type(x) is int for row in fresh.numerators for x in row)
+
+
+def test_integer_numerators_give_the_monic_polynomials(corpus):
+    """c_k / D_{k-1} is monic[k], and the numerators are orthogonal in
+    integers: c_j^T m c_k = D_{k-1} D_k when j = k and 0 otherwise, m
+    the moment matrix n <A^i, A^l>."""
+    contexts = corpus + [AnalysisContext(G) for G, _, _ in _reference_inputs()]
+    for ctx in contexts:
+        monic, D = ctx.basis.monic, ctx.ds.diameter
+        m = _moment_rows(ctx.powers.A, 0, D + 1)
+        nums = [monic.numerator(k) for k in range(D + 1)]
+        for k, c in enumerate(nums):
+            den = monic.denominator(k)
+            assert all(type(a) is int for a in c) and len(c) == k + 1
+            assert c[-1] == den == (monic.pivots[k - 1] if k else 1)
+            assert tuple(Fraction(a, den) for a in c) == monic[k].coeffs
+        for j, cj in enumerate(nums):
+            for k, ck in enumerate(nums):
+                gram = sum(a * b * m[i][l] for i, a in enumerate(cj)
+                           for l, b in enumerate(ck))
+                assert gram == (monic.denominator(k) * monic.pivots[k]
+                                if j == k else 0)
 
 
 def test_monomial_basis_matches_naive_on_corpus(corpus):

@@ -25,6 +25,10 @@ Claims checked:
   * the direct oracles' tables, witnesses and counts hold Python ints
   * the walk route to the odd girth agrees with the trace route, and
     stops on a bipartite input once a walk state repeats
+  * check_digraph forms no Fraction pre-distance polynomial on the
+    n <= 4 corpus, only the minimal polynomial
+  * the direct weak oracle counts its classes without forming its
+    (k, i, j) table, which it forms on the first read of a count
 """
 
 import random
@@ -484,3 +488,41 @@ def test_full_report_forms_predistance_polynomials_up_to_the_diameter(monkeypatc
     assert (D, dhat) == (5, 36)
     # the minimal polynomial, then p_0..p_D, each once
     assert formed == [dhat + 1] + list(range(D + 1))
+
+
+def test_check_digraph_forms_no_fraction_predistance_polynomial(monkeypatch):
+    import dgexcess.linalg as linalg_module
+    from dgexcess.linalg import minimal_polynomial, normality_test
+    formed = []
+    inner = linalg_module._monic
+
+    def counted(c, den):
+        formed.append(len(c) - 1)
+        return inner(c, den)
+    monkeypatch.setattr(linalg_module, "_monic", counted)
+    non_normal = 0
+    for n in (2, 3, 4):
+        for G in enumerate_digraphs(n, "strongly_connected"):
+            degree = minimal_polynomial(G)[0].degree
+            formed.clear()
+            assert check_digraph(G) == []
+            # the minimal polynomial and nothing else, on the normal
+            # members too
+            assert formed == [degree], G.arcs
+            non_normal += not normality_test(G.adjacency)
+    assert non_normal == 1560
+
+
+def test_wdr_direct_forms_its_table_on_first_read():
+    G = directed_cycle(30)
+    ds = distance_structure(G)
+    verdict, table = wdr_direct(ds)
+    assert verdict.decision and verdict.certificate["classes_checked"] == 30 ** 3
+    assert len(table.values) == 30 ** 3
+    assert "_values" not in vars(table.values)
+    # |Gamma^+_i(u) n Gamma^-_j(v)| is 1 exactly when i + j = k mod 30
+    assert all(v == ((i + j - k) % 30 == 0) for (k, i, j), v in table.values.items())
+    assert "_values" in vars(table.values)
+    assert list(table.values)[:3] == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    _, refuted = wdr_direct(distance_structure(path(4)))
+    assert not refuted.consistent and len(refuted.values) == len(dict(refuted.values))

@@ -15,8 +15,13 @@ Claims checked:
   * check_weighted_set does the same for a weighted track that fails
     with a PerronError or an ArithmeticError
   * check_projection_sums reports a per-class projection above delta_k
+  * random_subset_systems draws the same systems from the same rng as
+    its set-based form did, for D = 0..5 and both diagonal modes
 """
 
+import hashlib
+import json
+import random
 import time
 
 import pytest
@@ -27,8 +32,8 @@ from dgexcess import (AnalysisContext, PerronError, ProjectionBound,
 from dgexcess.cli import main
 from dgexcess.generators import ENUMERATION_CAP_SAMPLED
 from dgexcess.harness import (check_conjugation, check_projection_sums,
-                              check_weighted_set, standard_families,
-                              verify_corpus)
+                              check_weighted_set, random_subset_systems,
+                              standard_families, verify_corpus)
 
 
 def test_verify_corpus_serial_and_pooled_agree():
@@ -100,3 +105,16 @@ def test_check_projection_sums_reports_a_per_class_excess(monkeypatch):
     assert [f.splitlines()[0] for f in failures] == [
         "a per-class diagonal projection exceeds delta_k",
         "a per-class triangular projection exceeds delta_k"]
+
+
+def test_random_subset_systems_are_pinned():
+    # recorded from the set-comprehension form, which drew one rng.random()
+    # per j in order, then added k (or one randrange when empty)
+    assert random_subset_systems(2, 2, random.Random(7), True) == \
+        [[[0, 1], [0, 1, 2], [0, 2]], [[0, 1, 2], [0, 1, 2], [0, 2]]]
+    assert random_subset_systems(2, 2, random.Random(7), False) == \
+        [[[0, 1], [0, 2], [0, 2]], [[0, 1, 2], [0, 2], [0]]]
+    out = [random_subset_systems(D, 4, random.Random(seed), force_diagonal=forced)
+           for D in range(6) for forced in (True, False) for seed in (0, 1, 7, 2024)]
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
+        "2dd07ee6a172bdfc57b96443beb9ec526013c5cc8fed64e1835ad75afb736c04"

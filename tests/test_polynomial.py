@@ -7,8 +7,11 @@ Claims checked:
   * the modular squarefree part equals m / gcd(m, m') from the rational
     Euclidean gcd, also past an unlucky prime
   * exactness tracking and immutability hold up, and pickling round-trips
+  * the primitive integer part of int, Fraction and negative-leading
+    coefficient lists matches its definition
 """
 
+import math
 import pickle
 from fractions import Fraction
 
@@ -17,7 +20,7 @@ import pytest
 
 from dgexcess import (MatrixPowers, Polynomial, enumerate_digraphs,
                       orthogonal_monomial_basis)
-from dgexcess.polynomial import _gcd_mod, _prime
+from dgexcess.polynomial import _gcd_mod, _prime, _primitive
 
 
 def P(*coeffs):
@@ -213,3 +216,33 @@ def test_squarefree_part_rejects_zero_and_inexact():
         P(1.0, 2.0, 1.0).squarefree_part()
     with pytest.raises(ValueError):
         P(1, 0.5).squarefree_part()
+
+
+def _primitive_by_definition(coeffs):
+    den = 1
+    for c in coeffs:
+        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
+    ints = [int(Fraction(c) * den) for c in coeffs]
+    content = math.gcd(*ints)
+    sign = -1 if ints[-1] < 0 else 1
+    return [sign * c // content for c in ints]
+
+
+def test_primitive_part_of_int_fraction_and_negative_leading_inputs():
+    cases = [
+        ([2, 4, 6], [1, 2, 3]),
+        ([0, -3, 0, -6], [0, 1, 0, 2]),
+        ([Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)], [3, -2, 5]),
+        ([Fraction(-4, 9), 0, Fraction(2, 3)], [-2, 0, 3]),
+        ([1, Fraction(7, 4), -2], [-4, -7, 8]),
+        ([-5], [1]),
+        ([True, 3], [1, 3]),
+        ([Fraction(6, 1), Fraction(-9)], [-2, 3]),
+    ]
+    for coeffs, expected in cases:
+        got = _primitive(coeffs)
+        assert got == expected == _primitive_by_definition(coeffs), coeffs
+        assert all(type(c) is int for c in got)
+    m = orthogonal_monomial_basis(MatrixPowers(
+        next(iter(enumerate_digraphs(4, "strongly_connected"))).adjacency)).minpoly
+    assert _primitive(m.coeffs) == _primitive_by_definition(m.coeffs)
