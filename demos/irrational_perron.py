@@ -22,7 +22,7 @@ ctx = AnalysisContext(G)
 # Perron value.  The spectrum object keeps the numeric value and
 # records that no exact rational certificate exists.
 spec = ctx.numeric_spectrum
-print("minimal polynomial coeffs:", ctx.monomial.minpoly.coeffs)
+print("minimal polynomial coeffs:", ctx.basis.minpoly.coeffs)
 print("Perron value:", spec.lambda0)
 print("exact certificate:", spec.lambda0_exact)
 

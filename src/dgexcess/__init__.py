@@ -22,7 +22,7 @@ from .linalg import (MatrixPowers, MonomialBasis, Spectrum, SpectrumError,
                      orthogonal_monomial_basis, minimal_polynomial,
                      power_traces, spectrum, perron_value, hoffman_ingredients,
                      working_dps)
-from .orthopoly import (PredistanceBasis, SpectralBasis, HoffmanPolynomial,
+from .orthopoly import (SpectralBasis, HoffmanPolynomial,
                         predistance_polynomials, spectral_predistance,
                         spectral_inner_product, conjugation_polynomial,
                         hoffman_polynomial, hoffman_matrix, hoffman_check)

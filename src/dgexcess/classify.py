@@ -31,8 +31,7 @@ from .excess import (masked_power_check, projection_tables, q_norm_check,
                      simple_excess, spectral_excess, upper_projection_sum,
                      wdr_projection_sum, weighted_excess, weighted_layers)
 from .linalg import (MatrixPowers, PerronError, SpectrumError, exact_matmul,
-                     matrix_polynomial, normality_test, orthogonal_monomial_basis,
-                     spectrum, working_dps)
+                     matrix_polynomial, normality_test, spectrum, working_dps)
 from .orthopoly import (conjugation_polynomial, hoffman_polynomial,
                         predistance_polynomials, spectral_predistance)
 
@@ -86,13 +85,14 @@ class _CountBlocks(Mapping):
 class AnalysisContext:
     """Shared scaffolding for the classifiers on one digraph.
 
-    The exact core (distance structure, delta profile, powers, bases,
-    normality, projection tables) is computed eagerly.  The bases and
-    the projection tables are held on integers, the pre-distance
-    polynomials as numerators over the elimination's pivots and the
-    tables as N_kj = n D_{j-1} <A_k, p_j(A)>; the Fraction polynomials
-    and the tables' Fraction views are formed only when read, and the
-    projection sums never read them.  Every other
+    The exact core (distance structure, delta profile, powers, the
+    pre-distance basis, normality, projection tables) is computed
+    eagerly.  The basis (a linalg.MonomialBasis, which also holds the
+    minimal polynomial) and the projection tables are held on integers,
+    the pre-distance polynomials as numerators over the elimination's
+    pivots and the tables as N_kj = n D_{j-1} <A_k, p_j(A)>; the
+    Fraction polynomials and the tables' Fraction views are formed only
+    when read, and the projection sums never read them.  Every other
     invariant with two or more readers is cached on first use, so each
     classifier and check reads one value: hoffman, weighted,
     numeric_spectrum, odd_girth, bipartite, simple_excess, the diagonal
@@ -110,15 +110,13 @@ class AnalysisContext:
         self.ds = distance_structure(G)
         self.profile = delta_profile(self.ds)
         self.powers = MatrixPowers(G.adjacency)
-        self.monomial = orthogonal_monomial_basis(self.powers)
-        self.basis = predistance_polynomials(G, self.powers, self.monomial, self.ds,
-                                             self.profile)
+        self.basis = predistance_polynomials(G, self.powers, structure=self.ds)
         self.normal = normality_test(G.adjacency)
         self.tables = projection_tables(self.ds, self.basis, self.powers)
 
     @cached_property
     def hoffman(self):
-        return hoffman_polynomial(self.G, self.powers, self.monomial.minpoly, self.dps)
+        return hoffman_polynomial(self.G, self.powers, self.basis.minpoly, self.dps)
 
     @cached_property
     def weighted(self):
@@ -126,7 +124,7 @@ class AnalysisContext:
 
     @cached_property
     def numeric_spectrum(self):
-        return spectrum(self.G, self.cluster_tol, self.monomial.minpoly, self.dps)
+        return spectrum(self.G, self.cluster_tol, self.basis.minpoly, self.dps)
 
     @cached_property
     def odd_girth(self):
@@ -374,7 +372,7 @@ def spectral_gaps(ctx: AnalysisContext):
     spec = ctx.numeric_spectrum
     sb = spectral_predistance(spec)
     worst = 0.0
-    for p_exact, p_num in zip(ctx.basis.monic, sb.polys):
+    for p_exact, p_num in zip(ctx.basis.polys, sb.polys):
         for i in range(max(p_exact.degree, p_num.degree) + 1):
             worst = max(worst, abs(float(p_exact.coefficient(i))
                                    - float(p_num.coefficient(i))))
@@ -554,7 +552,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         "diameter": D, "d": d, "dhat": ctx.basis.dhat,
         "girth": g, "odd_girth": g_o, "degree": degree,
     }
-    report.minimal_polynomial = list(ctx.monomial.minpoly.coeffs)
+    report.minimal_polynomial = list(ctx.basis.minpoly.coeffs)
     report.delta = list(ctx.profile.delta)
     report.delta_prime = list(ctx.profile.delta_prime)
 

@@ -43,8 +43,8 @@ import mpmath
 import numpy as np
 
 from .digraph import DeltaProfile, Digraph, DistanceStructure
-from .linalg import MatrixPowers, exact_matmul, perron_vectors
-from .orthopoly import HoffmanPolynomial, PredistanceBasis
+from .linalg import MatrixPowers, MonomialBasis, exact_matmul, perron_vectors
+from .orthopoly import HoffmanPolynomial
 
 
 def _powers_for(ds: DistanceStructure, powers) -> MatrixPowers:
@@ -131,8 +131,10 @@ class ProjectionTables:
         return M, [M // q for q in products]
 
 
-def projection_tables(ds: DistanceStructure, basis: PredistanceBasis,
+def projection_tables(ds: DistanceStructure, basis: MonomialBasis,
                       powers: MatrixPowers = None) -> ProjectionTables:
+    """The tables of ds against the pre-distance basis, which is read on
+    integers only: its numerators and pivots up to the diameter."""
     powers = _powers_for(ds, powers)
     n, D = ds.n, ds.diameter
     # moments[k][i] = n <A_k, A^i>, one product of the stacked 0/1 layers
@@ -143,11 +145,11 @@ def projection_tables(ds: DistanceStructure, basis: PredistanceBasis,
     bound = n * n * max(map(powers.bound, range(D + 1)))
     moments = exact_matmul(layers, pw.T, bound).tolist()
     # N[k][j] = n D_{j-1} <A_k, p_j(A)>, one integer dot product each
-    monic = basis.monic
-    nums = [monic.numerator(j) for j in range(D + 1)]
+    polys = basis.polys
+    nums = [polys.numerator(j) for j in range(D + 1)]
     N = tuple(tuple(sum(map(operator.mul, c, row)) for c in nums) for row in moments)
     sizes = tuple(map(int, layers.sum(axis=1).tolist()))
-    return ProjectionTables(n, N, tuple(monic.pivots[:D + 1]), sizes)
+    return ProjectionTables(n, N, tuple(polys.pivots[:D + 1]), sizes)
 
 
 # -- The three excess quantities --------------------------------------------
@@ -159,7 +161,7 @@ def simple_excess(profile: DeltaProfile, d: int, D: int) -> Fraction:
     return profile.delta_prime[d] ** 2 / profile.delta[d]
 
 
-def spectral_excess(basis: PredistanceBasis) -> Fraction:
+def spectral_excess(basis: MonomialBasis) -> Fraction:
     """Squared norm of the degree-d pre-distance polynomial."""
     return basis.norms2[basis.d]
 
@@ -260,7 +262,7 @@ class ProjectionBound:
                      for v, b in zip(self.per_k_num, self.per_k_bound))
 
 
-def wdr_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
+def wdr_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
                        powers: MatrixPowers = None, tables: ProjectionTables = None,
                        profile: DeltaProfile = None) -> ProjectionBound:
     """sum_k <A_k, P_k(A)>^2 / delta_k: variant ii, S_k = {k}."""
@@ -268,7 +270,7 @@ def wdr_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
                                       "ii", powers, tables, profile)
 
 
-def upper_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
+def upper_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
                          powers: MatrixPowers = None, tables: ProjectionTables = None,
                          profile: DeltaProfile = None) -> ProjectionBound:
     """sum_k sum_{j>=k} <A_k, P_j(A)>^2 / delta_j: variant ii, S_k = {k..D}."""
@@ -277,7 +279,7 @@ def upper_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
                                       "ii", powers, tables, profile)
 
 
-def generalized_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
+def generalized_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
                                subsets, variant: str, powers: MatrixPowers = None,
                                tables: ProjectionTables = None,
                                profile: DeltaProfile = None) -> ProjectionBound:
@@ -311,7 +313,7 @@ def generalized_projection_sum(ds: DistanceStructure, basis: PredistanceBasis,
     return ProjectionBound(tuple(per_k), L, ds.n, tables.delta)
 
 
-def q_norm_check(basis: PredistanceBasis, n: int):
+def q_norm_check(basis: MonomialBasis, n: int):
     """Squared norm of the summed pre-distance polynomials against n.
 
     Orthogonality collapses the norm to the sum of the squared norms;

@@ -198,9 +198,7 @@ def _passes(G: Digraph, filter: str) -> bool:
         return True
     if filter == "strongly_connected":
         return G.is_strongly_connected
-    if filter == "normal":
-        return G.is_strongly_connected and normality_test(G.adjacency)
-    raise ValueError(f"unknown filter {filter!r}")
+    return G.is_strongly_connected and normality_test(G.adjacency)
 
 
 def enumerate_digraphs(n: int, filter: str = "all", sample_limit=None,
@@ -210,11 +208,16 @@ def enumerate_digraphs(n: int, filter: str = "all", sample_limit=None,
     Exhaustive (all 2^(n(n-1)) arc subsets, increasing code order) up to
     n = 5; beyond that a sample_limit is mandatory and codes are drawn
     uniformly with a fixed-seed generator, duplicates allowed, so runs
-    are reproducible.  An n past the caps raises ValueError at the call,
-    before any digraph is drawn.
+    are reproducible.  An n past the caps, a sample_limit below 1 or an
+    unknown filter raises ValueError at the call, before any digraph is
+    drawn.
     """
     if n < 1:
         raise ValueError("enumeration needs n >= 1")
+    if filter not in ("all", "strongly_connected", "normal"):
+        raise ValueError(f"unknown filter {filter!r}")
+    if sample_limit is not None and sample_limit < 1:
+        raise ValueError(f"sample_limit must be at least 1, got {sample_limit}")
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     total = 1 << len(pairs)
     if sample_limit is None:

@@ -4,11 +4,13 @@ Each check_* function takes an AnalysisContext and returns failure
 messages (empty list means the digraph passed).  The equality checks
 read the classifier verdicts full_report reads (dr_by_simple_set,
 dr_by_weighted_set, geodetic_dr_check, spectral_gaps) and hold them
-against the direct oracles; the invariants they share come from the
-context's cached properties, so every check on one context reads one
-value.  A numeric spectrum or a weighted track that cannot be built is
-a failure worded as full_report's alarm.  check_digraph bundles the checks;
-verify_corpus runs it over the digraphs generators.enumerate_digraphs
+against the direct oracles, and the odd girth is held against the walk
+route full_report cross-checks it with (odd_girth_walks); the
+invariants they share come from the context's cached properties, so
+every check on one context reads one value.  A numeric spectrum or a
+weighted track that cannot be built is a failure worded as
+full_report's alarm.  check_digraph bundles the checks; verify_corpus
+runs it over the digraphs generators.enumerate_digraphs
 yields, optionally fanning them out to worker processes, and every
 failure message embeds the digraph as an edge list so a counterexample
 is immediately reproducible.
@@ -28,7 +30,7 @@ from multiprocessing import Pool
 import mpmath
 
 from .classify import (AnalysisContext, InconsistencyAlarm, dr_by_simple_set,
-                       dr_by_weighted_set, geodetic_dr_check, odd_girth_spectral,
+                       dr_by_weighted_set, geodetic_dr_check, odd_girth_walks,
                        spectral_gaps, trichotomy)
 from .digraph import Digraph, geodetic_test, girth, is_infinite, regularity_test
 from .excess import generalized_projection_sum
@@ -36,7 +38,7 @@ from .generators import (circulant, complete, complete_bipartite,
                          directed_cycle, enumerate_digraphs, hypercube,
                          kneser_odd_graph, paley_tournament, path, petersen,
                          tensor_lift)
-from .linalg import PerronError, SpectrumError, power_traces
+from .linalg import PerronError, SpectrumError
 from .reportio import digraph_to_edgelist
 
 
@@ -184,7 +186,7 @@ def check_excess_product(ctx: AnalysisContext, tol: float = 1e-9) -> list:
         return []
     eps_g = ctx.simple_excess
     delta_D = ctx.profile.delta[ctx.ds.diameter]
-    s_prime = ctx.monomial.minpoly.squarefree_part().derivative()
+    s_prime = ctx.basis.minpoly.squarefree_part().derivative()
     lam = ctx.hoffman
     if lam.lambda0_exact is not None:
         pi0 = s_prime(lam.lambda0_exact)
@@ -203,8 +205,8 @@ def check_excess_product(ctx: AnalysisContext, tol: float = 1e-9) -> list:
 
 def check_odd_girth_suite(ctx: AnalysisContext) -> list:
     """Odd-girth ceiling, the forcing of distance-regularity at the
-    floor, the three-way classification, and the trace route for the
-    odd girth itself."""
+    floor, the three-way classification, and the walk route for the
+    odd girth itself (odd_girth_walks, as full_report checks it)."""
     G = ctx.G
     failures = []
     g_o = ctx.odd_girth
@@ -221,9 +223,9 @@ def check_odd_girth_suite(ctx: AnalysisContext) -> list:
             trichotomy(ctx)
         except InconsistencyAlarm as e:
             failures.append(_tag(G, str(e)))
-    spectral = odd_girth_spectral(power_traces(ctx.powers, G.n))
-    if spectral != g_o:
-        failures.append(_tag(G, f"trace odd girth {spectral} != walk odd girth {g_o}"))
+    walks = odd_girth_walks(G)
+    if walks != g_o:
+        failures.append(_tag(G, f"walk odd girth {walks} != odd girth {g_o}"))
     return failures
 
 

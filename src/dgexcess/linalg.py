@@ -177,18 +177,22 @@ def normality_test(A: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Monic orthogonal polynomials of A under the trace inner product.
+    """Monic orthogonal polynomials of A under the trace inner product:
+    the pre-distance polynomials.
 
     polys[k] has degree k and Fraction coefficients; norms2[k] =
-    <p_k, p_k> > 0 is a Fraction.  Both come from the fraction-free
-    elimination of the integer moment matrix (orthogonal_monomial_basis):
-    norms2 and the minimal polynomial at once, and polys as a read-only
-    sequence that back-substitutes p_k on integers on its first read,
+    <p_k, p_k> > 0 is a Fraction, the generic layer weight epsilon_k.
+    Both come from the fraction-free elimination of the integer moment
+    matrix (orthogonal_monomial_basis): norms2 and the minimal
+    polynomial at once, and polys as a read-only sequence that
+    back-substitutes p_k on integers on its first read,
     polys.numerator(k) = D_{k-1} p_k over polys.denominator(k) = D_{k-1},
-    and forms the Fraction polynomial only when polys[k] is read.
+    and forms the Fraction polynomial only when polys[k] is read;
+    polys.pivots holds the leading minors D_0..D_dhat.
     The first monic residual with norm zero is the minimal polynomial, so
     dhat = its degree minus one = len(polys) - 1, read without forming
-    any p_k.
+    any p_k; d, the number of distinct eigenvalues minus one, is the
+    degree of its (memoized) square-free part minus one.
     """
 
     polys: Sequence
@@ -198,6 +202,10 @@ class MonomialBasis:
     @property
     def dhat(self) -> int:
         return len(self.polys) - 1
+
+    @property
+    def d(self) -> int:
+        return self.minpoly.squarefree_part().degree - 1
 
 
 def _back_substitute(pivots: list, upper: list, k: int) -> tuple:
@@ -222,10 +230,10 @@ def _monic(c: tuple, den: int) -> Polynomial:
 
 
 class _MonicSequence(Sequence):
-    """p_0, ..., p_dhat on integers: numerator(k) = c_k = D_{k-1} p_k is
-    back-substituted on its first read, and the Fraction polynomial
-    p_k = c_k / D_{k-1} is formed from it only when p_k itself is read.
-    pivots holds D_0, ..., D_dhat."""
+    """MonomialBasis.polys, p_0, ..., p_dhat on integers: numerator(k) =
+    c_k = D_{k-1} p_k is back-substituted on its first read, and the
+    Fraction polynomial p_k = c_k / D_{k-1} is formed from it only when
+    p_k itself is read.  pivots holds D_0, ..., D_dhat."""
 
     def __init__(self, pivots: list, upper: list):
         self.pivots, self._upper = pivots, upper

@@ -3,8 +3,10 @@
 The pre-distance polynomials are the monic orthogonal sequence of the
 adjacency matrix under the trace inner product; their squared norms are
 the generic layer weights that the excess comparisons run on.  Built
-twice: exactly from integer moments, and numerically from the spectrum
-alone.  The two routes agreeing is one of the standing cross-checks.
+twice: exactly from integer moments (linalg.MonomialBasis, which
+predistance_polynomials returns once the diameter is checked against
+it), and numerically from the spectrum alone.  The two routes agreeing
+is one of the standing cross-checks.
 
 Also here: the conjugation polynomial (interpolates z -> conj z on the
 spectrum, giving f(A) = A^T exactly when A is normal) and the Hoffman
@@ -20,75 +22,37 @@ cross-check of that route.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from .digraph import Digraph, distance_structure, delta_profile
+from .digraph import Digraph, distance_structure
 from .linalg import (MatrixPowers, MonomialBasis, Spectrum, SpectrumError,
                      hoffman_ingredients, matrix_polynomial,
                      orthogonal_monomial_basis, perron_value, working_dps)
 from .polynomial import Polynomial
 
 
-@dataclass(frozen=True)
-class PredistanceBasis:
-    """Monic orthogonal polynomials with the layer data needed downstream.
-
-    monic[k] is the degree-k pre-distance polynomial, formed on its
-    first read (MonomialBasis.polys); monic.numerator(k) and
-    monic.denominator(k) give it on integers, as D_{k-1} p_k over the
-    leading minor D_{k-1}, and monic.pivots holds D_0..D_dhat.
-    norms2[k] is its squared norm (the generic weight epsilon_k).
-    c2[k] = delta_k / epsilon_k rescales to the norm of the distance-k
-    layer for k up to the diameter and is 1 past it; only the square is
-    ever stored.
-    """
-
-    monic: Sequence
-    norms2: tuple
-    c2: tuple
-    diameter: int
-    d: int
-    exact: bool
-
-    @property
-    def dhat(self) -> int:
-        return len(self.monic) - 1
-
-    def q_partial(self, k: int) -> Polynomial:
-        """Sum of the pre-distance polynomials through degree k."""
-        acc = Polynomial.zero()
-        for p in self.monic[:k + 1]:
-            acc = acc + p
-        return acc
-
-
 def predistance_polynomials(G: Digraph, powers: MatrixPowers = None,
                             monomial_basis: MonomialBasis = None,
-                            structure=None, profile=None) -> PredistanceBasis:
-    """The pre-distance basis of G; powers, the monomial basis, the
-    distance structure and its delta profile are reused when given."""
+                            structure=None) -> MonomialBasis:
+    """The pre-distance basis of G, the monomial basis itself; powers,
+    the monomial basis and the distance structure are reused when given.
+    Raises ArithmeticError when the diameter exceeds dhat, which no
+    consistent moment table allows."""
     if powers is None:
         powers = MatrixPowers(G.adjacency)
     if monomial_basis is None:
         monomial_basis = orthogonal_monomial_basis(powers)
     if structure is None:
         structure = distance_structure(G)
-    if profile is None:
-        profile = delta_profile(structure)
     D = structure.diameter
     dhat = monomial_basis.dhat
     if D > dhat:
         raise ArithmeticError(f"diameter {D} exceeds minimal polynomial bound {dhat}")
-    d = monomial_basis.minpoly.squarefree_part().degree - 1
-    c2 = tuple(profile.delta[k] / monomial_basis.norms2[k] for k in range(D + 1)) \
-        + (Fraction(1),) * (dhat - D)
-    return PredistanceBasis(monomial_basis.polys, monomial_basis.norms2, c2,
-                            D, d, True)
+    return monomial_basis
 
 
 # -- Spectral route ----------------------------------------------------------

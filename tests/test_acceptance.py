@@ -144,11 +144,11 @@ def _fraction_tables(G, ds, basis):
                              for x in range(n) for y in range(n)), n)
                 for power in powers] for layer in layers]
     inner = tuple(tuple(sum((c * m for c, m in zip(p.coeffs, row)), Fraction(0))
-                        for p in basis.monic[:D + 1])
+                        for p in basis.polys[:D + 1])
                   for row in moments)
-    norms2 = basis.norms2[:D + 1]
-    return (inner, tuple(inner[k][k] for k in range(D + 1)), norms2,
-            tuple(c * e for c, e in zip(basis.c2, norms2))), powers
+    delta = tuple(Fraction(sum(map(sum, layer)), n) for layer in layers)
+    return (inner, tuple(inner[k][k] for k in range(D + 1)), basis.norms2[:D + 1],
+            delta), powers
 
 
 def _views(tables):
@@ -195,7 +195,7 @@ def test_integer_numerators_give_the_monic_polynomials(corpus):
     the moment matrix n <A^i, A^l>."""
     contexts = corpus + [AnalysisContext(G) for G, _, _ in _reference_inputs()]
     for ctx in contexts:
-        monic, D = ctx.basis.monic, ctx.ds.diameter
+        monic, D = ctx.basis.polys, ctx.ds.diameter
         m = _moment_rows(ctx.powers.A, 0, D + 1)
         nums = [monic.numerator(k) for k in range(D + 1)]
         for k, c in enumerate(nums):
@@ -214,8 +214,8 @@ def test_integer_numerators_give_the_monic_polynomials(corpus):
 def test_monomial_basis_matches_naive_on_corpus(corpus):
     for ctx in corpus:
         _, norms, minpoly = oracles.naive_gram_schmidt(ctx.G.adjacency.tolist())
-        assert list(ctx.monomial.norms2) == norms
-        assert ctx.monomial.minpoly.coeffs == tuple(minpoly)
+        assert list(ctx.basis.norms2) == norms
+        assert ctx.basis.minpoly.coeffs == tuple(minpoly)
 
 
 def test_criterion_2_simple_excess_corpus_and_sampled(corpus):
@@ -306,7 +306,7 @@ def test_criterion_6_excess_through_spectrum(corpus):
             failures += check_excess_product(ctx, tol=1e-9)
             checked += 1
     ctx = AnalysisContext(petersen())
-    s_prime = ctx.monomial.minpoly.squarefree_part().derivative()
+    s_prime = ctx.basis.minpoly.squarefree_part().derivative()
     pi0 = s_prime(Fraction(3))
     if pi0 != 10 or (Fraction(pi0, 10)) ** 2 * ctx.profile.delta[2] != 6:
         failures.append(f"Petersen pi0 route gave {pi0}")

@@ -448,7 +448,6 @@ def test_q_norm_check_runs_once_per_report(monkeypatch):
 
 
 def test_wdr_oracle_and_delta_profile_computed_once(monkeypatch):
-    import dgexcess.orthopoly as orthopoly_module
     from dgexcess.harness import check_projection_sums
     calls = {"wdr_direct": 0, "delta_profile": 0}
 
@@ -462,7 +461,6 @@ def test_wdr_oracle_and_delta_profile_computed_once(monkeypatch):
 
     counted(classify_module, "wdr_direct")
     counted(classify_module, "delta_profile")
-    counted(orthopoly_module, "delta_profile")
     for run in (full_report, check_digraph):
         for G in (petersen(), directed_cycle(5), NONNORMAL):
             calls.update(wdr_direct=0, delta_profile=0)

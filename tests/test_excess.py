@@ -126,16 +126,19 @@ def test_weighted_equals_simple_for_regular():
 
 def test_scaling_substitution_is_exact():
     # <A_k, P_j(A)>^2 / delta_j equals <A_k, p_j(A)>^2 / eps_j, with
-    # P_j = c_j p_j and c_j^2 = delta_j / eps_j; both sides as rationals
+    # P_j = c_j p_j and c_j^2 = delta_j / eps_j; both sides as rationals,
+    # and both equal to the integer table's variant-ii term
     for G in corpus3():
         ctx = ctx_for(G)
         D = ctx.ds.diameter
+        terms, L = ctx.tables.terms_ii
         for k in range(D + 1):
             for j in range(D + 1):
                 T = ctx.tables.inner[k][j]
-                lhs = ctx.basis.c2[j] * T * T / ctx.profile.delta[j]
+                c2 = ctx.profile.delta[j] / ctx.basis.norms2[j]
+                lhs = c2 * T * T / ctx.profile.delta[j]
                 rhs = T * T / ctx.basis.norms2[j]
-                assert lhs == rhs
+                assert lhs == rhs == Fraction(terms[k][j], L)
 
 
 # -- Projection bounds -------------------------------------------------------
@@ -346,7 +349,7 @@ def test_hoffman_gate_scales_with_the_perron_value():
     assert report.excess["weighted_exact"] is False
     assert not [a for a in report.alarms if a.startswith("weighted excess:")]
     ctx = ctx_for(G)
-    minpoly, lam = ctx.monomial.minpoly, ctx.hoffman.lambda0
+    minpoly, lam = ctx.basis.minpoly, ctx.hoffman.lambda0
     with mpmath.workdps(ctx.dps):
         hoffman_ingredients(minpoly, lam)
         with pytest.raises(ValueError):
@@ -373,5 +376,5 @@ def test_hoffman_gate_follows_the_callers_precision(precision):
         wrong = hp.lambda0 * (1 + mpmath.mpf(10) ** -20)
         if precision == 80:
             with pytest.raises(ValueError):
-                hoffman_ingredients(ctx.monomial.minpoly, wrong, precision)
-            hoffman_ingredients(ctx.monomial.minpoly, wrong, 50)
+                hoffman_ingredients(ctx.basis.minpoly, wrong, precision)
+            hoffman_ingredients(ctx.basis.minpoly, wrong, 50)

@@ -2,6 +2,8 @@
 
 Claims checked:
   * enumeration counts, order and sampling determinism
+  * enumeration caps, and an unknown filter or a sample_limit below 1
+    rejected at the call
   * hand counts: 4 digraphs on 2 vertices, 1 strongly connected; the
     n = 3 strongly connected count matches an independent DFS recount
   * family validation errors (Paley order, circulant connection sets,
@@ -83,8 +85,12 @@ def test_enumeration_caps():
         list(enumerate_digraphs(6, "all"))
     with pytest.raises(ValueError):
         list(enumerate_digraphs(7, "all", sample_limit=10))
-    with pytest.raises(ValueError):
-        list(enumerate_digraphs(3, "no_such_filter"))
+    # nothing drawn: these raise at the call, not at the first next()
+    with pytest.raises(ValueError, match="unknown filter"):
+        enumerate_digraphs(3, "no_such_filter")
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match="sample_limit must be at least 1"):
+            enumerate_digraphs(5, "strongly_connected", sample_limit=limit)
 
 
 def test_normal_filter():

@@ -9,7 +9,9 @@ Claims checked:
     digraphs, same seed), and an n past the sampled enumeration cap is
     one suite failure that names the cap
   * the verify command stops at once, with exit status 2, when an n
-    up to --max-n is past an enumeration cap
+    up to --max-n is past an enumeration cap or --sample is below 1
+  * check_digraph reads no power of A above A^max(D, 1) on the n <= 4
+    corpus: its odd-girth cross-check takes the walk route
   * check_conjugation reports a numeric spectrum that loses rank as a
     failure, in full_report's alarm words, instead of raising
   * check_weighted_set does the same for a weighted track that fails
@@ -27,13 +29,15 @@ import time
 import pytest
 
 import dgexcess.classify as classify_module
-from dgexcess import (AnalysisContext, PerronError, ProjectionBound,
-                      enumerate_digraphs, full_report, path, petersen)
+from dgexcess import (AnalysisContext, MatrixPowers, PerronError, ProjectionBound,
+                      distance_structure, enumerate_digraphs, full_report, path,
+                      petersen)
 from dgexcess.cli import main
 from dgexcess.generators import ENUMERATION_CAP_SAMPLED
-from dgexcess.harness import (check_conjugation, check_projection_sums,
-                              check_weighted_set, random_subset_systems,
-                              standard_families, verify_corpus)
+from dgexcess.harness import (check_conjugation, check_digraph,
+                              check_projection_sums, check_weighted_set,
+                              random_subset_systems, standard_families,
+                              verify_corpus)
 
 
 def test_verify_corpus_serial_and_pooled_agree():
@@ -55,6 +59,33 @@ def test_verify_command_fails_fast_past_the_caps(capsys):
     assert main(["verify", "--max-n", "6"]) == 2
     assert time.perf_counter() - start < 5
     assert "exhaustive enumeration capped at n = 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sample", ["-3", "0"])
+def test_verify_command_rejects_a_sample_below_one(capsys, sample):
+    assert main(["verify", "--max-n", "5", "--sample", sample]) == 2
+    captured = capsys.readouterr()
+    assert "sample_limit must be at least 1" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_check_digraph_reads_powers_up_to_the_diameter(monkeypatch):
+    reads = []
+    inner = MatrixPowers.__getitem__
+
+    def recorded(self, k):
+        reads.append(k)
+        return inner(self, k)
+    monkeypatch.setattr(MatrixPowers, "__getitem__", recorded)
+    checked = 0
+    for n in (2, 3, 4):
+        for G in enumerate_digraphs(n, "strongly_connected"):
+            reads.clear()
+            assert check_digraph(G) == []
+            D = distance_structure(G).diameter
+            assert max(reads) <= max(D, 1), (G.arcs, D, max(reads))
+            checked += 1
+    assert checked == 1625
 
 
 def test_verify_corpus_follows_the_enumeration_caps():

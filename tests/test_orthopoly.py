@@ -1,7 +1,8 @@
 """Pre-distance polynomials, spectral routes and the Hoffman polynomial.
 
 Claims checked:
-  * exact pre-distance data on the named graphs (norms, scaling ratios)
+  * exact pre-distance data on the named graphs (norms, and the layer
+    weights delta_k against them)
   * the float spectral route reproduces the exact coefficients
   * spectral inner products diagonalize on the basis
   * the conjugation polynomial maps A to its transpose
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from dgexcess import (MatrixPowers, Polynomial, build_digraph, complete,
-                      directed_cycle, hoffman_check, hoffman_matrix,
+                      delta_profile, directed_cycle, distance_structure,
+                      hoffman_check, hoffman_matrix,
                       hoffman_polynomial, hypercube, path, petersen,
                       predistance_polynomials, spectral_inner_product,
                       spectral_predistance, spectrum, conjugation_polynomial)
@@ -26,24 +28,22 @@ from dgexcess.generators import paley_tournament
 # -- Exact pre-distance basis ------------------------------------------------
 
 def test_predistance_path3():
-    basis = predistance_polynomials(path(3))
-    assert basis.d == 2 and basis.diameter == 2
+    G = path(3)
+    ds = distance_structure(G)
+    basis = predistance_polynomials(G)
+    assert basis.d == 2 and ds.diameter == 2
     assert basis.norms2 == (Fraction(1), Fraction(4, 3), Fraction(8, 9))
-    assert basis.c2 == (Fraction(1), Fraction(1), Fraction(3, 4))
-    assert basis.monic[2] == Polynomial((Fraction(-4, 3), 0, 1))
-    assert basis.exact
+    # delta_k / epsilon_k = 1, 1, 3/4: the last layer falls short
+    assert delta_profile(ds).delta == (Fraction(1), Fraction(4, 3), Fraction(2, 3))
+    assert basis.polys[2] == Polynomial((Fraction(-4, 3), 0, 1))
 
 
 def test_predistance_petersen():
-    basis = predistance_polynomials(petersen())
+    G = petersen()
+    basis = predistance_polynomials(G)
     assert basis.norms2 == (Fraction(1), Fraction(3), Fraction(6))
-    assert basis.c2 == (Fraction(1), Fraction(1), Fraction(1))
-
-
-def test_q_partial_accumulates():
-    basis = predistance_polynomials(path(3))
-    q2 = basis.q_partial(2)
-    assert q2 == Polynomial((Fraction(-1, 3), 1, 1))
+    # distance-regular: every layer weight equals its norm
+    assert delta_profile(distance_structure(G)).delta == basis.norms2
 
 
 def test_predistance_excess_degenerate_when_d_exceeds_diameter():
@@ -52,9 +52,8 @@ def test_predistance_excess_degenerate_when_d_exceeds_diameter():
     paw = build_digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2),
                             (0, 3), (3, 0)])
     basis = predistance_polynomials(paw)
-    assert basis.d == 3 and basis.diameter == 2
+    assert basis.d == 3 and distance_structure(paw).diameter == 2
     assert basis.dhat == 3
-    assert len(basis.c2) == 4          # padded ratios past the diameter
 
 
 # -- Spectral route ----------------------------------------------------------
@@ -64,7 +63,7 @@ def test_spectral_predistance_matches_exact():
         spec = spectrum(G)
         exact = predistance_polynomials(G)
         numeric = spectral_predistance(spec)
-        for p, q in zip(exact.monic, numeric.polys):
+        for p, q in zip(exact.polys, numeric.polys):
             for i in range(max(p.degree, q.degree) + 1):
                 assert abs(float(p.coefficient(i)) - q.coefficient(i)) < 1e-8
 
