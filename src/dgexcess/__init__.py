@@ -30,6 +30,7 @@ from .excess import (ProjectionTables, ProjectionBound, WeightedLayers,
                      projection_tables, simple_excess, spectral_excess,
                      weighted_layers, weighted_excess, wdr_projection_sum,
                      upper_projection_sum, generalized_projection_sum,
+                     projection_sum_totals,
                      q_norm_check, masked_power_check)
 from .classify import (Verdict, IntersectionTable, TrichotomyResult,
                        AnalysisContext, AnalysisReport, InconsistencyAlarm,

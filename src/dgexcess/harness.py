@@ -16,7 +16,11 @@ failure message embeds the digraph as an edge list so a counterexample
 is immediately reproducible.
 
 Random subset systems are seeded from the digraph itself, so results
-do not depend on traversal or worker order.
+do not depend on traversal or worker order.  check_projection_sums
+validates each drawn system once for both variants and sums it as a
+flat mask over the tables' integer term rows (projection_sum_totals),
+comparing each total with n L as integers; a Fraction is formed only
+to word a failure.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .classify import (AnalysisContext, InconsistencyAlarm, dr_by_simple_set,
                        dr_by_weighted_set, geodetic_dr_check, odd_girth_walks,
                        spectral_gaps, trichotomy)
 from .digraph import Digraph, geodetic_test, girth, is_infinite, regularity_test
-from .excess import generalized_projection_sum
+from .excess import projection_sum_totals
 from .generators import (circulant, complete, complete_bipartite,
                          directed_cycle, enumerate_digraphs, hypercube,
                          kneser_odd_graph, paley_tournament, path, petersen,
@@ -89,25 +93,29 @@ def check_projection_sums(ctx: AnalysisContext, systems: int = 20) -> list:
         if not all(pb.per_k_holds):
             failures.append(_tag(G, f"a per-class {label} projection exceeds delta_k"))
 
+    # the random systems as bare integer sums over each variant's L; a
+    # Fraction is formed only to word a failure
     rng = _graph_rng(G)
     D = ctx.ds.diameter
-    for system in random_subset_systems(D, systems, rng, force_diagonal=True):
-        for variant in ("i", "ii"):
-            pb = generalized_projection_sum(ctx.ds, ctx.basis, system, variant,
-                                            tables=ctx.tables)
-            if not pb.holds:
+    forced = random_subset_systems(D, systems, rng, force_diagonal=True)
+    free = random_subset_systems(D, 2, rng, force_diagonal=False)
+    sums = projection_sum_totals(ctx.tables, forced, "i", "ii")
+    for s, system in enumerate(forced):
+        for variant, (totals, L) in zip(("i", "ii"), sums):
+            total, nL = totals[s], n * L
+            if total > nL:
                 failures.append(_tag(G, f"subset-system sum (variant {variant}) "
-                                        f"{pb.total} > {n} for {system}"))
-            if pb.attained != is_wdr:
+                                        f"{Fraction(total, L)} > {n} for {system}"))
+            if (total == nL) != is_wdr:
                 failures.append(_tag(G, f"subset-system sum (variant {variant}) "
-                                        f"{pb.total} attains n={n}: {pb.attained}, "
-                                        f"wdr_direct: {is_wdr} for {system}"))
-    for system in random_subset_systems(D, 2, rng, force_diagonal=False):
-        pb = generalized_projection_sum(ctx.ds, ctx.basis, system, "i",
-                                        tables=ctx.tables)
-        if not pb.holds:
-            failures.append(_tag(G, f"free subset-system sum {pb.total} > {n} "
-                                    f"for {system}"))
+                                        f"{Fraction(total, L)} attains n={n}: "
+                                        f"{total == nL}, wdr_direct: {is_wdr} "
+                                        f"for {system}"))
+    (totals, L), = projection_sum_totals(ctx.tables, free, "i")
+    for system, total in zip(free, totals):
+        if total > n * L:
+            failures.append(_tag(G, f"free subset-system sum {Fraction(total, L)} "
+                                    f"> {n} for {system}"))
     return failures
 
 

@@ -2,8 +2,10 @@
 
 Two arithmetic tracks coexist.  All quantities derivable from integer
 matrix entries are exact at any size: the moments are Python integers,
-recovered by the Chinese remainder theorem from float64 products
-modulo word-size primes, each small enough that float64 stays exact.
+taken straight from float64 products while a proven bound on them
+stays below 2^53, and beyond it recovered by the Chinese remainder
+theorem from float64 products modulo word-size primes, each small
+enough that float64 stays exact.
 Fraction-free (Bareiss) elimination on them gives the leading minors,
 hence the norms of the orthogonal basis, and the basis polynomials and
 the minimal polynomial come from its triangle by fraction-free
@@ -277,24 +279,42 @@ class _MonicSequence(Sequence):
         return hash(tuple(self))
 
 
+def _power_rows(A: np.ndarray, K: int, p: int = None) -> np.ndarray:
+    """A^0..A^{K-1} as the rows of one float64 array, each power
+    flattened, every product reduced modulo p when p is given; A is a
+    float64 matrix whose products the caller has proved exact."""
+    n = A.shape[0]
+    V = np.empty((K, n * n))
+    V[0] = np.eye(n).ravel()
+    for k in range(1, K):
+        P = V[k - 1].reshape(n, n) @ A
+        V[k] = (P if p is None else P.astype(np.int64) % p).ravel()
+    return V
+
+
 def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
     """Rows start..K-1 of the moment matrix m_ij = n <A^i, A^j>, the sum
     of the entrywise product of A^i and A^j, for j < K, as exact Python
     integers.
 
-    Modulo each prime p the powers A^0..A^{K-1} come from float64
-    matrix products, and the rows from one product of the stacked,
-    flattened powers with their transpose.  The residues lie in [0, p)
-    and p is small enough that every partial sum stays below 2^53, so
-    float64 computes these integers exactly.  Every entry of A^i is at
-    most r^i and every row of A^j sums to at most r^j in absolute value,
-    r the largest absolute row sum of A, so |m_ij| <= n r^(2K-2); primes
-    are added until their product exceeds twice that bound, and the
-    Chinese remainder theorem with a symmetric lift gives the integers.
+    Every entry of A^i is at most r^i and every row of A^j sums to at
+    most r^j in absolute value, r the largest absolute row sum of A, so
+    |m_ij| <= n r^(2K-2), and every partial sum of the products below
+    is bounded the same way.  Below 2^53 the powers A^0..A^{K-1} and
+    the rows, one product of the stacked, flattened powers with their
+    transpose, are taken straight in float64, where all of them are
+    exact integers.  At or above it the same products run modulo
+    word-size primes: the residues lie in [0, p) and p is small enough
+    that every partial sum stays below 2^53, primes are added until
+    their product exceeds twice the bound, and the Chinese remainder
+    theorem with a symmetric lift gives the integers.
     """
     n = A.shape[0]
     r = max(int(np.abs(A).sum(axis=1).max()), 1)
     bound = n * r ** (2 * (K - 1))
+    if bound < _FLOAT_EXACT:
+        V = _power_rows(A.astype(np.float64), K)
+        return (V[start:] @ V.T).astype(np.int64).tolist()
     bits = (53 - (n * n).bit_length()) // 2
     modulus, lift = 1, None
     for i in itertools.count():
@@ -304,10 +324,7 @@ def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
         Ap = (A % p).astype(np.float64)
         assert n * (p - 1) * int(Ap.max(initial=0)) < _FLOAT_EXACT
         assert n * n * (p - 1) ** 2 < _FLOAT_EXACT
-        V = np.empty((K, n * n))
-        V[0] = np.eye(n).ravel()
-        for k in range(1, K):
-            V[k] = (V[k - 1].reshape(n, n) @ Ap).astype(np.int64).ravel() % p
+        V = _power_rows(Ap, K, p)
         residues = (V[start:] @ V.T).astype(np.int64) % p
         if lift is None:
             lift = residues.astype(object)
@@ -324,9 +341,10 @@ def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
     """Gram-Schmidt over 1, x, x^2, ... by fraction-free elimination.
 
     Bareiss elimination (Bareiss 1968) runs row by row on the integer
-    moment matrix m_ij = n <A^i, A^j>.  The moment rows come from
-    word-size primes by the Chinese remainder theorem (_moment_rows),
-    rows 0..7 first and then in doubling blocks up to row n, until a
+    moment matrix m_ij = n <A^i, A^j>.  The moment rows come straight
+    from float64 products while their bound stays below 2^53, and from
+    word-size primes by the Chinese remainder theorem beyond it
+    (_moment_rows), rows 0..7 first and then in doubling blocks up to row n, until a
     leading minor vanishes; only powers.A is read, so no power of A is
     formed as a matrix of big integers.  Once row k has been reduced by
     the pivot rows 0..k-1 it holds the leading minor D_k = det(m_ij)_{i,j<=k}

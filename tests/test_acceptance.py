@@ -19,7 +19,7 @@ from dgexcess import (AnalysisContext, build_digraph,
                       circulant, complete, directed_cycle, dr_direct,
                       enumerate_digraphs, generalized_projection_sum,
                       hypercube, kneser_odd_graph, path, petersen,
-                      predistance_polynomials,
+                      predistance_polynomials, projection_sum_totals,
                       projection_tables, q_norm_check, simple_excess,
                       spectral_excess, tensor_lift, upper_projection_sum,
                       wdr_projection_sum)
@@ -113,6 +113,7 @@ def test_projection_sums_match_fraction_sums(corpus):
         cases += [(S, "i", None) for S in
                   random_subset_systems(D, 2, rng, force_diagonal=False)]
         terms = _fraction_terms(ctx)
+        by_variant = {"i": ([], [], []), "ii": ([], [], [])}
         for subsets, variant, pb in cases:
             if pb is None:
                 pb = generalized_projection_sum(ctx.ds, ctx.basis, subsets, variant,
@@ -122,8 +123,19 @@ def test_projection_sums_match_fraction_sums(corpus):
             assert list(pb.per_k) == per_k
             assert (pb.holds, pb.attained) == (total <= n, total == n)
             assert pb.per_k_holds == tuple(v <= b for v, b in zip(per_k, delta))
+            for seen, value in zip(by_variant[variant], (subsets, pb, total)):
+                seen.append(value)
             attained += total == n
             below += total < n
+        # the batch sums: the same numerators over the same L as the single
+        # sums, and the reference's totals, every system in one call
+        for variant, (systems, bounds, totals) in by_variant.items():
+            (batch, L), = projection_sum_totals(ctx.tables, systems, variant)
+            assert batch == [pb.total_num for pb in bounds]
+            assert {pb.denominator for pb in bounds} == {L}
+            assert [Fraction(t, L) for t in batch] == totals
+        assert projection_sum_totals(ctx.tables, forced, "i", "ii") == \
+            tuple(projection_sum_totals(ctx.tables, forced, v)[0] for v in ("i", "ii"))
     hypercube_diag = wdr_projection_sum(extra[3].ds, extra[3].basis)
     path_diag = wdr_projection_sum(extra[0].ds, extra[0].basis)
     assert hypercube_diag.attained and hypercube_diag.total == 8

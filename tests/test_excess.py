@@ -5,7 +5,9 @@ Claims checked:
   * simple, spectral and weighted excess reproduce hand values
   * the scaling substitution between the two normalizations is exact
   * projection sums respect their bounds and detect attainment
-  * subset-system validation and the masked-power consistency rule
+  * subset-system validation and the masked-power consistency rule; the
+    batch and single-system sums raise the same errors (a negative index
+    included) and read duplicates, ranges, tuples and numpy ints alike
   * the weighted layers from the Perron vectors match the layers
     reweighted by the evaluated Hoffman matrix H(A)
   * the refined Perron vectors are positive integers that solve the
@@ -23,6 +25,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from dgexcess import (AnalysisContext, MatrixPowers, PerronError, build_digraph,
@@ -30,12 +33,14 @@ from dgexcess import (AnalysisContext, MatrixPowers, PerronError, build_digraph,
                       distance_structure, enumerate_digraphs,
                       generalized_projection_sum, hoffman_matrix, hypercube,
                       masked_power_check, path, petersen,
-                      predistance_polynomials, projection_tables, q_norm_check,
-                      regularity_test, simple_excess, spectral_excess,
-                      strong_connectivity, trace_inner_product,
+                      predistance_polynomials, projection_sum_totals,
+                      projection_tables, q_norm_check, regularity_test,
+                      simple_excess, spectral_excess, strong_connectivity,
+                      trace_inner_product,
                       upper_projection_sum, wdr_projection_sum,
                       weighted_excess, weighted_layers)
 from dgexcess.classify import full_report
+from dgexcess.excess import system_mask
 from dgexcess.harness import standard_families
 from dgexcess.linalg import hoffman_ingredients, perron_vectors
 
@@ -184,6 +189,55 @@ def test_generalized_sum_validation():
     with pytest.raises(ValueError):
         generalized_projection_sum(ctx.ds, ctx.basis,
                                    [[1], [1], [2]], "ii")  # 0 not in S_0
+
+
+def _raised(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_batch_and_single_sums_raise_the_same_errors():
+    ctx = ctx_for(path(4))                    # diameter 3
+    D = ctx.ds.diameter
+    bad = [([[0], [1], [2]], "i", "need 4 index subsets, got 3"),
+           ([[0], [], [2], [3]], "i", "subset for layer 1 is empty"),
+           ([[0], [1], [2], [D + 1]], "i", "subset for layer 3 leaves the range 0..3"),
+           # a negative index raises and does not wrap to D
+           ([[0], [1], [-1], [3]], "i", "subset for layer 2 leaves the range 0..3"),
+           ([[0], [1], [2, -4], [3]], "ii", "subset for layer 2 leaves the range 0..3"),
+           ([[0], [0, 2], [2], [3]], "ii", "variant ii needs 1 in its own subset"),
+           ([[0], [1], [2], [3]], "iii", "variant must be 'i' or 'ii', got 'iii'")]
+    for subsets, variant, message in bad:
+        single = _raised(lambda: generalized_projection_sum(
+            ctx.ds, ctx.basis, subsets, variant, tables=ctx.tables))
+        batch = _raised(lambda: projection_sum_totals(
+            ctx.tables, [[[k] for k in range(D + 1)], subsets], variant))
+        assert single == batch == message
+        assert _raised(lambda: system_mask(subsets, D, variant)) == message
+    # a system bad only under variant ii fails a batch that asks for ii
+    assert _raised(lambda: projection_sum_totals(
+        ctx.tables, [[[1], [1], [2], [3]]], "i", "ii")) == \
+        "variant ii needs 0 in its own subset"
+    assert projection_sum_totals(ctx.tables, [[[1], [1], [2], [3]]], "i")
+
+
+def test_subset_spellings_give_the_same_sums():
+    ctx = ctx_for(path(4))
+    plain = [[0, 1], [1, 3], [0, 2], [3]]
+    spellings = [[[0, 1, 0], [3, 1, 1], [2, 0, 2], [3, 3]],          # duplicates
+                 [range(2), (1, 3), (0, 2), range(3, 4)],            # range, tuple
+                 [np.array(S, dtype=np.int64) for S in plain],       # numpy ints
+                 [[np.int32(j) for j in S] for S in plain]]
+    for variant in ("i", "ii"):
+        want = generalized_projection_sum(ctx.ds, ctx.basis, plain, variant,
+                                          tables=ctx.tables)
+        (totals, L), = projection_sum_totals(ctx.tables, [plain] + spellings, variant)
+        assert L == want.denominator and set(totals) == {want.total_num}
+        for subsets in spellings:
+            assert generalized_projection_sum(ctx.ds, ctx.basis, subsets, variant,
+                                              tables=ctx.tables) == want
+            assert system_mask(subsets, 3, variant) == system_mask(plain, 3, variant)
 
 
 def test_generalized_sum_bounded_on_corpus():

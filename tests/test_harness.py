@@ -16,11 +16,14 @@ Claims checked:
     failure, in full_report's alarm words, instead of raising
   * check_weighted_set does the same for a weighted track that fails
     with a PerronError or an ArithmeticError
-  * check_projection_sums reports a per-class projection above delta_k
+  * check_projection_sums reports a per-class projection above delta_k,
+    and words failing random subset-system sums as it always has: the
+    same Fraction totals, systems and order
   * random_subset_systems draws the same systems from the same rng as
     its set-based form did, for D = 0..5 and both diagonal modes
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -30,8 +33,8 @@ import pytest
 
 import dgexcess.classify as classify_module
 from dgexcess import (AnalysisContext, MatrixPowers, PerronError, ProjectionBound,
-                      distance_structure, enumerate_digraphs, full_report, path,
-                      petersen)
+                      digraph_to_edgelist, directed_cycle, distance_structure,
+                      enumerate_digraphs, full_report, path, petersen)
 from dgexcess.cli import main
 from dgexcess.generators import ENUMERATION_CAP_SAMPLED
 from dgexcess.harness import (check_conjugation, check_digraph,
@@ -136,6 +139,50 @@ def test_check_projection_sums_reports_a_per_class_excess(monkeypatch):
     assert [f.splitlines()[0] for f in failures] == [
         "a per-class diagonal projection exceeds delta_k",
         "a per-class triangular projection exceeds delta_k"]
+
+
+# recorded from check_projection_sums before its random systems were summed
+# as bare integers, when each went through generalized_projection_sum
+_INFLATED_SUM_FAILURES = {
+    "directed_cycle(3)": [
+        "subset-system sum (variant i) 12 > 3 for [[0], [0, 1, 2], [0, 2]]",
+        "subset-system sum (variant i) 12 attains n=3: False, wdr_direct: True "
+        "for [[0], [0, 1, 2], [0, 2]]",
+        "subset-system sum (variant ii) 12 > 3 for [[0], [0, 1, 2], [0, 2]]",
+        "subset-system sum (variant ii) 12 attains n=3: False, wdr_direct: True "
+        "for [[0], [0, 1, 2], [0, 2]]",
+        "subset-system sum (variant i) 12 > 3 for [[0, 2], [0, 1, 2], [0, 1, 2]]",
+        "subset-system sum (variant i) 12 attains n=3: False, wdr_direct: True "
+        "for [[0, 2], [0, 1, 2], [0, 1, 2]]",
+        "subset-system sum (variant ii) 12 > 3 for [[0, 2], [0, 1, 2], [0, 1, 2]]",
+        "subset-system sum (variant ii) 12 attains n=3: False, wdr_direct: True "
+        "for [[0, 2], [0, 1, 2], [0, 1, 2]]",
+        "free subset-system sum 4 > 3 for [[2], [0], [0, 2]]",
+        "free subset-system sum 12 > 3 for [[0, 1], [1], [1, 2]]"],
+    "path(3)": [
+        "subset-system sum (variant i) 51/2 > 3 for [[0, 1], [1], [0, 1, 2]]",
+        "subset-system sum (variant ii) 51/2 > 3 for [[0, 1], [1], [0, 1, 2]]",
+        "subset-system sum (variant i) 51/2 > 3 for [[0, 2], [1, 2], [1, 2]]",
+        "subset-system sum (variant ii) 51/2 > 3 for [[0, 2], [1, 2], [1, 2]]",
+        "free subset-system sum 12 > 3 for [[2], [1], [0]]",
+        "free subset-system sum 33/2 > 3 for [[2], [1], [0, 1, 2]]"],
+}
+
+
+@pytest.mark.parametrize("label, G, factor", [
+    ("directed_cycle(3)", directed_cycle(3), 2), ("path(3)", path(3), 3)])
+def test_check_projection_sums_words_failing_systems_as_before(monkeypatch, label,
+                                                               G, factor):
+    # the diagonal and triangular bounds are read first and pass; scaling
+    # every projection N_kj by factor then pushes the random systems' sums
+    # past n, and each failure carries the same Fraction total and system
+    ctx = AnalysisContext(G)
+    assert ctx.wdr_projection.holds and ctx.upper_projection.holds
+    N = tuple(tuple(factor * x for x in row) for row in ctx.tables.numerators)
+    monkeypatch.setattr(ctx, "tables", dataclasses.replace(ctx.tables, numerators=N))
+    failures = check_projection_sums(ctx, systems=2)
+    edges = digraph_to_edgelist(G)
+    assert failures == [f"{m}\n{edges}" for m in _INFLATED_SUM_FAILURES[label]]
 
 
 def test_random_subset_systems_are_pinned():

@@ -9,8 +9,9 @@ Claims checked:
   * trace inner products and Frobenius sums agree with schoolbook math
   * the monomial Gram-Schmidt reproduces a textbook re-derivation, with
     the pre-distance polynomials read in any order and pickled part-read
-  * the moment table from word-size primes equals the schoolbook
-    Frobenius sums, and the basis built on it forms no big-integer power
+  * the moment table, from float64 below 2^53 and from word-size primes
+    at or above it, equals the schoolbook Frobenius sums, and the basis
+    built on it forms no big-integer power
   * minimal polynomials of the named graphs come out exactly
   * eigenvalue clustering, multiplicities and Perron certification
   * Hoffman ingredients divide exactly and reject non-roots
@@ -26,6 +27,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import dgexcess.linalg as linalg
 import oracles
 from dgexcess import (MatrixPowers, PerronError, Polynomial, SpectrumError,
                       build_digraph, circulant, complete, directed_cycle,
@@ -228,9 +230,10 @@ def test_monomial_basis_pickles_part_read():
 
 def test_moment_rows_match_schoolbook_sums():
     # the first three have moments of at least 2^26.5 / n, past every
-    # prime n^2 (p - 1)^2 < 2^53 allows, so the table needs two or more
-    # primes; the last two have dhat far below n, so the elimination
-    # stops before the table reaches n + 1 rows
+    # prime n^2 (p - 1)^2 < 2^53 allows: the first two need two or more
+    # primes, and complete(8), whose bound 8 * 7^16 stays below 2^53,
+    # takes them straight from float64; the last two have dhat far below
+    # n, so the elimination stops before the table reaches n + 1 rows
     many_primes = [circulant(13, (1, 2, 3, 4, 5, 7)),
                    _seeded_digraph(12, 72, 235), complete(8)]
     short = [paley_tournament(19), hypercube(5)]
@@ -252,6 +255,31 @@ def test_moment_rows_match_schoolbook_sums():
         assert tuple(mb.minpoly.coeffs) == tuple(minpoly)
     assert [orthogonal_monomial_basis(MatrixPowers(G.adjacency)).dhat
             for G in short] == [2, 5]
+
+
+@pytest.mark.parametrize("n, primes", [(12, False), (13, True)])
+def test_moment_rows_switch_to_primes_at_2_53(monkeypatch, n, primes):
+    # at K = 8 the bound n r^14 with r = n - 1 is 12 * 11^14 < 2^53 for
+    # complete(12), taken straight in float64, and 13 * 12^14 > 2^53 for
+    # complete(13), taken modulo primes
+    assert (n * (n - 1) ** 14 >= _FLOAT_EXACT) == primes
+    drawn = []
+    prime = linalg._prime
+    monkeypatch.setattr(linalg, "_prime",
+                        lambda i, bits: drawn.append(i) or prime(i, bits))
+    G = complete(n)
+    A = [[int(x) for x in row] for row in G.adjacency]
+    table = _moment_rows(G.adjacency, 0, 8)
+    assert bool(drawn) == primes
+    assert table == [[n * oracles.naive_moment(A, i, j) for j in range(8)]
+                     for i in range(8)]
+    assert all(type(m) is int for row in table for m in row)
+    assert _moment_rows(G.adjacency, 5, 8) == table[5:]
+    mb = orthogonal_monomial_basis(MatrixPowers(G.adjacency))
+    basis, norms, minpoly = oracles.naive_gram_schmidt(A)
+    assert list(mb.norms2) == norms
+    assert [tuple(p.coeffs) for p in mb.polys] == [tuple(b) for b in basis]
+    assert tuple(mb.minpoly.coeffs) == tuple(minpoly)
 
 
 def _digest(fractions):

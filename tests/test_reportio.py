@@ -9,10 +9,12 @@ Claims checked:
   * the text report carries the excess comparison line
   * CLI subcommands and their exit-code contract (0 holds, 1 fails,
     2 error or internal inconsistency)
+  * verify ends with the corpus digraphs checked per second
 """
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,3 +220,14 @@ def test_cli_verify_small(capsys):
     assert "[PASS] corpus n=2" in out
     assert "[PASS] corpus n=3" in out
     assert "[PASS] families" in out
+    # one throughput line after the suite lines: 1 + 18 corpus digraphs
+    lines = out.splitlines()
+    assert lines[-2].startswith("[PASS] families")
+    found = re.fullmatch(r"throughput: 19 strongly connected corpus digraphs "
+                         r"checked in (\d+\.\d\d) s \(whole call\), "
+                         r"(\d+\.\d) digraphs/s", lines[-1])
+    assert found, lines[-1]
+    seconds, rate = map(float, found.groups())
+    assert rate > 0
+    if seconds >= 0.1:   # rounding leaves the ratio loose for shorter calls
+        assert rate == pytest.approx(19 / seconds, rel=0.06)
