@@ -24,7 +24,7 @@ from .linalg import (MatrixPowers, MonomialBasis, Spectrum, SpectrumError,
                      working_dps)
 from .orthopoly import (SpectralBasis, HoffmanPolynomial,
                         predistance_polynomials, spectral_predistance,
-                        spectral_inner_product, conjugation_polynomial,
+                        conjugation_polynomial,
                         hoffman_polynomial, hoffman_matrix, hoffman_check)
 from .excess import (ProjectionTables, ProjectionBound, WeightedLayers,
                      projection_tables, simple_excess, spectral_excess,

@@ -85,14 +85,16 @@ class _CountBlocks(Mapping):
 class AnalysisContext:
     """Shared scaffolding for the classifiers on one digraph.
 
-    The exact core (distance structure, delta profile, powers, the
-    pre-distance basis, normality, projection tables) is computed
-    eagerly.  The basis (a linalg.MonomialBasis, which also holds the
-    minimal polynomial) and the projection tables are held on integers,
-    the pre-distance polynomials as numerators over the elimination's
-    pivots and the tables as N_kj = n D_{j-1} <A_k, p_j(A)>; the
-    Fraction polynomials and the tables' Fraction views are formed only
-    when read, and the projection sums never read them.  Every other
+    The exact core (distance structure, delta profile, the pre-distance
+    basis, normality, projection tables) is computed eagerly; powers
+    holds A for the basis and forms explicit powers only when a matrix
+    polynomial is evaluated (spectral_gaps).  The basis (a
+    linalg.MonomialBasis, which also holds the minimal polynomial) and
+    the projection tables are held on integers, the pre-distance
+    polynomials as numerators over the elimination's pivots and the
+    tables as N_kj = n D_{j-1} <A_k, p_j(A)>; the Fraction polynomials
+    and the tables' Fraction views are formed only when read, and the
+    projection sums never read them.  Every other
     invariant with two or more readers is cached on first use, so each
     classifier and check reads one value: hoffman, weighted,
     numeric_spectrum, odd_girth, bipartite, simple_excess, the diagonal
@@ -112,15 +114,15 @@ class AnalysisContext:
         self.powers = MatrixPowers(G.adjacency)
         self.basis = predistance_polynomials(G, self.powers, structure=self.ds)
         self.normal = normality_test(G.adjacency)
-        self.tables = projection_tables(self.ds, self.basis, self.powers)
+        self.tables = projection_tables(self.ds, self.basis)
 
     @cached_property
     def hoffman(self):
-        return hoffman_polynomial(self.G, self.powers, self.basis.minpoly, self.dps)
+        return hoffman_polynomial(self.G, minpoly=self.basis.minpoly, dps=self.dps)
 
     @cached_property
     def weighted(self):
-        return weighted_layers(self.G, self.hoffman, self.ds, self.powers)
+        return weighted_layers(self.G, self.hoffman, self.ds)
 
     @cached_property
     def numeric_spectrum(self):
@@ -140,11 +142,11 @@ class AnalysisContext:
 
     @cached_property
     def wdr_projection(self):
-        return wdr_projection_sum(self.ds, self.basis, self.powers, self.tables)
+        return wdr_projection_sum(self.ds, self.basis, tables=self.tables)
 
     @cached_property
     def upper_projection(self):
-        return upper_projection_sum(self.ds, self.basis, self.powers, self.tables)
+        return upper_projection_sum(self.ds, self.basis, tables=self.tables)
 
     @cached_property
     def q_norm(self):
@@ -629,7 +631,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         checks["odd_girth_floor_forces_dr"] = dr_v.decision and g_o == 2 * d + 1
     checks["odd_girth_spectral_agrees"] = odd_girth_walks(G) == g_o
     checks["masked_power_rule"] = (
-        masked_power_check(ctx.ds, ctx.powers)
+        masked_power_check(ctx.ds)
         and ctx.tables.delta_prime == ctx.profile.delta_prime)
     checks["geodetic_iff_delta_equal"] = \
         geodetic == (ctx.profile.delta == ctx.profile.delta_prime)

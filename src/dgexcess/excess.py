@@ -50,17 +50,14 @@ import mpmath
 import numpy as np
 
 from .digraph import DeltaProfile, Digraph, DistanceStructure
-from .linalg import MatrixPowers, MonomialBasis, exact_matmul, perron_vectors
+from .linalg import (MatrixPowers, MonomialBasis, _max_row_sum, _power_image,
+                     perron_vectors)
 from .orthopoly import HoffmanPolynomial
 
 
-def _powers_for(ds: DistanceStructure, powers) -> MatrixPowers:
-    # layers[1] is the adjacency matrix whenever the graph has arcs
-    if powers is not None:
-        return powers
-    if ds.diameter == 0:
-        return MatrixPowers(np.zeros((ds.n, ds.n), dtype=np.int64))
-    return MatrixPowers(ds.layers[1])
+def _adjacency(ds: DistanceStructure) -> np.ndarray:
+    """A, which is layers[1] whenever the digraph has arcs."""
+    return ds.layers[1] if ds.diameter else np.zeros((ds.n, ds.n), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class ProjectionTables:
     as Fractions, each formed on its first read.  inner[k][k] equals
     <A_k, A^k> (lower-degree terms of the monic polynomial die on the
     distance-k support), which is the mean geodesic count delta'_k
-    computed through unmasked matrix powers instead of the distance
+    computed through unmasked powers of A instead of the distance
     search's masked frontiers; the two routes agreeing is a cross-check.
 
     terms_i and terms_ii hold each variant's squared projections, formed
@@ -156,16 +153,15 @@ class ProjectionTables:
 def projection_tables(ds: DistanceStructure, basis: MonomialBasis,
                       powers: MatrixPowers = None) -> ProjectionTables:
     """The tables of ds against the pre-distance basis, which is read on
-    integers only: its numerators and pivots up to the diameter."""
-    powers = _powers_for(ds, powers)
+    integers only: its numerators and pivots up to the diameter.  powers
+    is accepted for the callers that hold one and is not needed."""
     n, D = ds.n, ds.diameter
-    # moments[k][i] = n <A_k, A^i>, one product of the stacked 0/1 layers
-    # and powers, each at most n^2 max|A^i|; for i < k it vanishes by
-    # support
     layers = np.array(ds.layers, dtype=np.float64).reshape(D + 1, n * n)
-    pw = np.stack([powers[i].ravel() for i in range(D + 1)])
-    bound = n * n * max(map(powers.bound, range(D + 1)))
-    moments = exact_matmul(layers, pw.T, bound).tolist()
+    A = _adjacency(ds)
+    # moments[k][i] = n <A_k, A^i>, one product of the stacked 0/1 layers
+    # and power rows, a sum over part of |A^i|, whose entries sum to at
+    # most n r^i; for i < k it vanishes by support
+    moments = _power_image(A, D + 1, n * _max_row_sum(A) ** D, lambda V: layers @ V.T)
     # N[k][j] = n D_{j-1} <A_k, p_j(A)>, one integer dot product each
     polys = basis.polys
     nums = [polys.numerator(j) for j in range(D + 1)]
@@ -344,13 +340,13 @@ def generalized_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
     matrices indexed by its subset; variant "ii" projects each distance
     matrix onto polynomial layers and requires k in S_k.  The system is
     validated into a system_mask, and layer k's piece is the integer
-    sum of the variant's term row k under mask row k; profile is
-    accepted and not needed.
+    sum of the variant's term row k under mask row k; powers and
+    profile are accepted and not needed.
     """
     m = ds.diameter + 1
     mask = system_mask(subsets, ds.diameter, variant)
     if tables is None:
-        tables = projection_tables(ds, basis, powers)
+        tables = projection_tables(ds, basis)
     rows, L = tables.terms(variant)
     per_k = tuple(sum(itertools.compress(row, mask[b:b + m]))
                   for row, b in zip(rows, range(0, m * m, m)))
@@ -386,15 +382,12 @@ def q_norm_check(basis: MonomialBasis, n: int):
     return value, value == n
 
 
-def masked_power_check(ds: DistanceStructure, powers: MatrixPowers = None) -> bool:
-    """Walks of length exactly dist(u, v) are geodesics; on each layer's
-    support the walk matrix must reproduce the geodesic counts, compared
-    as Python integers."""
-    powers = _powers_for(ds, powers)
-    order, starts, ks = ds.classes
-    counts = ds.path_counts.ravel()
-    for c, k in enumerate(ks):
-        support = order[starts[c]:starts[c + 1]]
-        if powers[k].ravel()[support].tolist() != counts[support].tolist():
-            return False
-    return True
+def masked_power_check(ds: DistanceStructure) -> bool:
+    """Walks of length exactly dist(u, v) are geodesics: A^dist(u, v)[u, v],
+    one gather from the power rows at the bound r^D, must equal every
+    pair's geodesic count, compared as Python integers."""
+    n, D = ds.n, ds.diameter
+    A = _adjacency(ds)
+    dist, pairs = ds.dist.ravel(), np.arange(n * n)
+    walks = _power_image(A, D + 1, _max_row_sum(A) ** D, lambda V: V[dist, pairs])
+    return walks == ds.path_counts.ravel().tolist()

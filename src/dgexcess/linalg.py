@@ -1,11 +1,13 @@
 """Exact matrix arithmetic and the spectral side of the adjacency algebra.
 
 Two arithmetic tracks coexist.  All quantities derivable from integer
-matrix entries are exact at any size: the moments are Python integers,
-taken straight from float64 products while a proven bound on them
-stays below 2^53, and beyond it recovered by the Chinese remainder
-theorem from float64 products modulo word-size primes, each small
-enough that float64 stays exact.
+matrix entries are exact at any size: every sum over powers of A that
+the exact core reads (the moments, the projection tables, the masked
+power rule's walk counts, the traces) is a Python integer from one
+helper, _power_image, taken straight from float64 products while the
+caller's proven bound stays below 2^53, and beyond it recovered by the
+Chinese remainder theorem from float64 products modulo word-size
+primes, each small enough that float64 stays exact.
 Fraction-free (Bareiss) elimination on them gives the leading minors,
 hence the norms of the orthogonal basis, and the basis polynomials and
 the minimal polynomial come from its triangle by fraction-free
@@ -22,11 +24,10 @@ precision by float64 solves against exact integer residuals.
 Every other integer matrix product goes through exact_matmul, which
 takes the caller's proven bound on the product's entries and picks the
 arithmetic from it: a float64 (BLAS) product below 2^53, int64 below
-2^62, Python-integer object arrays beyond.  Matrix powers, which the
-projection tables and the matrix polynomials read, take each step that
-way, so they escalate from float64 through int64 to object arrays
-before any entry can round or overflow; nothing here ever wraps
-silently.
+2^62, Python-integer object arrays beyond.  MatrixPowers, the explicit
+powers that matrix_polynomial reads, takes each step that way, so they
+escalate from float64 through int64 to object arrays before any entry
+can round or overflow; nothing here ever wraps silently.
 """
 
 from __future__ import annotations
@@ -88,12 +89,13 @@ def exact_matmul(P: np.ndarray, Q: np.ndarray, bound: int) -> np.ndarray:
 
 
 class MatrixPowers:
-    """Lazily extended list I, A, A^2, ... of exact integer matrices.
+    """Lazily extended list I, A, A^2, ... of exact integer matrices, the
+    explicit powers that matrix_polynomial reads; the exact core reads
+    only A.
 
     Each step is one exact_matmul at the bound max|A^k| times the largest
     absolute column sum of A, so a power is int64 until its entries may
-    pass 2^62 and a Python-int object array from then on.  bound(k) is
-    that proven bound on the entries of A^k, kept from its step.
+    pass 2^62 and a Python-int object array from then on.
     """
 
     def __init__(self, A: np.ndarray):
@@ -104,7 +106,6 @@ class MatrixPowers:
         self.A = A.astype(np.int64)
         self._pow = [np.eye(self.n, dtype=np.int64), self.A]
         self._max_col = max(int(np.abs(self.A).sum(axis=0).max()), 1)
-        self._bounds = [1, self._max_col]
         # converted once; exact, since every entry is below 2^53 when the
         # column sums are, and exact_matmul converts it back past 2^53
         self._right = self.A.astype(np.float64) if self._max_col < _FLOAT_EXACT else self.A
@@ -116,16 +117,7 @@ class MatrixPowers:
             last = self._pow[-1]
             bound = int(np.abs(last).max()) * self._max_col
             self._pow.append(exact_matmul(last, self._right, bound))
-            self._bounds.append(bound)
         return self._pow[k]
-
-    def bound(self, k: int) -> int:
-        """A proven bound on the entries of A^k in absolute value."""
-        self[k]
-        return self._bounds[k]
-
-    def trace(self, k: int) -> int:
-        return int(np.trace(self[k]))
 
 
 def frobenius_sum(P: np.ndarray, Q: np.ndarray) -> int:
@@ -285,36 +277,35 @@ def _power_rows(A: np.ndarray, K: int, p: int = None) -> np.ndarray:
     float64 matrix whose products the caller has proved exact."""
     n = A.shape[0]
     V = np.empty((K, n * n))
-    V[0] = np.eye(n).ravel()
+    V[:1] = np.eye(n).ravel()    # no row at all when K = 0
     for k in range(1, K):
         P = V[k - 1].reshape(n, n) @ A
         V[k] = (P if p is None else P.astype(np.int64) % p).ravel()
     return V
 
 
-def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
-    """Rows start..K-1 of the moment matrix m_ij = n <A^i, A^j>, the sum
-    of the entrywise product of A^i and A^j, for j < K, as exact Python
-    integers.
+def _max_row_sum(A: np.ndarray) -> int:
+    """r, the largest absolute row sum of A and at least 1: every entry
+    of A^k, and every row sum of |A^k|, is at most r^k."""
+    return max(int(np.abs(A).sum(axis=1).max()), 1)
 
-    Every entry of A^i is at most r^i and every row of A^j sums to at
-    most r^j in absolute value, r the largest absolute row sum of A, so
-    |m_ij| <= n r^(2K-2), and every partial sum of the products below
-    is bounded the same way.  Below 2^53 the powers A^0..A^{K-1} and
-    the rows, one product of the stacked, flattened powers with their
-    transpose, are taken straight in float64, where all of them are
-    exact integers.  At or above it the same products run modulo
-    word-size primes: the residues lie in [0, p) and p is small enough
-    that every partial sum stays below 2^53, primes are added until
+
+def _power_image(A: np.ndarray, K: int, bound: int, image) -> list:
+    """image(V) as exact Python integers (tolist), V the rows A^0..A^{K-1}
+    of one float64 array, each power flattened; image is a product of V
+    with 0/1 rows or with itself, or a gather.
+
+    bound is the caller's proof that every partial sum of image(V) and
+    every entry of V, at most r^(K-1) (_max_row_sum), is at most bound
+    in absolute value.  Below 2^53 all of it is taken straight in
+    float64.  At or above it the same products run modulo word-size
+    primes, small enough that every partial sum stays below 2^53, until
     their product exceeds twice the bound, and the Chinese remainder
     theorem with a symmetric lift gives the integers.
     """
-    n = A.shape[0]
-    r = max(int(np.abs(A).sum(axis=1).max()), 1)
-    bound = n * r ** (2 * (K - 1))
     if bound < _FLOAT_EXACT:
-        V = _power_rows(A.astype(np.float64), K)
-        return (V[start:] @ V.T).astype(np.int64).tolist()
+        return image(_power_rows(A.astype(np.float64), K)).astype(np.int64).tolist()
+    n = A.shape[0]
     bits = (53 - (n * n).bit_length()) // 2
     modulus, lift = 1, None
     for i in itertools.count():
@@ -324,8 +315,7 @@ def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
         Ap = (A % p).astype(np.float64)
         assert n * (p - 1) * int(Ap.max(initial=0)) < _FLOAT_EXACT
         assert n * n * (p - 1) ** 2 < _FLOAT_EXACT
-        V = _power_rows(Ap, K, p)
-        residues = (V[start:] @ V.T).astype(np.int64) % p
+        residues = image(_power_rows(Ap, K, p)).astype(np.int64) % p
         if lift is None:
             lift = residues.astype(object)
         else:
@@ -335,6 +325,15 @@ def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
         modulus *= p
     lift[lift > modulus // 2] -= modulus
     return lift.tolist()
+
+
+def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
+    """Rows start..K-1 of the moment matrix m_ij = n <A^i, A^j>, the sum
+    of the entrywise product of A^i and A^j, for j < K, as exact Python
+    integers, at the bound n r^(2K-2): |A^i| <= r^i entrywise and each
+    row of |A^j| sums to at most r^j."""
+    bound = A.shape[0] * _max_row_sum(A) ** (2 * K - 2)
+    return _power_image(A, K, bound, lambda V: V[start:] @ V.T)
 
 
 def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
@@ -401,9 +400,12 @@ def minimal_polynomial(G):
 
 
 def power_traces(G, m: int):
-    """tr(A^0), tr(A^1), ..., tr(A^m) as exact integers."""
-    powers = _as_powers(G)
-    return [powers.trace(k) for k in range(m + 1)]
+    """tr(A^0), tr(A^1), ..., tr(A^m) as exact integers, the diagonal sums
+    of the power rows (_power_image) at the bound n r^m."""
+    A = _as_powers(G).A
+    n = A.shape[0]
+    return _power_image(A, m + 1, n * _max_row_sum(A) ** m,
+                        lambda V: V @ np.eye(n).ravel())
 
 
 # -- Perron value and full spectrum -----------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from .digraph import Digraph, distance_structure
 from .linalg import (MatrixPowers, MonomialBasis, Spectrum, SpectrumError,
-                     hoffman_ingredients, matrix_polynomial,
+                     hoffman_ingredients, matrix_polynomial, minimal_polynomial,
                      orthogonal_monomial_basis, perron_value, working_dps)
 from .polynomial import Polynomial
 
@@ -99,17 +99,6 @@ def spectral_predistance(spec: Spectrum) -> SpectralBasis:
     return SpectralBasis(tuple(Polynomial(tuple(p)) for p in polys), tuple(norms2))
 
 
-def spectral_inner_product(p: Polynomial, q: Polynomial, spec: Spectrum) -> float:
-    """(1/n) sum m_i p(lambda_i) q(conj lambda_i), validated real."""
-    total = 0j
-    for z, m in spec.values:
-        total += m * complex(p(z)) * complex(q(np.conj(z)))
-    total /= spec.n
-    if abs(total.imag) > 1e-8 * max(1.0, abs(total)):
-        raise SpectrumError("spectral inner product has a large imaginary part")
-    return total.real
-
-
 def conjugation_polynomial(spec: Spectrum) -> Polynomial:
     """Lagrange interpolation of z -> conj z on the distinct eigenvalues.
 
@@ -153,10 +142,8 @@ def hoffman_polynomial(G: Digraph, powers: MatrixPowers = None,
     (at once for a regular digraph, whose degree it is)."""
     if dps is None:
         dps = working_dps()
-    if powers is None:
-        powers = MatrixPowers(G.adjacency)
     if minpoly is None:
-        minpoly = orthogonal_monomial_basis(powers).minpoly
+        minpoly = minimal_polynomial(G if powers is None else powers)[0]
     lam, lam_exact = perron_value(G.adjacency, minpoly, dps)
     if lam_exact is not None:
         S, S0 = hoffman_ingredients(minpoly, lam_exact)

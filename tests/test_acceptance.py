@@ -160,7 +160,7 @@ def _fraction_tables(G, ds, basis):
                   for row in moments)
     delta = tuple(Fraction(sum(map(sum, layer)), n) for layer in layers)
     return (inner, tuple(inner[k][k] for k in range(D + 1)), basis.norms2[:D + 1],
-            delta), powers
+            delta)
 
 
 def _views(tables):
@@ -177,9 +177,11 @@ def _lollipop(clique, tail):
 
 
 def _reference_inputs():
-    # path(40) reaches diameter 39; on the lollipops max|A^D| n^2 passes
-    # 2^62, so the moments leave int64, and with a 17-vertex tail (n = 29,
-    # D = 18) the largest moment itself passes 2^65
+    # path(40) reaches diameter 39 with its table bound n r^D = 40 * 2^39
+    # below 2^53, so its tables come straight from float64; on the
+    # lollipops n r^D passes 2^53, so theirs come from word-size primes,
+    # and with a 17-vertex tail (n = 29, D = 18) the largest moment
+    # itself passes 2^65
     return ((path(40), 39, False), (_lollipop(12, 16), 17, True),
             (_lollipop(12, 17), 18, True))
 
@@ -188,13 +190,14 @@ def test_projection_tables_match_fraction_reference(corpus):
     # the tables hold integers; their Fraction views are what the
     # definition gives
     for ctx in corpus:
-        reference, _ = _fraction_tables(ctx.G, ctx.ds, ctx.basis)
+        reference = _fraction_tables(ctx.G, ctx.ds, ctx.basis)
         assert _views(ctx.tables) == reference
     for G, D, wide in _reference_inputs():
         ctx = AnalysisContext(G)
-        reference, powers = _fraction_tables(G, ctx.ds, ctx.basis)
+        reference = _fraction_tables(G, ctx.ds, ctx.basis)
         assert ctx.ds.diameter == D
-        assert (max(map(max, powers[D])) * G.n ** 2 >= 2 ** 62) == wide
+        r = int(G.adjacency.sum(axis=1).max())
+        assert (G.n * r ** D >= 2 ** 53) == wide
         fresh = projection_tables(ctx.ds, ctx.basis)
         assert fresh == ctx.tables
         assert _views(fresh) == _views(ctx.tables) == reference

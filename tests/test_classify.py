@@ -413,9 +413,9 @@ def test_odd_girth_and_dr_oracle_computed_once(monkeypatch):
     def counted(name):
         inner = getattr(classify_module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return inner(*args)
+            return inner(*args, **kwargs)
         return wrapper
 
     for name in names:

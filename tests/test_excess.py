@@ -263,12 +263,21 @@ def test_masked_power_rule():
 
 def test_masked_power_rule_fails_on_a_wrong_count():
     ds = distance_structure(path(5))
-    assert masked_power_check(ds, MatrixPowers(ds.layers[1]))
+    assert masked_power_check(ds)
     # each pair is compared on its own layer, past int64 too
     for pair, wrong in (((0, 3), 2), ((0, 4), 2 ** 70), ((2, 2), 0)):
         bad = dataclasses.replace(ds, path_counts=ds.path_counts.copy())
         bad.path_counts[pair] = wrong
         assert not masked_power_check(bad), (pair, wrong)
+    # K12 with a 17-vertex tail: r^D = 12^18 passes 2^53, so the walk
+    # counts come from word-size primes; one top-layer count off by one
+    arcs = [(u, v) for u in range(12) for v in range(12) if u != v]
+    arcs += [a for v in range(11, 28) for a in ((v, v + 1), (v + 1, v))]
+    ds = distance_structure(build_digraph(29, arcs))
+    assert 12 ** ds.diameter >= 2 ** 53 and masked_power_check(ds)
+    bad = dataclasses.replace(ds, path_counts=ds.path_counts.copy())
+    bad.path_counts[0, 28] += 1
+    assert ds.dist[0, 28] == ds.diameter and not masked_power_check(bad)
 
 
 # -- Weighted layers: Perron vectors against the evaluated H(A) --------------

@@ -12,12 +12,16 @@ Claims checked:
   * the moment table, from float64 below 2^53 and from word-size primes
     at or above it, equals the schoolbook Frobenius sums, and the basis
     built on it forms no big-integer power
+  * the projection tables, the masked walk counts and the power traces
+    take the same split at 2^53 and equal schoolbook powers on both
+    sides of it
   * minimal polynomials of the named graphs come out exactly
   * eigenvalue clustering, multiplicities and Perron certification
   * Hoffman ingredients divide exactly and reject non-roots
 """
 
 import hashlib
+import operator
 import os
 import pickle
 import random
@@ -31,12 +35,13 @@ import dgexcess.linalg as linalg
 import oracles
 from dgexcess import (MatrixPowers, PerronError, Polynomial, SpectrumError,
                       build_digraph, circulant, complete, directed_cycle,
-                      frobenius_sum,
-                      hoffman_ingredients, hypercube, minimal_polynomial,
-                      normality_test, orthogonal_monomial_basis,
-                      paley_tournament, path, perron_value, petersen,
-                      power_traces, spectrum, trace_inner_product,
-                      working_dps)
+                      distance_structure, frobenius_sum,
+                      hoffman_ingredients, hypercube, masked_power_check,
+                      minimal_polynomial, normality_test,
+                      orthogonal_monomial_basis, paley_tournament, path,
+                      perron_value, petersen, power_traces,
+                      predistance_polynomials, projection_tables, spectrum,
+                      trace_inner_product, working_dps)
 from dgexcess.generators import enumerate_digraphs
 from dgexcess.linalg import _FLOAT_EXACT, _moment_rows, exact_matmul, refine_real_root
 
@@ -48,7 +53,7 @@ def test_matrix_powers_basic():
     mp = MatrixPowers(A)
     assert (mp[0] == np.eye(4, dtype=np.int64)).all()
     assert (mp[4] == np.eye(4, dtype=np.int64)).all()
-    assert mp.trace(2) == 0 and mp.trace(4) == 4
+    assert power_traces(A, 4) == [4, 0, 0, 0, 4]
 
 
 def test_matrix_powers_escalates_past_int64():
@@ -117,7 +122,6 @@ def test_matrix_powers_match_schoolbook_powers(G):
     mp = MatrixPowers(G.adjacency)
     for k, P in enumerate(naive):
         assert mp[k].tolist() == P, k
-        assert max(abs(x) for row in P for x in row) <= mp.bound(k), k
     tops = [max(max(row) for row in P) for P in naive]
     dtypes = [mp[k].dtype for k in range(G.n + 1)]
     if G.n == 40:
@@ -261,16 +265,26 @@ def test_moment_rows_match_schoolbook_sums():
 def test_moment_rows_switch_to_primes_at_2_53(monkeypatch, n, primes):
     # at K = 8 the bound n r^14 with r = n - 1 is 12 * 11^14 < 2^53 for
     # complete(12), taken straight in float64, and 13 * 12^14 > 2^53 for
-    # complete(13), taken modulo primes
+    # complete(13), taken modulo primes; the traces up to A^14 split at
+    # the same bound.  A complete digraph has diameter 1, so the
+    # projection tables (bound n r^D) and the masked walk counts (r^D)
+    # split on lollipops: K12 with a 12-vertex tail (n = 24, D = 13) is
+    # below 2^53 on both, with a 14-vertex tail (n = 26, D = 15) above
     assert (n * (n - 1) ** 14 >= _FLOAT_EXACT) == primes
     drawn = []
     prime = linalg._prime
     monkeypatch.setattr(linalg, "_prime",
                         lambda i, bits: drawn.append(i) or prime(i, bits))
+
+    def draws(f, *args):
+        drawn.clear()
+        out = f(*args)
+        assert bool(drawn) == primes, f.__name__
+        return out
+
     G = complete(n)
     A = [[int(x) for x in row] for row in G.adjacency]
-    table = _moment_rows(G.adjacency, 0, 8)
-    assert bool(drawn) == primes
+    table = draws(_moment_rows, G.adjacency, 0, 8)
     assert table == [[n * oracles.naive_moment(A, i, j) for j in range(8)]
                      for i in range(8)]
     assert all(type(m) is int for row in table for m in row)
@@ -280,6 +294,25 @@ def test_moment_rows_switch_to_primes_at_2_53(monkeypatch, n, primes):
     assert list(mb.norms2) == norms
     assert [tuple(p.coeffs) for p in mb.polys] == [tuple(b) for b in basis]
     assert tuple(mb.minpoly.coeffs) == tuple(minpoly)
+    traces = draws(power_traces, G, 14)
+    assert traces == [sum(P[i][i] for i in range(n))
+                      for P in oracles.naive_power_list(A, 14)]
+
+    L = _lollipop(12, 14 if primes else 12)
+    ds = distance_structure(L)
+    D, r = ds.diameter, int(L.adjacency.sum(axis=1).max())
+    assert (L.n * r ** D >= _FLOAT_EXACT, r ** D >= _FLOAT_EXACT) == (primes, primes)
+    powers = oracles.naive_power_list(L.adjacency.tolist(), D)
+    basis = predistance_polynomials(L, structure=ds)
+    tables = draws(projection_tables, ds, basis)
+    moments = [[sum(P[x][y] for x, y in zip(*np.nonzero(layer))) for P in powers]
+               for layer in ds.layers]
+    assert tables.numerators == tuple(
+        tuple(sum(map(operator.mul, basis.polys.numerator(j), row)) for j in range(D + 1))
+        for row in moments)
+    assert draws(masked_power_check, ds)
+    assert ds.path_counts.tolist() == [[powers[ds.dist[x, y]][x][y] for y in range(L.n)]
+                                       for x in range(L.n)]
 
 
 def _digest(fractions):

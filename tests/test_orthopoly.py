@@ -4,7 +4,6 @@ Claims checked:
   * exact pre-distance data on the named graphs (norms, and the layer
     weights delta_k against them)
   * the float spectral route reproduces the exact coefficients
-  * spectral inner products diagonalize on the basis
   * the conjugation polynomial maps A to its transpose
   * Hoffman polynomial: exact on rational Perron values, high-precision
     otherwise, and H(A) = J exactly for the regular graphs
@@ -20,7 +19,7 @@ from dgexcess import (MatrixPowers, Polynomial, build_digraph, complete,
                       delta_profile, directed_cycle, distance_structure,
                       hoffman_check, hoffman_matrix,
                       hoffman_polynomial, hypercube, path, petersen,
-                      predistance_polynomials, spectral_inner_product,
+                      predistance_polynomials,
                       spectral_predistance, spectrum, conjugation_polynomial)
 from dgexcess.generators import paley_tournament
 
@@ -66,16 +65,6 @@ def test_spectral_predistance_matches_exact():
         for p, q in zip(exact.polys, numeric.polys):
             for i in range(max(p.degree, q.degree) + 1):
                 assert abs(float(p.coefficient(i)) - q.coefficient(i)) < 1e-8
-
-
-def test_spectral_inner_product_diagonalizes():
-    spec = spectrum(petersen())
-    numeric = spectral_predistance(spec)
-    for i, p in enumerate(numeric.polys):
-        for j, q in enumerate(numeric.polys):
-            v = spectral_inner_product(p, q, spec)
-            target = numeric.norms2[i] if i == j else 0.0
-            assert abs(v - target) < 1e-8
 
 
 def test_conjugation_polynomial_cycles():
