@@ -39,7 +39,7 @@ assert eps_gamma == Fraction(2, 3) and eps_d == Fraction(8, 9)
 # live in Q(sqrt(2)); it runs on arbitrary-precision floats.
 hp = hoffman_polynomial(G)
 print("Hoffman track exact:", hp.exact, "dps:", hp.dps)
-W = weighted_layers(G, hp, ctx.ds, ctx.powers)
+W = weighted_layers(G, hp, ctx.ds)
 print("weighted delta  :", [str(x) for x in W.delta])
 print("weighted excess :", weighted_excess(W, ctx.ds, ctx.basis.d))
 

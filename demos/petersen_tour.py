@@ -10,10 +10,9 @@ whole invariant chain exactly and watches every criterion agree.
 
 from fractions import Fraction
 
-from dgexcess import (AnalysisContext, dr_by_simple_set, dr_direct,
-                      emit_report, full_report, hoffman_check,
-                      hoffman_matrix, petersen, q_norm_check, simple_excess,
-                      spectral_excess)
+from dgexcess import (AnalysisContext, MatrixPowers, dr_by_simple_set,
+                      dr_direct, emit_report, full_report, matrix_polynomial,
+                      petersen, q_norm_check, simple_excess, spectral_excess)
 
 G = petersen()
 ctx = AnalysisContext(G)
@@ -42,11 +41,12 @@ verdict = dr_by_simple_set(G)
 print("spectral criterion:", verdict.decision, f"({verdict.method})")
 
 # Distance-regularity has a one-matrix certificate: the Hoffman
-# polynomial maps the adjacency matrix to the all-ones matrix.
-H = hoffman_matrix(ctx.hoffman, ctx.powers)
-flag, deviation = hoffman_check(ctx.hoffman, ctx.powers)
-print("Hoffman check:", flag, "deviation", deviation)
+# polynomial maps the adjacency matrix to the all-ones matrix.  Its
+# coefficients are exact here, so H(A) is too.
+H = matrix_polynomial(ctx.hoffman.poly, MatrixPowers(G.adjacency))
+print("Hoffman check: H(A) is all ones:", bool((H == 1).all()))
 print("H(A) row 0:", [str(x) for x in H[0][:5]], "...")
+assert (H == 1).all()
 
 # Petersen is also geodetic: unique shortest paths everywhere, so the
 # truncated q-norm hits the order of the graph on the nose.

@@ -13,19 +13,17 @@ from .digraph import (Digraph, DistanceStructure, DeltaProfile, GraphError,
                       LoopArcError, DuplicateArcError, VertexRangeError,
                       NotStronglyConnectedError, INFINITE, is_infinite,
                       build_digraph, strong_connectivity, distance_structure,
-                      delta_profile, girth, odd_girth, girth_and_odd_girth,
+                      delta_profile, girth, odd_girth,
                       bipartite_test, geodetic_test, regularity_test)
 from .polynomial import Polynomial
 from .linalg import (MatrixPowers, MonomialBasis, Spectrum, SpectrumError,
-                     PerronError, trace_inner_product, frobenius_sum,
-                     matrix_polynomial, normality_test,
+                     PerronError, matrix_polynomial, normality_test,
                      orthogonal_monomial_basis, minimal_polynomial,
                      power_traces, spectrum, perron_value, hoffman_ingredients,
                      working_dps)
 from .orthopoly import (SpectralBasis, HoffmanPolynomial,
                         predistance_polynomials, spectral_predistance,
-                        conjugation_polynomial,
-                        hoffman_polynomial, hoffman_matrix, hoffman_check)
+                        conjugation_polynomial, hoffman_polynomial)
 from .excess import (ProjectionTables, ProjectionBound, WeightedLayers,
                      projection_tables, simple_excess, spectral_excess,
                      weighted_layers, weighted_excess, wdr_projection_sum,
@@ -34,9 +32,8 @@ from .excess import (ProjectionTables, ProjectionBound, WeightedLayers,
                      q_norm_check, masked_power_check)
 from .classify import (Verdict, IntersectionTable, TrichotomyResult,
                        AnalysisContext, AnalysisReport, InconsistencyAlarm,
-                       wdr_direct, dr_direct, weighted_intersection_table,
-                       dr_by_simple_set, dr_by_weighted_set, geodetic_dr_check,
-                       wdr_by_projection, generalized_odd_graph_check,
+                       wdr_direct, dr_direct, dr_by_simple_set,
+                       dr_by_weighted_set, geodetic_dr_check, wdr_by_projection, generalized_odd_graph_check,
                        odd_girth_spectral, odd_girth_walks, trichotomy,
                        full_report)
 from .generators import (FamilySpec, directed_cycle, complete,

@@ -50,7 +50,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class IntersectionTable:
-    kind: str          # "wdr", "dr" or "weighted"
+    kind: str          # "wdr", the one kind wdr_direct builds
     values: Mapping    # (k, i, j) -> count (exact or numeric)
     consistent: bool
     witness: dict = None
@@ -86,9 +86,9 @@ class AnalysisContext:
     """Shared scaffolding for the classifiers on one digraph.
 
     The exact core (distance structure, delta profile, the pre-distance
-    basis, normality, projection tables) is computed eagerly; powers
-    holds A for the basis and forms explicit powers only when a matrix
-    polynomial is evaluated (spectral_gaps).  The basis (a
+    basis, normality, projection tables) is computed eagerly, from the
+    adjacency matrix and the distance layers; no explicit power of A is
+    formed for it.  The basis (a
     linalg.MonomialBasis, which also holds the minimal polynomial) and
     the projection tables are held on integers, the pre-distance
     polynomials as numerators over the elimination's pivots and the
@@ -100,19 +100,18 @@ class AnalysisContext:
     numeric_spectrum, odd_girth, bipartite, simple_excess, the diagonal
     and triangular projection bounds wdr_projection and upper_projection,
     q_norm, wdr_direct, dr_direct and generalized_odd_graph.
+
+    tol is accepted and not read: each check takes its own tolerance.
     """
 
-    def __init__(self, G: Digraph, tol: float = 1e-9, dps=None, cluster_tol=None):
+    def __init__(self, G: Digraph, tol: float = 1e-9, dps=None):
         if not strong_connectivity(G):
             raise ValueError("analysis context needs a strongly connected digraph")
         self.G = G
-        self.tol = tol
         self.dps = working_dps() if dps is None else dps
-        self.cluster_tol = cluster_tol
         self.ds = distance_structure(G)
         self.profile = delta_profile(self.ds)
-        self.powers = MatrixPowers(G.adjacency)
-        self.basis = predistance_polynomials(G, self.powers, structure=self.ds)
+        self.basis = predistance_polynomials(G, structure=self.ds)
         self.normal = normality_test(G.adjacency)
         self.tables = projection_tables(self.ds, self.basis)
 
@@ -126,7 +125,7 @@ class AnalysisContext:
 
     @cached_property
     def numeric_spectrum(self):
-        return spectrum(self.G, self.cluster_tol, self.basis.minpoly, self.dps)
+        return spectrum(self.G, None, self.basis.minpoly, self.dps)
 
     @cached_property
     def odd_girth(self):
@@ -171,11 +170,12 @@ def _ctx(G) -> AnalysisContext:
 
 # -- Grouped constancy machinery ---------------------------------------------
 
-def _class_spread(B, classes, wanted=None, tol=None):
-    """Per-class (min, max, argmin, argmax) constancy scan of one matrix.
+def _class_spread(B: np.ndarray, classes, wanted=None):
+    """Per-class (min, max, argmin, argmax) constancy scan of one int64
+    matrix.
 
     Returns ({k: value}, witness); witness is None when every wanted
-    class is constant (within tol for inexact entries, exactly else).
+    class is constant.
     """
     order, starts, ks = classes
     flat = B.ravel()
@@ -186,26 +186,13 @@ def _class_spread(B, classes, wanted=None, tol=None):
             continue
         a, b = starts[c], starts[c + 1]
         seg = flat[order[a:b]]
-        if B.dtype != object:
-            lo, hi = seg.min(), seg.max()
-            ilo, ihi = int(np.argmin(seg)), int(np.argmax(seg))
-        else:
-            lo = hi = seg[0]
-            ilo = ihi = 0
-            for t, v in enumerate(seg):
-                if v < lo:
-                    lo, ilo = v, t
-                elif v > hi:
-                    hi, ihi = v, t
-        spread_ok = (lo == hi) if tol is None else bool(hi - lo <= tol)
-        if not spread_ok:
-            p1 = divmod(int(order[a + ilo]), n)
-            p2 = divmod(int(order[a + ihi]), n)
-            if B.dtype != object:
-                lo, hi = lo.item(), hi.item()
+        lo, hi = seg.min().item(), seg.max().item()
+        if lo != hi:
+            p1 = divmod(int(order[a + int(np.argmin(seg))]), n)
+            p2 = divmod(int(order[a + int(np.argmax(seg))]), n)
             return out, {"class_distance": k, "pairs": [list(p1), list(p2)],
                          "values": [lo, hi]}
-        out[k] = lo if B.dtype == object else int(lo)
+        out[k] = lo
     return out, None
 
 
@@ -277,29 +264,6 @@ def dr_direct(ds: DistanceStructure) -> Verdict:
         checked += int(wanted.sum())
     return Verdict("distance-regular", True, "direct",
                    {"consistent": True, "classes_checked": checked})
-
-
-def weighted_intersection_table(ds: DistanceStructure, HA: np.ndarray,
-                                tol: float = 1e-9) -> IntersectionTable:
-    """Diagonal-weight variant: each vertex w in the intersection counts
-    with weight H(A)_ww instead of 1."""
-    D = ds.diameter
-    h = np.array([HA[v, v] for v in range(ds.n)], dtype=object)
-    exact = all(isinstance(x, (int, Fraction)) for x in h)
-    scale = max([1] + [abs(x) for x in h])
-    cell_tol = None if exact else tol * float(scale) * ds.n
-    values = {}
-    weighted_j = [ds.layers[j].astype(object) * h[:, None] for j in range(D + 1)]
-    for i in range(D + 1):
-        left = ds.layers[i].astype(object)
-        for j in range(D + 1):
-            got, witness = _class_spread(left @ weighted_j[j], ds.classes, tol=cell_tol)
-            if witness is not None:
-                witness.update({"i": i, "j": j})
-                return IntersectionTable("weighted", values, False, witness)
-            for k, v in got.items():
-                values[(k, i, j)] = v
-    return IntersectionTable("weighted", values, True)
 
 
 # -- Spectral-side criteria --------------------------------------------------
@@ -380,7 +344,7 @@ def spectral_gaps(ctx: AnalysisContext):
                                    - float(p_num.coefficient(i))))
     yield worst
     f = conjugation_polynomial(spec)
-    fA = matrix_polynomial(f, ctx.powers)
+    fA = matrix_polynomial(f, MatrixPowers(ctx.G.adjacency))
     # one array scan, so a NaN anywhere propagates and fails the gate;
     # hypot is the modulus the scalar complex abs takes
     gap = fA.astype(complex) - ctx.G.adjacency.T
@@ -522,8 +486,7 @@ def _with_evidence(v: Verdict, **extra) -> Verdict:
     return replace(v, certificate=dict(v.certificate, **extra))
 
 
-def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
-                source=None) -> AnalysisReport:
+def full_report(G: Digraph, tol: float = 1e-9, source=None) -> AnalysisReport:
     """Every invariant, verdict and cross-check on one digraph.
 
     Never raises for graph-shaped reasons: a disconnected input yields a
@@ -535,7 +498,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         report.flags["strongly_connected"] = False
         return report
 
-    ctx = AnalysisContext(G, tol=tol, cluster_tol=cluster_tol)
+    ctx = AnalysisContext(G)
     alarms = []
     g, g_o = girth(G, ctx.ds), ctx.odd_girth
     regular, degree = regularity_test(G)
@@ -554,7 +517,7 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
         "diameter": D, "d": d, "dhat": ctx.basis.dhat,
         "girth": g, "odd_girth": g_o, "degree": degree,
     }
-    report.minimal_polynomial = list(ctx.basis.minpoly.coeffs)
+    report.minimal_polynomial = [Fraction(c) for c in ctx.basis.minpoly.coeffs]
     report.delta = list(ctx.profile.delta)
     report.delta_prime = list(ctx.profile.delta_prime)
 
@@ -647,6 +610,6 @@ def full_report(G: Digraph, tol: float = 1e-9, cluster_tol=None,
             alarms.append(f"cross-check failed: {name}")
     report.crosschecks = checks
     report.alarms = alarms
-    report.tolerances = {"tol": tol, "cluster_tol": cluster_tol,
-                         "dps": ctx.dps}
+    # the numeric spectrum clusters at its default; the field stays null
+    report.tolerances = {"tol": tol, "cluster_tol": None, "dps": ctx.dps}
     return report

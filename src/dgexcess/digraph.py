@@ -305,11 +305,6 @@ def odd_girth(G: Digraph):
     return INFINITE
 
 
-def girth_and_odd_girth(G: Digraph, ds: DistanceStructure = None):
-    """(shortest cycle length, shortest odd cycle length or INFINITE)."""
-    return girth(G, ds), odd_girth(G)
-
-
 def bipartite_test(G: Digraph) -> bool:
     """True iff no directed closed walk has odd length."""
     if not G.is_strongly_connected:

@@ -11,10 +11,10 @@ primes, each small enough that float64 stays exact.
 Fraction-free (Bareiss) elimination on them gives the leading minors,
 hence the norms of the orthogonal basis, and the basis polynomials and
 the minimal polynomial come from its triangle by fraction-free
-back-substitution: the minimal polynomial at once, each basis
-polynomial's integer numerator when it is first read.  Every division
-is exact, and ``fractions.Fraction`` values are formed only for the
-output.
+back-substitution: the minimal polynomial at once, with integer
+coefficients, each basis polynomial's integer numerator when it is
+first read.  Every division is exact, and ``fractions.Fraction`` values
+are formed only for the output.
 Quantities that live at an irrational Perron value go through mpmath at
 a working precision controlled by the ``DGEXCESS_PRECISION``
 environment variable (decimal digits, default 50), read at call time;
@@ -25,9 +25,10 @@ Every other integer matrix product goes through exact_matmul, which
 takes the caller's proven bound on the product's entries and picks the
 arithmetic from it: a float64 (BLAS) product below 2^53, int64 below
 2^62, Python-integer object arrays beyond.  MatrixPowers, the explicit
-powers that matrix_polynomial reads, takes each step that way, so they
-escalate from float64 through int64 to object arrays before any entry
-can round or overflow; nothing here ever wraps silently.
+powers that matrix_polynomial reads (the analysis evaluates only the
+conjugation polynomial f(A) that way), takes each step that way, so
+they escalate from float64 through int64 to object arrays before any
+entry can round or overflow; nothing here ever wraps silently.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def exact_matmul(P: np.ndarray, Q: np.ndarray, bound: int) -> np.ndarray:
 
 class MatrixPowers:
     """Lazily extended list I, A, A^2, ... of exact integer matrices, the
-    explicit powers that matrix_polynomial reads; the exact core reads
-    only A.
+    explicit powers that matrix_polynomial reads.  The exact core forms
+    none of them: passed in place of a digraph, only A is read.
 
     Each step is one exact_matmul at the bound max|A^k| times the largest
     absolute column sum of A, so a power is int64 until its entries may
@@ -118,33 +119,6 @@ class MatrixPowers:
             bound = int(np.abs(last).max()) * self._max_col
             self._pow.append(exact_matmul(last, self._right, bound))
         return self._pow[k]
-
-
-def frobenius_sum(P: np.ndarray, Q: np.ndarray) -> int:
-    """Exact sum of the entrywise product of two integer matrices."""
-    if P.dtype != object and Q.dtype != object:
-        bound = int(np.abs(P).max(initial=0)) * int(np.abs(Q).max(initial=0)) * P.size
-        if bound < _INT64_SAFE:
-            return int((P * Q).sum())
-    return int((P.astype(object) * Q.astype(object)).sum())
-
-
-def trace_inner_product(C: np.ndarray, D: np.ndarray):
-    """<C, D> = (1/n) tr(C D*) = (1/n) sum C.D entrywise for real matrices.
-
-    Exact (Fraction) when both arguments hold integers or Fractions;
-    otherwise returns whatever scalar type the entries produce.
-    """
-    if C.shape != D.shape or C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"shape mismatch {C.shape} vs {D.shape}")
-    n = C.shape[0]
-    if C.dtype != object and D.dtype != object and \
-            np.issubdtype(C.dtype, np.integer) and np.issubdtype(D.dtype, np.integer):
-        return Fraction(frobenius_sum(C, D), n)
-    total = (C * D).sum()
-    if isinstance(total, (int, Fraction)):
-        return Fraction(total, n)
-    return total / n
 
 
 def matrix_polynomial(p: Polynomial, powers: MatrixPowers) -> np.ndarray:
@@ -178,8 +152,9 @@ class MonomialBasis:
     <p_k, p_k> > 0 is a Fraction, the generic layer weight epsilon_k.
     Both come from the fraction-free elimination of the integer moment
     matrix (orthogonal_monomial_basis): norms2 and the minimal
-    polynomial at once, and polys as a read-only sequence that
-    back-substitutes p_k on integers on its first read,
+    polynomial, monic with int coefficients, at once, and polys as a
+    read-only sequence that back-substitutes p_k on integers on its
+    first read,
     polys.numerator(k) = D_{k-1} p_k over polys.denominator(k) = D_{k-1},
     and forms the Fraction polynomial only when polys[k] is read;
     polys.pivots holds the leading minors D_0..D_dhat.
@@ -336,7 +311,7 @@ def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
     return _power_image(A, K, bound, lambda V: V[start:] @ V.T)
 
 
-def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
+def orthogonal_monomial_basis(G) -> MonomialBasis:
     """Gram-Schmidt over 1, x, x^2, ... by fraction-free elimination.
 
     Bareiss elimination (Bareiss 1968) runs row by row on the integer
@@ -344,18 +319,23 @@ def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
     from float64 products while their bound stays below 2^53, and from
     word-size primes by the Chinese remainder theorem beyond it
     (_moment_rows), rows 0..7 first and then in doubling blocks up to row n, until a
-    leading minor vanishes; only powers.A is read, so no power of A is
-    formed as a matrix of big integers.  Once row k has been reduced by
-    the pivot rows 0..k-1 it holds the leading minor D_k = det(m_ij)_{i,j<=k}
+    leading minor vanishes; no power of A is formed as a matrix of big
+    integers.  Once row k has been reduced by the pivot rows 0..k-1 it
+    holds the leading minor D_k = det(m_ij)_{i,j<=k}
     as its pivot, and <p_k, p_k> = D_k / (n D_{k-1}).  Row k needs only
     m_k0..m_kk: by symmetry, entry k of pivot row i equals the entry row
     k has in column i when pivot i reduces it, so that entry is appended
     to pivot row i as it is read.  Every division is an exact integer
     one.  The first vanishing minor gives the minimal polynomial, formed
-    at once by back-substitution (_back_substitute); p_0..p_dhat are
-    back-substituted the same way, each on its first read.
+    at once by back-substitution (_back_substitute) and kept on
+    integers; p_0..p_dhat are back-substituted the same way, each on
+    its first read.
+
+    G is a digraph, its adjacency matrix, or a MatrixPowers, of which
+    only A is read.
     """
-    n = powers.n
+    A = _adjacency(G)
+    n = A.shape[0]
     table = []    # rows of m_ij, extended until a leading minor vanishes
     pivots = []   # D_0, D_1, ...
     upper = []    # upper[i][j - i - 1]: entry j > i of pivot row i
@@ -363,7 +343,7 @@ def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
     k = 0
     while True:
         if k == len(table):
-            table += _moment_rows(powers.A, k, min(max(2 * k, 8), n + 1))
+            table += _moment_rows(A, k, min(max(2 * k, 8), n + 1))
         row = table[k][:k + 1]
         prev = 1
         for i, piv in enumerate(pivots):
@@ -375,7 +355,11 @@ def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
             prev = piv
         # row[k] = D_k and prev = D_{k-1}
         if row[k] == 0:
-            minpoly = _monic(_back_substitute(pivots, upper, k), prev)
+            # monic over the integers, so D_{k-1} divides all of c_k
+            c = _back_substitute(pivots, upper, k)
+            if any(a % prev for a in c):
+                raise ArithmeticError("minimal polynomial not integral, moment table corrupt")
+            minpoly = Polynomial(tuple(a // prev for a in c))
             return MonomialBasis(_MonicSequence(pivots, upper), tuple(norms2), minpoly)
         if row[k] < 0:
             raise ArithmeticError("negative norm in Gram-Schmidt, moment table corrupt")
@@ -387,22 +371,23 @@ def orthogonal_monomial_basis(powers: MatrixPowers) -> MonomialBasis:
             raise ArithmeticError("minimal polynomial degree exceeded matrix size")
 
 
-def _as_powers(G) -> MatrixPowers:
-    if isinstance(G, MatrixPowers):
-        return G
-    return MatrixPowers(getattr(G, "adjacency", G))
+def _adjacency(G) -> np.ndarray:
+    """The int64 adjacency matrix of a digraph, a MatrixPowers or the
+    matrix itself."""
+    A = G.A if isinstance(G, MatrixPowers) else getattr(G, "adjacency", G)
+    return np.asarray(A, dtype=np.int64)
 
 
 def minimal_polynomial(G):
     """Minimal polynomial (monic, integer coefficients) and dhat = deg - 1."""
-    m = orthogonal_monomial_basis(_as_powers(G)).minpoly
+    m = orthogonal_monomial_basis(G).minpoly
     return m, m.degree - 1
 
 
 def power_traces(G, m: int):
     """tr(A^0), tr(A^1), ..., tr(A^m) as exact integers, the diagonal sums
     of the power rows (_power_image) at the bound n r^m."""
-    A = _as_powers(G).A
+    A = _adjacency(G)
     n = A.shape[0]
     return _power_image(A, m + 1, n * _max_row_sum(A) ** m,
                         lambda V: V @ np.eye(n).ravel())
@@ -663,9 +648,9 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spect
     do not number exactly its degree the discrepancy is raised as
     SpectrumError rather than absorbed.
     """
-    A = np.asarray(getattr(G, "adjacency", G))
+    A = _adjacency(G)
     if minpoly is None:
-        minpoly = orthogonal_monomial_basis(MatrixPowers(A)).minpoly
+        minpoly = orthogonal_monomial_basis(A).minpoly
     n = A.shape[0]
     if dps is None:
         dps = working_dps()

@@ -14,10 +14,9 @@ polynomial H = n S(x) / S(lambda0), with (x - lambda0) S(x) the minimal
 polynomial.  The Perron value is simple, so H(A) is the rank-one matrix
 n u v^T / (v^T u) built from the right and left Perron vectors, and the
 all-ones matrix precisely on regular digraphs.  The analysis uses the
-polynomial only for its Perron value and exactness track; the weighted
-layers come from the Perron vectors (excess.weighted_layers), and
-hoffman_matrix, which evaluates the polynomial at A, remains as a
-cross-check of that route.
+polynomial only for its Perron value and exactness track and never
+evaluates it at A: the weighted layers come from the Perron vectors
+(excess.weighted_layers).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .digraph import Digraph, distance_structure
 from .linalg import (MatrixPowers, MonomialBasis, Spectrum, SpectrumError,
-                     hoffman_ingredients, matrix_polynomial, minimal_polynomial,
+                     hoffman_ingredients, minimal_polynomial,
                      orthogonal_monomial_basis, perron_value, working_dps)
 from .polynomial import Polynomial
 
@@ -38,14 +37,13 @@ from .polynomial import Polynomial
 def predistance_polynomials(G: Digraph, powers: MatrixPowers = None,
                             monomial_basis: MonomialBasis = None,
                             structure=None) -> MonomialBasis:
-    """The pre-distance basis of G, the monomial basis itself; powers,
-    the monomial basis and the distance structure are reused when given.
+    """The pre-distance basis of G, the monomial basis itself; the
+    monomial basis and the distance structure are reused when given.
+    powers is not read: the basis reads only G's adjacency matrix.
     Raises ArithmeticError when the diameter exceeds dhat, which no
     consistent moment table allows."""
-    if powers is None:
-        powers = MatrixPowers(G.adjacency)
     if monomial_basis is None:
-        monomial_basis = orthogonal_monomial_basis(powers)
+        monomial_basis = orthogonal_monomial_basis(G)
     if structure is None:
         structure = distance_structure(G)
     D = structure.diameter
@@ -139,11 +137,12 @@ class HoffmanPolynomial:
 def hoffman_polynomial(G: Digraph, powers: MatrixPowers = None,
                        minpoly: Polynomial = None, dps=None) -> HoffmanPolynomial:
     """H and the Perron value it is scaled at, which perron_value finds
-    (at once for a regular digraph, whose degree it is)."""
+    (at once for a regular digraph, whose degree it is).  powers is not
+    read: the minimal polynomial, when not given, comes from G."""
     if dps is None:
         dps = working_dps()
     if minpoly is None:
-        minpoly = minimal_polynomial(G if powers is None else powers)[0]
+        minpoly = minimal_polynomial(G)[0]
     lam, lam_exact = perron_value(G.adjacency, minpoly, dps)
     if lam_exact is not None:
         S, S0 = hoffman_ingredients(minpoly, lam_exact)
@@ -155,31 +154,3 @@ def hoffman_polynomial(G: Digraph, powers: MatrixPowers = None,
         S, S0 = hoffman_ingredients(minpoly, lam, dps)
         H = S.scale(G.n / S0)
     return HoffmanPolynomial(H, False, lam, None, dps)
-
-
-def hoffman_matrix(hp: HoffmanPolynomial, powers: MatrixPowers) -> np.ndarray:
-    """H(A) as an object array (Fractions when exact, mpf otherwise).
-
-    The analysis never forms this matrix (see excess.weighted_layers);
-    it stays as an independent cross-check for the tests and demos.
-    """
-    if hp.exact:
-        return matrix_polynomial(hp.poly, powers)
-    with mpmath.workdps(hp.dps):
-        return matrix_polynomial(hp.poly, powers)
-
-
-def hoffman_check(hp: HoffmanPolynomial, powers: MatrixPowers, tol=1e-9):
-    """Does H(A) equal the all-ones matrix?  The regularity criterion.
-
-    Returns (flag, max deviation); the deviation is exact zero or a
-    Fraction/float bound depending on the arithmetic track.
-    """
-    HA = hoffman_matrix(hp, powers)
-    n = powers.n
-    if hp.exact:
-        dev = max(abs(HA[i, j] - 1) for i in range(n) for j in range(n))
-        return dev == 0, dev
-    with mpmath.workdps(hp.dps):
-        dev = max(abs(HA[i, j] - 1) for i in range(n) for j in range(n))
-        return bool(dev <= tol), float(dev)

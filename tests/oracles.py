@@ -77,6 +77,15 @@ def naive_power_list(A, top):
     return out
 
 
+def naive_matrix_polynomial(coeffs, A):
+    """sum_k coeffs[k] A^k entrywise, in the coefficients' own scalars:
+    exact for Fractions, at the current precision for mpmath values."""
+    n = len(A)
+    powers = naive_power_list(A, max(len(coeffs) - 1, 0))
+    return [[sum(c * P[i][j] for c, P in zip(coeffs, powers)) for j in range(n)]
+            for i in range(n)]
+
+
 def naive_moment(A, i, j):
     """tr(A^i (A^j)^T) / n as an exact rational."""
     n = len(A)

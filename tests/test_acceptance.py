@@ -104,10 +104,10 @@ def test_projection_sums_match_fraction_sums(corpus):
         rng = random.Random(f"{n}:{ctx.G.arcs}")
         forced = random_subset_systems(D, 20, rng, force_diagonal=True)
         cases = [([[k] for k in range(D + 1)], "ii",
-                  wdr_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables,
+                  wdr_projection_sum(ctx.ds, ctx.basis, None, ctx.tables,
                                      ctx.profile)),
                  ([list(range(k, D + 1)) for k in range(D + 1)], "ii",
-                  upper_projection_sum(ctx.ds, ctx.basis, ctx.powers, ctx.tables,
+                  upper_projection_sum(ctx.ds, ctx.basis, None, ctx.tables,
                                        ctx.profile))]
         cases += [(S, v, None) for S in forced for v in ("i", "ii")]
         cases += [(S, "i", None) for S in
@@ -117,7 +117,7 @@ def test_projection_sums_match_fraction_sums(corpus):
         for subsets, variant, pb in cases:
             if pb is None:
                 pb = generalized_projection_sum(ctx.ds, ctx.basis, subsets, variant,
-                                                ctx.powers, ctx.tables, ctx.profile)
+                                                None, ctx.tables, ctx.profile)
             total, per_k = _fraction_projection_sum(terms[variant], subsets)
             assert type(pb.total) is Fraction and pb.total == total
             assert list(pb.per_k) == per_k
@@ -211,7 +211,7 @@ def test_integer_numerators_give_the_monic_polynomials(corpus):
     contexts = corpus + [AnalysisContext(G) for G, _, _ in _reference_inputs()]
     for ctx in contexts:
         monic, D = ctx.basis.polys, ctx.ds.diameter
-        m = _moment_rows(ctx.powers.A, 0, D + 1)
+        m = _moment_rows(ctx.G.adjacency, 0, D + 1)
         nums = [monic.numerator(k) for k in range(D + 1)]
         for k, c in enumerate(nums):
             den = monic.denominator(k)

@@ -6,8 +6,6 @@ Claims checked:
     certificates, witnesses and tables of a plain per-class loop
   * distance-regular iff normal and weakly distance-regular, on corpus
   * spectral criteria agree with the direct oracles everywhere tested
-  * weighted intersection tables are constant exactly for the weakly
-    distance-regular members
   * trichotomy branch assignments and their precondition
   * full reports stay alarm-free and serialize evidence on both sides
   * a failed weighted track becomes an alarm, not an exception
@@ -25,8 +23,9 @@ Claims checked:
   * the direct oracles' tables, witnesses and counts hold Python ints
   * the walk route to the odd girth agrees with the trace route, and
     stops on a bipartite input once a walk state repeats
-  * check_digraph forms no Fraction pre-distance polynomial on the
-    n <= 4 corpus, only the minimal polynomial
+  * check_digraph forms no Fraction polynomial on the n <= 4 corpus: the
+    minimal polynomial is held with int coefficients, and full_report
+    still prints it as Fractions
   * the direct weak oracle counts its classes without forming its
     (k, i, j) table, which it forms on the first read of a count
 """
@@ -42,12 +41,10 @@ from dgexcess import (AnalysisContext, MatrixPowers, build_digraph, complete,
                       directed_cycle, distance_structure, dr_by_simple_set,
                       dr_by_weighted_set, dr_direct, enumerate_digraphs,
                       full_report, generalized_odd_graph_check,
-                      geodetic_dr_check, hoffman_matrix, hoffman_polynomial,
-                      circulant, hypercube, odd_girth_spectral, odd_girth_walks,
-                      paley_tournament, path, petersen, power_traces,
+                      geodetic_dr_check, circulant, hypercube,
+                      odd_girth_spectral, odd_girth_walks, paley_tournament, path, petersen, power_traces,
                       tensor_lift, trichotomy,
-                      wdr_by_projection, wdr_direct, weighted_intersection_table,
-                      INFINITE)
+                      wdr_by_projection, wdr_direct, INFINITE)
 from dgexcess.harness import check_digraph
 from dgexcess.linalg import PerronError, matrix_polynomial
 from dgexcess.polynomial import Polynomial
@@ -196,30 +193,6 @@ def test_trivial_single_vertex():
     ds = distance_structure(build_digraph(1, []))
     assert dr_direct(ds).decision
     assert wdr_direct(ds)[0].decision
-
-
-# -- Weighted tables ---------------------------------------------------------
-
-def test_weighted_table_regular_matches_plain_counts():
-    G = petersen()
-    ds = distance_structure(G)
-    HA = hoffman_matrix(hoffman_polynomial(G), MatrixPowers(G.adjacency))
-    table = weighted_intersection_table(ds, HA)
-    assert table.consistent
-    _, plain = wdr_direct(ds)
-    for key, value in plain.values.items():
-        assert table.values[key] == value   # H(A) = J means weight one
-
-
-def test_weighted_table_constancy_iff_wdr():
-    for G in normal_corpus3():
-        ctx = AnalysisContext(G)
-        HA = hoffman_matrix(ctx.hoffman, ctx.powers)
-        table = weighted_intersection_table(ctx.ds, HA)
-        assert table.consistent == wdr_direct(ctx.ds)[0].decision
-    ctx = AnalysisContext(path(3))
-    HA = hoffman_matrix(ctx.hoffman, ctx.powers)
-    assert not weighted_intersection_table(ctx.ds, HA).consistent
 
 
 # -- Spectral criteria vs direct ---------------------------------------------
@@ -381,7 +354,7 @@ def test_transpose_gap_equals_scalar_scan(monkeypatch, G, coefficients):
     gap = list(classify_module.spectral_gaps(ctx))[1]
     f = classify_module.conjugation_polynomial(ctx.numeric_spectrum)
     assert any(isinstance(c, complex) for c in f.coeffs) == (coefficients == "complex")
-    fA, AT = matrix_polynomial(f, ctx.powers), G.adjacency.T
+    fA, AT = matrix_polynomial(f, MatrixPowers(G.adjacency)), G.adjacency.T
     assert gap == float(max(abs(fA[i, j] - AT[i, j])
                             for i in range(G.n) for j in range(G.n)))
 
@@ -490,7 +463,7 @@ def test_full_report_forms_predistance_polynomials_up_to_the_diameter(monkeypatc
 
 def test_check_digraph_forms_no_fraction_predistance_polynomial(monkeypatch):
     import dgexcess.linalg as linalg_module
-    from dgexcess.linalg import minimal_polynomial, normality_test
+    from dgexcess.linalg import normality_test
     formed = []
     inner = linalg_module._monic
 
@@ -501,14 +474,17 @@ def test_check_digraph_forms_no_fraction_predistance_polynomial(monkeypatch):
     non_normal = 0
     for n in (2, 3, 4):
         for G in enumerate_digraphs(n, "strongly_connected"):
-            degree = minimal_polynomial(G)[0].degree
-            formed.clear()
             assert check_digraph(G) == []
-            # the minimal polynomial and nothing else, on the normal
-            # members too
-            assert formed == [degree], G.arcs
+            # no Fraction polynomial at all, on the normal members too
+            assert formed == [], G.arcs
             non_normal += not normality_test(G.adjacency)
     assert non_normal == 1560
+    # the minimal polynomial is held on ints; the report prints Fractions
+    for G in (petersen(), path(3), circulant(47, (1, 10, 23))):
+        coeffs = AnalysisContext(G).basis.minpoly.coeffs
+        assert all(type(c) is int for c in coeffs), G.n
+        printed = full_report(G).minimal_polynomial
+        assert all(type(c) is Fraction for c in printed) and printed == list(coeffs)
 
 
 def test_wdr_direct_forms_its_table_on_first_read():

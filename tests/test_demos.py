@@ -2,8 +2,9 @@
 
 Claims checked:
   * every script in demos/ exits 0 when run on its own, with the package
-    imported from src/; they call weighted_layers, hoffman_matrix and
-    hoffman_check directly, outside the paths full_report takes
+    imported from src/; they call weighted_layers and matrix_polynomial
+    (H(A) on the Petersen graph) directly, outside the paths full_report
+    takes
 """
 
 import os

@@ -25,7 +25,7 @@ from dgexcess import (Digraph, DuplicateArcError, INFINITE, LoopArcError,
                       NotStronglyConnectedError, VertexRangeError,
                       bipartite_test, build_digraph, complete, delta_profile,
                       directed_cycle, distance_structure, enumerate_digraphs,
-                      geodetic_test, girth, girth_and_odd_girth, hypercube,
+                      geodetic_test, girth, hypercube,
                       is_infinite, kneser_odd_graph, odd_girth, path, petersen,
                       regularity_test, strong_connectivity, tensor_lift)
 
@@ -189,7 +189,7 @@ def test_layers_partition_and_diameter():
 
 def test_girth_and_odd_girth_match_brute_force():
     for G in random_sc_digraphs(5, 120, seed=37):
-        g, go = girth_and_odd_girth(G)
+        g, go = girth(G), odd_girth(G)
         bg = oracles.brute_girth(G.n, G.arcs)
         bo = oracles.brute_odd_girth(G.n, G.arcs)
         assert g == (INFINITE if bg is oracles.INF else bg)

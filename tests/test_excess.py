@@ -28,15 +28,15 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from dgexcess import (AnalysisContext, MatrixPowers, PerronError, build_digraph,
                       complete, complete_bipartite, directed_cycle, delta_profile,
                       distance_structure, enumerate_digraphs,
-                      generalized_projection_sum, hoffman_matrix, hypercube,
+                      generalized_projection_sum, hypercube,
                       masked_power_check, path, petersen,
                       predistance_polynomials, projection_sum_totals,
                       projection_tables, q_norm_check, regularity_test,
                       simple_excess, spectral_excess, strong_connectivity,
-                      trace_inner_product,
                       upper_projection_sum, wdr_projection_sum,
                       weighted_excess, weighted_layers)
 from dgexcess.classify import full_report
@@ -283,17 +283,20 @@ def test_masked_power_rule_fails_on_a_wrong_count():
 # -- Weighted layers: Perron vectors against the evaluated H(A) --------------
 
 def hoffman_route(ctx):
-    """delta~_k and <A~_k, A^k> with A~_k = H(A) o A_k, H(A) evaluated as
-    the matrix polynomial; the reference the rank-one route replaces."""
-    hp = ctx.hoffman
-    HA = hoffman_matrix(hp, ctx.powers)
+    """delta~_k and <A~_k, A^k> = (1/n) sum A~_k o A^k with A~_k = H(A) o
+    A_k, H(A) evaluated as a schoolbook matrix polynomial; the reference
+    the rank-one route replaces."""
+    hp, n, D = ctx.hoffman, ctx.G.n, ctx.ds.diameter
+    A = ctx.G.adjacency.tolist()
 
     def build():
+        HA = np.array(oracles.naive_matrix_polynomial(hp.poly.coeffs, A), dtype=object)
+        powers = oracles.naive_power_list(A, D)
         delta, prime = [], []
-        for k in range(ctx.ds.diameter + 1):
+        for k in range(D + 1):
             tilde = HA * ctx.ds.layers[k]
-            delta.append(trace_inner_product(tilde, tilde))
-            prime.append(trace_inner_product(tilde, ctx.powers[k]))
+            delta.append((tilde * tilde).sum() / n)
+            prime.append((tilde * np.array(powers[k], dtype=object)).sum() / n)
         return tuple(delta), tuple(prime)
 
     if hp.exact:
@@ -363,7 +366,9 @@ def test_weighted_layers_numeric_match_hoffman_route(monkeypatch, precision):
 def test_weighted_layers_signature_and_fields():
     ctx = ctx_for(path(4))
     W = weighted_layers(ctx.G, ctx.hoffman, ctx.ds)
-    assert W == weighted_layers(ctx.G, ctx.hoffman, ctx.ds, ctx.powers)
+    # the powers slot is accepted and not read
+    assert W == weighted_layers(ctx.G, ctx.hoffman, ctx.ds,
+                                MatrixPowers(ctx.G.adjacency))
     assert not hasattr(W, "matrices")
 
 

@@ -10,7 +10,7 @@ Claims checked:
     one suite failure that names the cap
   * the verify command stops at once, with exit status 2, when an n
     up to --max-n is past an enumeration cap or --sample is below 1
-  * check_digraph forms no power matrix on the n <= 4 corpus: its sums
+  * check_digraph builds no MatrixPowers on the n <= 4 corpus: its sums
     over powers of A come from stacked power rows, and its odd-girth
     cross-check takes the walk route
   * check_conjugation reports a numeric spectrum that loses rank as a
@@ -74,19 +74,20 @@ def test_verify_command_rejects_a_sample_below_one(capsys, sample):
 
 
 def test_check_digraph_forms_no_power_matrix(monkeypatch):
-    # the sums over powers of A come from linalg._power_image's rows
-    reads = []
+    # the sums over powers of A come from linalg._power_image's rows, so
+    # no MatrixPowers is even built
+    built = []
 
-    def recorded(self, k):
-        reads.append(k)
-        raise AssertionError("power matrix formed")
-    monkeypatch.setattr(MatrixPowers, "__getitem__", recorded)
+    def recorded(self, A):
+        built.append(A)
+        raise AssertionError("MatrixPowers built")
+    monkeypatch.setattr(MatrixPowers, "__init__", recorded)
     checked = 0
     for n in (2, 3, 4):
         for G in enumerate_digraphs(n, "strongly_connected"):
             assert check_digraph(G) == []
             checked += 1
-    assert checked == 1625 and reads == []
+    assert checked == 1625 and built == []
 
 
 def test_verify_corpus_follows_the_enumeration_caps():

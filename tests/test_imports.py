@@ -5,9 +5,14 @@ Claims checked:
     __init__, whose imports are re-exports, and __future__ imports are
     exempt
   * the scan flags an unused import and passes a used one
+  * every module-level private function or class (one leading
+    underscore) is read somewhere in the package outside its own body
+  * that scan flags an unread or self-read private helper and passes a
+    read one
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import dgexcess
@@ -46,3 +51,41 @@ def test_unused_import_scan_flags_only_unused_names():
               "def f():\n"
               "    return os.sep\n")
     assert unused_imports(source) == ["line 3: cached_property"]
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unread_private_helpers(sources: dict) -> list:
+    """'module: name' for each module-level _private function or class
+    that no code in sources (module name -> source) reads outside its
+    own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and reads[node.name] == _reads(node)[node.name]):
+                unread.append(f"{module}: {node.name}")
+    return unread
+
+
+def test_no_unread_private_helpers():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) > 5
+    assert unread_private_helpers(sources) == []
+
+
+def test_private_helper_scan_flags_only_unread_helpers():
+    sources = {"a.py": ("def _used():\n    return 1\n"
+                        "def _unused():\n    return _used()\n"
+                        "def _recursive(k):\n    return _recursive(k - 1)\n"
+                        "class _Kept:\n    pass\n"),
+               "b.py": "from .a import _Kept\nx = _Kept()\n"}
+    assert unread_private_helpers(sources) == ["a.py: _unused", "a.py: _recursive"]

@@ -6,7 +6,6 @@ Claims checked:
     ints at 2^62, and a product float64 would round comes back exact
   * MatrixPowers equals schoolbook powers up to A^n across all three
     arithmetic tiers
-  * trace inner products and Frobenius sums agree with schoolbook math
   * the monomial Gram-Schmidt reproduces a textbook re-derivation, with
     the pre-distance polynomials read in any order and pickled part-read
   * the moment table, from float64 below 2^53 and from word-size primes
@@ -35,13 +34,12 @@ import dgexcess.linalg as linalg
 import oracles
 from dgexcess import (MatrixPowers, PerronError, Polynomial, SpectrumError,
                       build_digraph, circulant, complete, directed_cycle,
-                      distance_structure, frobenius_sum,
-                      hoffman_ingredients, hypercube, masked_power_check,
+                      distance_structure, hoffman_ingredients, hypercube, masked_power_check,
                       minimal_polynomial, normality_test,
                       orthogonal_monomial_basis, paley_tournament, path,
                       perron_value, petersen, power_traces,
                       predistance_polynomials, projection_tables, spectrum,
-                      trace_inner_product, working_dps)
+                      working_dps)
 from dgexcess.generators import enumerate_digraphs
 from dgexcess.linalg import _FLOAT_EXACT, _moment_rows, exact_matmul, refine_real_root
 
@@ -133,24 +131,9 @@ def test_matrix_powers_match_schoolbook_powers(G):
         assert dtypes[-1] == object and tops[-1] > 2 ** 63
 
 
-def test_frobenius_sum_matches_schoolbook():
-    A = petersen().adjacency
-    P, Q = A @ A, A @ A @ A
-    expected = int((P * Q).sum())
-    assert frobenius_sum(P, Q) == expected
-    big = MatrixPowers(complete(8).adjacency)
-    r = frobenius_sum(big[20], big[20])
-    naive = oracles.naive_power([[int(x) for x in row] for row in
-                                 complete(8).adjacency], 20)
-    assert r == sum(naive[i][j] ** 2 for i in range(8) for j in range(8))
-
-
-def test_trace_inner_product_exactness():
-    A = path(3).adjacency
-    v = trace_inner_product(A, A)
-    assert isinstance(v, Fraction) and v == Fraction(4, 3)
-    w = trace_inner_product(A.astype(float), A.astype(float))
-    assert isinstance(w, float) and abs(w - 4 / 3) < 1e-12
+def _frobenius(P, Q) -> int:
+    """Sum of the entrywise product, on Python ints."""
+    return int((P.astype(object) * Q.astype(object)).sum())
 
 
 def test_normality():
@@ -188,7 +171,7 @@ def test_monomial_basis_matches_naive_gram_schmidt():
             [tuple(b) for b in basis]
         assert tuple(mb.minpoly.coeffs) == tuple(minpoly)
     # the inputs reach what they are there for
-    big = max(frobenius_sum(P, P) for G in (wide[0], wide[2])
+    big = max(_frobenius(P, P) for G in (wide[0], wide[2])
               for P in [MatrixPowers(G.adjacency)[G.n]])
     assert big > 2 ** 63
     dhats = [orthogonal_monomial_basis(MatrixPowers(G.adjacency)).dhat
@@ -245,7 +228,7 @@ def test_moment_rows_match_schoolbook_sums():
         n = G.n
         mp = MatrixPowers(G.adjacency)
         table = _moment_rows(mp.A, 0, n + 1)
-        assert table == [[frobenius_sum(mp[i], mp[j]) for j in range(n + 1)]
+        assert table == [[_frobenius(mp[i], mp[j]) for j in range(n + 1)]
                          for i in range(n + 1)]
         assert all(type(m) is int for row in table for m in row)
         assert _moment_rows(mp.A, 3, n + 1) == table[3:]
@@ -325,7 +308,7 @@ def test_monomial_basis_forms_no_object_powers():
     mb = orthogonal_monomial_basis(mp)
     assert mb.dhat == 46
     assert all(P.dtype != object for P in mp._pow)
-    # norms2 and minpoly as the frobenius_sum moments gave them
+    # norms2 and minpoly as recorded from entrywise-summed moments
     assert _digest(mb.norms2) == \
         "b58ca4e2ab4a48a21c72903e4f465d739759d0688b5dd2b6b375a161008f0de0"
     assert _digest(mb.minpoly.coeffs) == \
