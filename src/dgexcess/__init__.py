@@ -30,7 +30,7 @@ from .excess import (ProjectionTables, ProjectionBound, WeightedLayers,
                      upper_projection_sum, generalized_projection_sum,
                      projection_sum_totals,
                      q_norm_check, masked_power_check)
-from .classify import (Verdict, IntersectionTable, TrichotomyResult,
+from .classify import (Verdict, TrichotomyResult,
                        AnalysisContext, AnalysisReport, InconsistencyAlarm,
                        wdr_direct, dr_direct, dr_by_simple_set,
                        dr_by_weighted_set, geodetic_dr_check, wdr_by_projection, generalized_odd_graph_check,

@@ -2,8 +2,11 @@
 
 Two independent routes decide each property.  The direct oracles group
 intersection counts by distance class and test constancy, straight from
-the definitions.  The spectral-side criteria decide the same properties
-through exact equalities between excess quantities and projection sums.
+the definitions: each stack of float64 count products is gathered once
+by distance class and reduced to per-class extremes, and a refuting
+witness is read from that same stack.  The spectral-side criteria
+decide the same properties through exact equalities between excess
+quantities and projection sums.
 Agreement between the routes is asserted wherever both apply; a
 disagreement is an InconsistencyAlarm, never silently absorbed.
 
@@ -15,7 +18,6 @@ comparison, including any tolerance used on the numeric track.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -48,40 +50,6 @@ class Verdict:
     certificate: dict
 
 
-@dataclass(frozen=True)
-class IntersectionTable:
-    kind: str          # "wdr", the one kind wdr_direct builds
-    values: Mapping    # (k, i, j) -> count (exact or numeric)
-    consistent: bool
-    witness: dict = None
-
-
-class _CountBlocks(Mapping):
-    """(k, i, j) -> count, read from wdr_direct's per-class minima.
-
-    blocks holds (i, rows) pairs, rows[j] the counts of the classes in
-    ks order; the dict is formed on the first read of a count, and its
-    length is known without it."""
-
-    def __init__(self, ks: list, blocks: list):
-        self._ks, self._blocks = ks, blocks
-
-    @cached_property
-    def _values(self) -> dict:
-        ks = self._ks
-        return {(k, i, j): v for i, rows in self._blocks
-                for j, row in enumerate(rows.tolist()) for k, v in zip(ks, row)}
-
-    def __getitem__(self, key):
-        return self._values[key]
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._ks) * sum(len(rows) for _, rows in self._blocks)
-
-
 class AnalysisContext:
     """Shared scaffolding for the classifiers on one digraph.
 
@@ -99,16 +67,19 @@ class AnalysisContext:
     classifier and check reads one value: hoffman, weighted,
     numeric_spectrum, odd_girth, bipartite, simple_excess, the diagonal
     and triangular projection bounds wdr_projection and upper_projection,
-    q_norm, wdr_direct, dr_direct and generalized_odd_graph.
+    q_norm, wdr_direct, dr_direct (each a Verdict) and
+    generalized_odd_graph.
 
     tol is accepted and not read: each check takes its own tolerance.
+    dps is the working precision DGEXCESS_PRECISION gives when the
+    context is built (linalg.working_dps).
     """
 
-    def __init__(self, G: Digraph, tol: float = 1e-9, dps=None):
+    def __init__(self, G: Digraph, tol: float = 1e-9):
         if not strong_connectivity(G):
             raise ValueError("analysis context needs a strongly connected digraph")
         self.G = G
-        self.dps = working_dps() if dps is None else dps
+        self.dps = working_dps()
         self.ds = distance_structure(G)
         self.profile = delta_profile(self.ds)
         self.basis = predistance_polynomials(G, structure=self.ds)
@@ -152,7 +123,7 @@ class AnalysisContext:
         return q_norm_check(self.basis, self.G.n)
 
     @cached_property
-    def wdr_direct(self):
+    def wdr_direct(self) -> Verdict:
         return wdr_direct(self.ds)
 
     @cached_property
@@ -168,102 +139,77 @@ def _ctx(G) -> AnalysisContext:
     return G if isinstance(G, AnalysisContext) else AnalysisContext(G)
 
 
-# -- Grouped constancy machinery ---------------------------------------------
-
-def _class_spread(B: np.ndarray, classes, wanted=None):
-    """Per-class (min, max, argmin, argmax) constancy scan of one int64
-    matrix.
-
-    Returns ({k: value}, witness); witness is None when every wanted
-    class is constant.
-    """
-    order, starts, ks = classes
-    flat = B.ravel()
-    n = B.shape[0]
-    out = {}
-    for c, k in enumerate(ks):
-        if wanted is not None and k not in wanted:
-            continue
-        a, b = starts[c], starts[c + 1]
-        seg = flat[order[a:b]]
-        lo, hi = seg.min().item(), seg.max().item()
-        if lo != hi:
-            p1 = divmod(int(order[a + int(np.argmin(seg))]), n)
-            p2 = divmod(int(order[a + int(np.argmax(seg))]), n)
-            return out, {"class_distance": k, "pairs": [list(p1), list(p2)],
-                         "values": [lo, hi]}
-        out[k] = lo
-    return out, None
-
-
-def _class_ranges(blocks: np.ndarray, classes):
-    """Per-class minima and maxima of a stack of n x n integer matrices:
-    two arrays of shape (len(blocks), number of classes), the classes in
-    `classes` order."""
-    order, starts, _ = classes
-    flat = blocks.reshape(len(blocks), -1)[:, order]
-    return (np.minimum.reduceat(flat, starts[:-1], axis=1),
-            np.maximum.reduceat(flat, starts[:-1], axis=1))
-
-
 # -- Direct oracles ----------------------------------------------------------
 
-def wdr_direct(ds: DistanceStructure):
+def _class_scan(blocks: np.ndarray, classes, wanted):
+    """The first non-constant wanted class of a stack of n x n count
+    matrices, or None when every wanted class is constant.
+
+    One gather by distance class and one min/max reduction per class
+    segment; wanted is a (len(blocks), number of classes) bool array, or
+    True for every class.  Rows are scanned in order, each row's classes
+    in increasing distance, and the witness is the first smallest and
+    first largest pair, in row-major order, of the first spread found:
+    (row, {"class_distance", "pairs", "values"}).
+    """
+    order, starts, ks = classes
+    flat = blocks.reshape(len(blocks), -1)[:, order]
+    lo = np.minimum.reduceat(flat, starts[:-1], axis=1)
+    hi = np.maximum.reduceat(flat, starts[:-1], axis=1)
+    spread = np.argwhere((lo != hi) & wanted)
+    if not spread.size:
+        return None
+    row, c = (int(x) for x in spread[0])
+    a, n = starts[c], blocks.shape[-1]
+    seg = flat[row, a:starts[c + 1]]
+    pairs = [list(divmod(int(order[a + int(f(seg))]), n))
+             for f in (np.argmin, np.argmax)]
+    return row, {"class_distance": ks[c], "pairs": pairs,
+                 "values": [int(lo[row, c]), int(hi[row, c])]}
+
+
+def wdr_direct(ds: DistanceStructure) -> Verdict:
     """Constancy of |Gamma^+_i(u) n Gamma^-_j(v)| per distance class.
 
-    Returns (Verdict, IntersectionTable); the table holds every
-    intersection count on success and the refuting pair on failure.
-    Each i scans all j in one stacked product; the scalar scan runs only
-    on the first (i, j) that fails, for its witness.  Every count is at
-    most n, so the products are exact in float64.  The table keeps each
-    i's per-class minima and forms its (k, i, j) dict only when a count
-    is read; classes_checked is its length, counted without it.
+    Each i scans all j in one stacked float64 product S_i S_j; every
+    count is at most n < 2^53, so the products are exact and are read
+    as they are.  The certificate's witness names the first (i, j) and
+    class whose counts differ, with a smallest and a largest pair;
+    without one it counts (D+1)^2 times the classes as checked.
     """
-    D, n = ds.diameter, ds.n
+    D = ds.diameter
     S = np.array(ds.layers, dtype=np.float64)   # converted once
-    blocks = []
-    values = _CountBlocks(ds.classes[2], blocks)
     for i in range(D + 1):
-        lo, hi = _class_ranges(exact_matmul(S[i], S, n), ds.classes)
-        spread = np.flatnonzero((lo != hi).any(axis=1))
-        if spread.size:
-            j = int(spread[0])
-            blocks.append((i, lo[:j]))
-            _, witness = _class_spread(exact_matmul(S[i], S[j], n), ds.classes)
+        found = _class_scan(S[i] @ S, ds.classes, True)
+        if found is not None:
+            j, witness = found
             witness.update({"i": i, "j": j})
-            table = IntersectionTable("wdr", values, False, witness)
-            cert = {"consistent": False, "witness": witness}
-            return Verdict("weakly-distance-regular", False, "direct", cert), table
-        blocks.append((i, lo))
-    table = IntersectionTable("wdr", values, True)
-    cert = {"consistent": True, "classes_checked": len(values)}
-    return Verdict("weakly-distance-regular", True, "direct", cert), table
+            return Verdict("weakly-distance-regular", False, "direct",
+                           {"consistent": False, "witness": witness})
+    checked = (D + 1) ** 2 * len(ds.classes[2])
+    return Verdict("weakly-distance-regular", True, "direct",
+                   {"consistent": True, "classes_checked": checked})
 
 
 def dr_direct(ds: DistanceStructure) -> Verdict:
     """Constancy of |Gamma^+_i(u) n Gamma^+_1(v)| over pairs at distance
-    k >= 1, for each i up to k+1; the counts are at most n, so exact in
-    float64."""
-    D, n = ds.diameter, ds.n
+    k >= 1, for each i up to k+1, in one stacked float64 product; the
+    counts are at most n < 2^53, so the product is exact."""
+    D = ds.diameter
     if D == 0:
         return Verdict("distance-regular", True, "direct",
                        {"consistent": True, "classes_checked": 0})
     S = np.array(ds.layers, dtype=np.float64)   # converted once
-    A_T = S[1].T
     ks = np.array(ds.classes[2])
-    lo, hi = _class_ranges(exact_matmul(S, A_T, n), ds.classes)
-    checked = 0
-    for i in range(D + 1):
-        wanted = ks >= max(1, i - 1)
-        if (lo[i] != hi[i])[wanted].any():
-            _, witness = _class_spread(exact_matmul(S[i], A_T, n), ds.classes,
-                                       set(ks[wanted].tolist()))
-            witness.update({"i": i, "j": 1})
-            return Verdict("distance-regular", False, "direct",
-                           {"consistent": False, "witness": witness})
-        checked += int(wanted.sum())
+    wanted = ks >= np.maximum(1, np.arange(D + 1) - 1)[:, None]
+    found = _class_scan(S @ S[1].T, ds.classes, wanted)
+    if found is not None:
+        i, witness = found
+        witness.update({"i": i, "j": 1})
+        return Verdict("distance-regular", False, "direct",
+                       {"consistent": False, "witness": witness})
     return Verdict("distance-regular", True, "direct",
-                   {"consistent": True, "classes_checked": checked})
+                   {"consistent": True, "classes_checked": int(wanted.sum())})
 
 
 # -- Spectral-side criteria --------------------------------------------------
@@ -477,7 +423,6 @@ def _spectrum_block(spec) -> dict:
         "lambda0_exact": spec.lambda0_exact,
         "exact_lambda0": spec.exact_lambda0,
         "d": spec.d,
-        "cluster_tol": spec.cluster_tol,
     }
 
 
@@ -549,7 +494,7 @@ def full_report(G: Digraph, tol: float = 1e-9, source=None) -> AnalysisReport:
         "q_norm": {"value": q_value, "attained": q_attained},
     }
 
-    wdr_v, _table = ctx.wdr_direct
+    wdr_v = ctx.wdr_direct
     dr_v = ctx.dr_direct
     simple_v = dr_by_simple_set(ctx)
     weighted_v = None if weighted is None else dr_by_weighted_set(ctx, tol)

@@ -46,7 +46,7 @@ def _check_property(name: str, G: Digraph):
     if name == "bipartite":
         return bipartite_test(G), ""
     if name == "wdr":
-        verdict, _table = wdr_direct(distance_structure(G))
+        verdict = wdr_direct(distance_structure(G))
         witness = verdict.certificate.get("witness")
         return verdict.decision, f"witness {witness}" if witness else ""
     if name == "dr":

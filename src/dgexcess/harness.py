@@ -25,7 +25,6 @@ to word a failure.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +80,7 @@ def check_projection_sums(ctx: AnalysisContext, systems: int = 20) -> list:
     same for random subset-system sums in both variants."""
     G, n = ctx.G, ctx.G.n
     failures = []
-    is_wdr = ctx.wdr_direct[0].decision
+    is_wdr = ctx.wdr_direct.decision
 
     diag, upper = ctx.wdr_projection, ctx.upper_projection
     for label, pb in (("diagonal", diag), ("triangular", upper)):
@@ -258,13 +257,13 @@ def check_conjugation(ctx: AnalysisContext, tol: float = 1e-8) -> list:
     return failures
 
 
-def check_digraph(G: Digraph, tol: float = 1e-9, systems: int = 5) -> list:
+def check_digraph(G: Digraph) -> list:
     """Every per-digraph suite on one strongly connected digraph."""
     ctx = AnalysisContext(G)
     failures = []
-    failures += check_projection_sums(ctx, systems)
+    failures += check_projection_sums(ctx, 5)
     failures += check_simple_set(ctx)
-    failures += check_weighted_set(ctx, tol)
+    failures += check_weighted_set(ctx)
     failures += check_geodetic_set(ctx)
     failures += check_excess_product(ctx)
     failures += check_odd_girth_suite(ctx)
@@ -290,14 +289,12 @@ def corpus_sample_limit(n: int, sample):
     return sample if n >= 5 else None
 
 
-def verify_corpus(max_n: int = 4, sample=None, seed: int = 0, jobs: int = 1,
-                  tol: float = 1e-9, systems: int = 5):
+def verify_corpus(max_n: int = 4, sample=None, seed: int = 0, jobs: int = 1):
     """Run every per-digraph suite over the strongly connected digraphs
     enumerate_digraphs yields for each n up to max_n (all of them below
     n = 5, `sample` seeded draws from n = 5 on), plus the family suite.
     An n past the generator's enumeration caps is a suite failure that
     names the cap."""
-    check = functools.partial(check_digraph, tol=tol, systems=systems)
     results = []
     for n in range(2, max_n + 1):
         limit = corpus_sample_limit(n, sample)
@@ -313,15 +310,15 @@ def verify_corpus(max_n: int = 4, sample=None, seed: int = 0, jobs: int = 1,
         failures = []
         if jobs > 1:
             with Pool(jobs) as pool:
-                for fails in pool.imap_unordered(check, digraphs, chunksize=64):
+                for fails in pool.imap_unordered(check_digraph, digraphs, chunksize=64):
                     checked += 1
                     failures += fails
         else:
-            for fails in map(check, digraphs):
+            for fails in map(check_digraph, digraphs):
                 checked += 1
                 failures += fails
         results.append(SuiteResult(label, checked, failures))
-    results.append(family_suite(tol))
+    results.append(family_suite())
     return results
 
 

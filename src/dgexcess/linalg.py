@@ -21,14 +21,17 @@ environment variable (decimal digits, default 50), read at call time;
 the Perron vectors there are fixed-point integers, refined past that
 precision by float64 solves against exact integer residuals.
 
-Every other integer matrix product goes through exact_matmul, which
-takes the caller's proven bound on the product's entries and picks the
-arithmetic from it: a float64 (BLAS) product below 2^53, int64 below
-2^62, Python-integer object arrays beyond.  MatrixPowers, the explicit
-powers that matrix_polynomial reads (the analysis evaluates only the
-conjugation polynomial f(A) that way), takes each step that way, so
-they escalate from float64 through int64 to object arrays before any
-entry can round or overflow; nothing here ever wraps silently.
+The direct oracles (classify) read their float64 products of 0/1
+distance matrices as they are, since every count there is at most
+n < 2^53.  Every other integer matrix product goes through
+exact_matmul, which takes the caller's proven bound on the product's
+entries and picks the arithmetic from it: a float64 (BLAS) product
+below 2^53, int64 below 2^62, Python-integer object arrays beyond.
+MatrixPowers, the explicit powers that matrix_polynomial reads (the
+analysis evaluates only the conjugation polynomial f(A) that way),
+takes each step that way, so they escalate from float64 through int64
+to object arrays before any entry can round or overflow; nothing here
+ever wraps silently.
 """
 
 from __future__ import annotations
@@ -606,19 +609,10 @@ class Spectrum:
     n: int
     d: int
     dhat: int
-    cluster_tol: float
 
     @property
     def exact_lambda0(self) -> bool:
         return self.lambda0_exact is not None
-
-    def pi0(self):
-        """prod (lambda0 - lambda_i) over the non-Perron distinct values."""
-        lam = float(self.lambda0)
-        out = 1.0 + 0.0j
-        for z, _ in self.values[1:]:
-            out *= lam - z
-        return out
 
 
 def _newton_complex(coeffs, dcoeffs, z, iterations=80):
@@ -661,7 +655,7 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spect
         tol = 1e-8 * max(1.0, float(np.abs(A).sum(axis=1).max()))
 
     if n == 1:
-        return Spectrum(((0j, 1),), mpmath.mpf(0), Fraction(0), 1, 0, minpoly.degree - 1, tol)
+        return Spectrum(((0j, 1),), mpmath.mpf(0), Fraction(0), 1, 0, minpoly.degree - 1)
 
     w = np.linalg.eigvals(A.astype(np.float64))
     clusters = []  # [sum, count]
@@ -710,7 +704,7 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spect
     if sum(m for _, m in values) != n:
         raise SpectrumError("multiplicities do not sum to the vertex count")
     return Spectrum(values, lam_mpf, lam_exact, n, n_distinct - 1,
-                    minpoly.degree - 1, tol)
+                    minpoly.degree - 1)
 
 
 def hoffman_ingredients(minpoly: Polynomial, lambda0, dps=None):

@@ -1,9 +1,11 @@
 """Classification verdicts, direct oracles and the aggregate report.
 
 Claims checked:
-  * direct oracles decide the named graphs and carry witnesses
+  * direct oracles decide the named graphs and carry witnesses; the weak
+    oracle checks (D+1)^2 times the classes of directed_cycle(30)
   * the batched class scans of the direct oracles give the verdicts,
-    certificates, witnesses and tables of a plain per-class loop
+    certificates and witnesses of a plain per-class loop, on the n <= 4
+    corpus and on seeded random non-distance-regular digraphs
   * distance-regular iff normal and weakly distance-regular, on corpus
   * spectral criteria agree with the direct oracles everywhere tested
   * trichotomy branch assignments and their precondition
@@ -20,14 +22,12 @@ Claims checked:
   * a full report forms the pre-distance polynomials only up to the
     diameter, and the minimal polynomial once
   * so does the q-norm check, once per report and per check_digraph
-  * the direct oracles' tables, witnesses and counts hold Python ints
+  * the direct oracles' certificates hold Python ints
   * the walk route to the odd girth agrees with the trace route, and
     stops on a bipartite input once a walk state repeats
   * check_digraph forms no Fraction polynomial on the n <= 4 corpus: the
     minimal polynomial is held with int coefficients, and full_report
     still prints it as Fractions
-  * the direct weak oracle counts its classes without forming its
-    (k, i, j) table, which it forms on the first read of a count
 """
 
 import random
@@ -64,7 +64,9 @@ def test_direct_oracles_named():
     for G in (petersen(), complete(4), directed_cycle(5), hypercube(3)):
         ds = distance_structure(G)
         assert dr_direct(ds).decision
-        assert wdr_direct(ds)[0].decision
+        assert wdr_direct(ds).decision
+    verdict = wdr_direct(distance_structure(directed_cycle(30)))
+    assert verdict.decision and verdict.certificate["classes_checked"] == 30 ** 3
     ds = distance_structure(path(4))
     v = dr_direct(ds)
     assert not v.decision
@@ -93,15 +95,15 @@ def _plain_scan(B, dist, wanted):
 def _plain_wdr(dist):
     D = int(dist.max())
     layers = [(dist == k).astype(np.int64) for k in range(D + 1)]
-    values = []
+    checked = 0
     for i in range(D + 1):
         for j in range(D + 1):
             got, witness = _plain_scan(layers[i] @ layers[j], dist, set(range(D + 1)))
             if witness is not None:
                 witness.update({"i": i, "j": j})
-                return {"consistent": False, "witness": witness}, values
-            values += [((k, i, j), v) for k, v in got.items()]
-    return {"consistent": True, "classes_checked": len(values)}, values
+                return {"consistent": False, "witness": witness}
+            checked += len(got)
+    return {"consistent": True, "classes_checked": checked}
 
 
 def _plain_dr(dist):
@@ -118,20 +120,34 @@ def _plain_dr(dist):
     return {"consistent": True, "classes_checked": checked}
 
 
+def _random_non_dr(count: int = 25):
+    """count seeded random strongly connected digraphs on 5..12 vertices
+    that are not distance-regular."""
+    rng = random.Random(11)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(5, 12)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        G = build_digraph(n, sorted(rng.sample(pairs, rng.randint(n, 3 * n))))
+        if G.is_strongly_connected and not _plain_dr(distance_structure(G).dist)["consistent"]:
+            graphs.append(G)
+    return graphs
+
+
 def test_direct_oracles_match_a_plain_class_loop():
     rng = random.Random(235)
     pairs = [(u, v) for u in range(12) for v in range(12) if u != v]
     graphs = [G for n in (2, 3, 4) for G in enumerate_digraphs(n, "strongly_connected")]
     graphs += [path(12), build_digraph(12, sorted(rng.sample(pairs, 72)))]
+    graphs += _random_non_dr()
     outcomes = set()
     for G in graphs:
         ds = distance_structure(G)
-        verdict, table = wdr_direct(ds)
-        cert, values = _plain_wdr(ds.dist)
+        verdict = wdr_direct(ds)
+        cert = _plain_wdr(ds.dist)
+        # the witness names the same first class and the same first
+        # smallest and largest pair
         assert verdict.certificate == cert and verdict.decision == cert["consistent"]
-        assert list(table.values.items()) == values
-        assert table.consistent == cert["consistent"]
-        assert table.witness == cert.get("witness")
         if ds.n > 1:
             dr_cert = _plain_dr(ds.dist)
             assert dr_direct(ds).certificate == dr_cert
@@ -146,25 +162,13 @@ def _python_ints(value) -> bool:
     return type(value) is int
 
 
-def test_direct_oracle_tables_and_witnesses_hold_python_ints():
+def test_direct_oracle_certificates_hold_python_ints():
     graphs = [G for n in (2, 3, 4) for G in enumerate_digraphs(n, "strongly_connected")]
-    rng = random.Random(11)
-    random_non_dr = 0
-    while random_non_dr < 25:
-        n = rng.randint(5, 12)
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        G = build_digraph(n, sorted(rng.sample(pairs, rng.randint(n, 3 * n))))
-        if G.is_strongly_connected and not dr_direct(distance_structure(G)).decision:
-            graphs.append(G)
-            random_non_dr += 1
+    graphs += _random_non_dr()
     witnesses = 0
     for G in graphs:
         ds = distance_structure(G)
-        verdict, table = wdr_direct(ds)
-        dr = dr_direct(ds)
-        assert all(map(_python_ints, table.values.values()))
-        assert all(map(_python_ints, table.values.keys()))
-        for cert in (verdict.certificate, dr.certificate):
+        for cert in (wdr_direct(ds).certificate, dr_direct(ds).certificate):
             if cert["consistent"]:
                 assert type(cert["classes_checked"]) is int
             else:
@@ -173,26 +177,18 @@ def test_direct_oracle_tables_and_witnesses_hold_python_ints():
     assert witnesses > 50
 
 
-def test_wdr_table_contents():
-    verdict, table = wdr_direct(distance_structure(directed_cycle(4)))
-    assert verdict.decision and table.consistent
-    assert table.values[(0, 0, 0)] == 1
-    assert table.values[(2, 1, 1)] == 1    # one midpoint per distance-2 pair
-    assert all(v == 0 for (k, i, j), v in table.values.items() if k > i + j)
-
-
 def test_dr_iff_normal_and_wdr_on_corpus():
     for G in enumerate_digraphs(3, "strongly_connected"):
         ctx = AnalysisContext(G)
         is_dr = dr_direct(ctx.ds).decision
-        is_wdr = wdr_direct(ctx.ds)[0].decision
+        is_wdr = wdr_direct(ctx.ds).decision
         assert is_dr == (ctx.normal and is_wdr)
 
 
 def test_trivial_single_vertex():
     ds = distance_structure(build_digraph(1, []))
     assert dr_direct(ds).decision
-    assert wdr_direct(ds)[0].decision
+    assert wdr_direct(ds).decision
 
 
 # -- Spectral criteria vs direct ---------------------------------------------
@@ -230,7 +226,7 @@ def test_spectral_criteria_agree_on_corpus():
         assert dr_by_simple_set(ctx).decision == expected
         assert dr_by_weighted_set(ctx).decision == expected
         assert wdr_by_projection(ctx).decision == \
-            wdr_direct(ctx.ds)[0].decision
+            wdr_direct(ctx.ds).decision
 
 
 # -- Odd girth and trichotomy ------------------------------------------------
@@ -486,17 +482,3 @@ def test_check_digraph_forms_no_fraction_predistance_polynomial(monkeypatch):
         printed = full_report(G).minimal_polynomial
         assert all(type(c) is Fraction for c in printed) and printed == list(coeffs)
 
-
-def test_wdr_direct_forms_its_table_on_first_read():
-    G = directed_cycle(30)
-    ds = distance_structure(G)
-    verdict, table = wdr_direct(ds)
-    assert verdict.decision and verdict.certificate["classes_checked"] == 30 ** 3
-    assert len(table.values) == 30 ** 3
-    assert "_values" not in vars(table.values)
-    # |Gamma^+_i(u) n Gamma^-_j(v)| is 1 exactly when i + j = k mod 30
-    assert all(v == ((i + j - k) % 30 == 0) for (k, i, j), v in table.values.items())
-    assert "_values" in vars(table.values)
-    assert list(table.values)[:3] == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
-    _, refuted = wdr_direct(distance_structure(path(4)))
-    assert not refuted.consistent and len(refuted.values) == len(dict(refuted.values))

@@ -425,10 +425,11 @@ def test_hoffman_gate_scales_with_the_perron_value():
 
 
 @pytest.mark.parametrize("precision", [20, 80])
-def test_hoffman_gate_follows_the_callers_precision(precision):
-    # lambda0 of path(40) is refined to `precision` digits and gated at
-    # half of them, whatever DGEXCESS_PRECISION says
-    ctx = AnalysisContext(path(40), dps=precision)
+def test_hoffman_gate_follows_the_callers_precision(monkeypatch, precision):
+    # lambda0 of path(40) is refined to the DGEXCESS_PRECISION the
+    # context reads, `precision` digits, and gated at half of them
+    monkeypatch.setenv("DGEXCESS_PRECISION", str(precision))
+    ctx = AnalysisContext(path(40))
     hp = ctx.hoffman
     assert hp.dps == precision and not hp.exact
     with mpmath.workdps(precision + 10):

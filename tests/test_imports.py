@@ -9,15 +9,21 @@ Claims checked:
     underscore) is read somewhere in the package outside its own body
   * that scan flags an unread or self-read private helper and passes a
     read one
+  * tests/oracles.py imports only the standard library, so the
+    independent route shares no code with the package (and loads
+    without numpy); the scan flags third-party, package and relative
+    imports
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
 import dgexcess
 
 PACKAGE = Path(dgexcess.__file__).parent
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def unused_imports(source: str) -> list:
@@ -89,3 +95,34 @@ def test_private_helper_scan_flags_only_unread_helpers():
                         "class _Kept:\n    pass\n"),
                "b.py": "from .a import _Kept\nx = _Kept()\n"}
     assert unread_private_helpers(sources) == ["a.py: _unused", "a.py: _recursive"]
+
+
+def non_stdlib_imports(source: str) -> list:
+    """'line N: module' for each imported module outside the standard
+    library; a relative import is never in it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [f"line {node.lineno}: {module}" for module in modules
+                  if module.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_oracles_import_only_the_standard_library():
+    assert non_stdlib_imports(ORACLES.read_text()) == []
+
+
+def test_stdlib_scan_flags_package_and_third_party_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy as np\n"
+              "from fractions import Fraction\n"
+              "from dgexcess.linalg import exact_matmul\n"
+              "def f():\n"
+              "    from . import digraph\n")
+    assert non_stdlib_imports(source) == ["line 2: numpy", "line 4: dgexcess.linalg",
+                                          "line 6: ."]

@@ -365,11 +365,6 @@ def test_spectrum_irrational_perron_not_certified():
     assert not spec.exact_lambda0
 
 
-def test_spectrum_pi0():
-    spec = spectrum(petersen())
-    assert abs(spec.pi0() - 10) < 1e-9             # (3-1)(3+2)
-
-
 def test_perron_value_regular_fast_path():
     lam, exact = perron_value(hypercube(3).adjacency,
                               minimal_polynomial(hypercube(3))[0])

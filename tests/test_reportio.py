@@ -5,7 +5,9 @@ Claims checked:
     malformed input with the offending line number
   * generator output round-trips through the parser unchanged
   * JSON reports keep rationals as "p/q" strings, stay byte-identical
-    across runs, and contain the documented verdict shapes
+    across runs, and contain the documented verdict shapes; the direct
+    oracle's dr verdict of a non-normal digraph, witness included, is
+    the one docs/report-schema.md shows
   * the text report carries the excess comparison line
   * CLI subcommands and their exit-code contract (0 holds, 1 fails,
     2 error or internal inconsistency)
@@ -16,6 +18,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -108,17 +111,30 @@ GOLDEN_JSON_SHA256 = {
               "d5e0c1f2d03a67a7d25e4a467e0d81a8"),
     "directed_cycle(7)": ("6396a01814e03b5d7449384c495e8cf8"
                           "83d5ff06982024306f63669614e83ac9"),
+    # not normal: its dr verdict is the direct oracle's, witness included
+    "chord triangle": ("1ec160857283549f1f34d14d2ddd7bbc"
+                       "21cc687700cbe3e57320c9fd244c122d"),
 }
+CHORD_TRIANGLE = build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "report-schema.md"
 
 
 def test_json_matches_golden_digests():
     graphs = {"petersen": petersen(), "path(3)": path(3), "path(5)": path(5),
               "K_1,4": complete_bipartite(1, 4),
-              "directed_cycle(7)": directed_cycle(7)}
+              "directed_cycle(7)": directed_cycle(7),
+              "chord triangle": CHORD_TRIANGLE}
     for label, G in graphs.items():
         text = emit_report(full_report(G), "json")
         assert hashlib.sha256(text.encode()).hexdigest() == \
             GOLDEN_JSON_SHA256[label], label
+
+
+def test_not_normal_dr_verdict_matches_the_schema_example():
+    section = SCHEMA.read_text().split("## Outcome: not normal", 1)[1]
+    documented = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    report = json.loads(emit_report(full_report(CHORD_TRIANGLE), "json"))
+    assert report["verdicts"]["dr"] == documented["verdicts"]["dr"]
 
 
 def test_emit_beyond_the_integer_digit_limit():
