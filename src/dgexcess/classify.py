@@ -4,7 +4,9 @@ Two independent routes decide each property.  The direct oracles group
 intersection counts by distance class and test constancy, straight from
 the definitions: each stack of float64 count products is gathered once
 by distance class and reduced to per-class extremes, and a refuting
-witness is read from that same stack.  The spectral-side criteria
+witness is read from that same stack.  On a certified vertex-transitive
+digraph each product is formed and scanned on row 0 alone, which holds
+every class value and the same witness.  The spectral-side criteria
 decide the same properties through exact equalities between excess
 quantities and projection sums.
 Agreement between the routes is asserted wherever both apply; a
@@ -142,8 +144,9 @@ def _ctx(G) -> AnalysisContext:
 # -- Direct oracles ----------------------------------------------------------
 
 def _class_scan(blocks: np.ndarray, classes, wanted):
-    """The first non-constant wanted class of a stack of n x n count
-    matrices, or None when every wanted class is constant.
+    """The first non-constant wanted class of a stack of count matrices,
+    each cut to the distance structure's scan rows (DistanceStructure.rows),
+    or None when every wanted class is constant.
 
     One gather by distance class and one min/max reduction per class
     segment; wanted is a (len(blocks), number of classes) bool array, or
@@ -176,11 +179,17 @@ def wdr_direct(ds: DistanceStructure) -> Verdict:
     as they are.  The certificate's witness names the first (i, j) and
     class whose counts differ, with a smallest and a largest pair;
     without one it counts (D+1)^2 times the classes as checked.
+
+    On a certified vertex-transitive digraph only row 0 of each product
+    is scanned, S_i[0] S_j, over row 0's classes.  The witness is the
+    same: every value a class takes occurs in row 0, which comes first
+    in row-major order, so the first smallest and largest pairs lie in
+    it.
     """
-    D = ds.diameter
+    D, m = ds.diameter, ds.rows
     S = np.array(ds.layers, dtype=np.float64)   # converted once
     for i in range(D + 1):
-        found = _class_scan(S[i] @ S, ds.classes, True)
+        found = _class_scan(S[i, :m] @ S, ds.classes, True)
         if found is not None:
             j, witness = found
             witness.update({"i": i, "j": j})
@@ -194,7 +203,9 @@ def wdr_direct(ds: DistanceStructure) -> Verdict:
 def dr_direct(ds: DistanceStructure) -> Verdict:
     """Constancy of |Gamma^+_i(u) n Gamma^+_1(v)| over pairs at distance
     k >= 1, for each i up to k+1, in one stacked float64 product; the
-    counts are at most n < 2^53, so the product is exact."""
+    counts are at most n < 2^53, so the product is exact.  On a
+    certified vertex-transitive digraph it is row 0 alone, S_i[0] S_1^T,
+    with the same witness as wdr_direct's."""
     D = ds.diameter
     if D == 0:
         return Verdict("distance-regular", True, "direct",
@@ -202,7 +213,7 @@ def dr_direct(ds: DistanceStructure) -> Verdict:
     S = np.array(ds.layers, dtype=np.float64)   # converted once
     ks = np.array(ds.classes[2])
     wanted = ks >= np.maximum(1, np.arange(D + 1) - 1)[:, None]
-    found = _class_scan(S @ S[1].T, ds.classes, wanted)
+    found = _class_scan(S[:, :ds.rows] @ S[1].T, ds.classes, wanted)
     if found is not None:
         i, witness = found
         witness.update({"i": i, "j": 1})

@@ -14,12 +14,22 @@ Python integers (they outgrow int64 quickly on dense graphs) inside
 object arrays.  The infinite girth of an acyclic or odd-cycle-free graph
 is the :data:`INFINITE` singleton, which compares above every integer;
 it is never encoded as -1 or a large sentinel.
+
+A generator that knows automorphisms of its digraph attaches them as
+permutation tuples (Digraph.automorphisms); nothing else does.  They are
+checked once, on the first read of Digraph.vertex_transitive, which
+holds when they are automorphisms that carry vertex 0 to every vertex.
+The distance structure copies that certificate, and its readers then
+take every sum over vertex pairs as n times the sum over the pairs
+(0, v): an automorphism carries any pair to one of those with the same
+distance, walk and geodesic counts.  Without a certificate they sum
+over all n^2 pairs.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -84,8 +94,41 @@ def is_infinite(x) -> bool:
 
 @dataclass(frozen=True)
 class Digraph:
+    """n vertices and a sorted tuple of arcs.
+
+    automorphisms holds vertex permutations (s[u] is the image of u)
+    that a generator knows to fix the digraph.  They play no part in
+    equality or hashing and nothing checks them here: vertex_transitive
+    certifies them on its first read.
+    """
+
     n: int
     arcs: tuple
+    automorphisms: tuple = field(default=(), compare=False)
+
+    @cached_property
+    def vertex_transitive(self) -> bool:
+        """True when the attached permutations certify vertex-transitivity:
+        each is an automorphism, and together they carry vertex 0 to every
+        vertex.  False without permutations, or when the orbit of 0 is not
+        every vertex (those digraphs take the dense path).  A tuple that
+        is not a permutation of range(n), or not an automorphism, raises
+        GraphError."""
+        if not self.automorphisms:
+            return False
+        A = self.adjacency
+        for s in self.automorphisms:
+            if sorted(s) != list(range(self.n)):
+                raise GraphError(f"attached map {s!r} is not a permutation of 0..{self.n - 1}")
+            if not (A[np.ix_(s, s)] == A).all():
+                raise GraphError(f"attached permutation {s!r} is not an automorphism")
+        orbit = {0}
+        frontier = [0]
+        while frontier:
+            frontier = [s[u] for u in frontier for s in self.automorphisms
+                        if s[u] not in orbit]
+            orbit.update(frontier)
+        return len(orbit) == self.n
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -178,13 +221,24 @@ class DistanceStructure:
     path_counts: np.ndarray   # object array of Python ints, geodesics u -> v
     # float64 copy of path_counts when every count is below 2^53, else None
     path_counts_float: np.ndarray = None
+    # the digraph's vertex_transitive certificate
+    transitive: bool = False
+
+    @property
+    def rows(self) -> int:
+        """How many source rows stand for every pair: 1 on a certified
+        vertex-transitive digraph, where an automorphism carries each
+        pair (u, v) to a pair (0, w) at the same distance with the same
+        counts, and n otherwise."""
+        return 1 if self.transitive else self.n
 
     @cached_property
     def classes(self) -> tuple:
-        """Vertex pairs grouped by distance: (order, starts, ks), where
-        order[starts[c]:starts[c + 1]] are the flat indices of the pairs
-        at distance ks[c]."""
-        flat = self.dist.ravel()
+        """The pairs in the first `rows` rows grouped by distance: (order,
+        starts, ks), where order[starts[c]:starts[c + 1]] are the flat
+        indices of those pairs at distance ks[c].  Every distance occurs
+        in them."""
+        flat = self.dist[:self.rows].ravel()
         order = np.argsort(flat, kind="stable")
         svals = flat[order]
         cuts = np.flatnonzero(np.diff(svals)) + 1
@@ -227,7 +281,8 @@ def distance_structure(G: Digraph) -> DistanceStructure:
     if counts.dtype != object:
         counts_float, counts = counts, counts.astype(np.int64).astype(object)
     layers = tuple((dist == j).astype(np.int64) for j in range(k + 1))
-    return DistanceStructure(n, dist, k, layers, counts, counts_float)
+    return DistanceStructure(n, dist, k, layers, counts, counts_float,
+                             G.vertex_transitive)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,11 @@ read row-major, compared against n L.  generalized_projection_sum wraps
 one such sum in a ProjectionBound, one piece per mask row;
 projection_sum_totals sums a batch of systems and returns bare
 numerators over L.
+
+On a certified vertex-transitive digraph (DistanceStructure.rows = 1)
+the projection tables read row 0 of each layer and each power of A, n
+<A_k, A^i> being n times the row-0 sum, and the masked power check
+compares A^dist(0, v)[0, v] with the geodesic counts from vertex 0.
 """
 
 from __future__ import annotations
@@ -155,18 +160,22 @@ def projection_tables(ds: DistanceStructure, basis: MonomialBasis,
     """The tables of ds against the pre-distance basis, which is read on
     integers only: its numerators and pivots up to the diameter.  powers
     is accepted for the callers that hold one and is not needed."""
-    n, D = ds.n, ds.diameter
-    layers = np.array(ds.layers, dtype=np.float64).reshape(D + 1, n * n)
+    n, D, m = ds.n, ds.diameter, ds.rows
+    layers = np.array([L[:m] for L in ds.layers], dtype=np.float64).reshape(D + 1, m * n)
     A = _adjacency(ds)
-    # moments[k][i] = n <A_k, A^i>, one product of the stacked 0/1 layers
-    # and power rows, a sum over part of |A^i|, whose entries sum to at
-    # most n r^i; for i < k it vanishes by support
-    moments = _power_image(A, D + 1, n * _max_row_sum(A) ** D, lambda V: layers @ V.T)
+    # moments[k][i] = n <A_k, A^i>, one product of the stacked 0/1 layer
+    # rows and power rows, a sum over part of the first m rows of |A^i|,
+    # whose entries sum to at most m r^i; for i < k it vanishes by
+    # support.  On m = 1 row (a vertex-transitive digraph) it is n times
+    # the row-0 sum.
+    moments = _power_image(A, D + 1, m * _max_row_sum(A) ** D, lambda V: layers @ V.T, m)
+    scale = n // m
     # N[k][j] = n D_{j-1} <A_k, p_j(A)>, one integer dot product each
     polys = basis.polys
     nums = [polys.numerator(j) for j in range(D + 1)]
-    N = tuple(tuple(sum(map(operator.mul, c, row)) for c in nums) for row in moments)
-    sizes = tuple(map(int, layers.sum(axis=1).tolist()))
+    N = tuple(tuple(scale * sum(map(operator.mul, c, row)) for c in nums)
+              for row in moments)
+    sizes = tuple(scale * int(x) for x in layers.sum(axis=1).tolist())
     return ProjectionTables(n, N, tuple(polys.pivots[:D + 1]), sizes)
 
 
@@ -385,9 +394,10 @@ def q_norm_check(basis: MonomialBasis, n: int):
 def masked_power_check(ds: DistanceStructure) -> bool:
     """Walks of length exactly dist(u, v) are geodesics: A^dist(u, v)[u, v],
     one gather from the power rows at the bound r^D, must equal every
-    pair's geodesic count, compared as Python integers."""
-    n, D = ds.n, ds.diameter
+    pair's geodesic count, compared as Python integers.  On a certified
+    vertex-transitive digraph the pairs (0, v) stand for all."""
+    n, D, m = ds.n, ds.diameter, ds.rows
     A = _adjacency(ds)
-    dist, pairs = ds.dist.ravel(), np.arange(n * n)
-    walks = _power_image(A, D + 1, _max_row_sum(A) ** D, lambda V: V[dist, pairs])
-    return walks == ds.path_counts.ravel().tolist()
+    dist, pairs = ds.dist[:m].ravel(), np.arange(m * n)
+    walks = _power_image(A, D + 1, _max_row_sum(A) ** D, lambda V: V[dist, pairs], m)
+    return walks == ds.path_counts[:m].ravel().tolist()

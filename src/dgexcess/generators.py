@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .digraph import Digraph, build_digraph
 from .linalg import normality_test
@@ -34,16 +34,23 @@ class FamilySpec:
 
 # -- Individual families -----------------------------------------------------
 
+def _shift(n: int) -> tuple:
+    """The permutation u -> u + 1 (mod n)."""
+    return tuple(range(1, n)) + (0,)
+
+
 def directed_cycle(n: int) -> Digraph:
     if n < 2:
         raise ValueError("directed cycle needs n >= 2")
-    return build_digraph(n, [(u, (u + 1) % n) for u in range(n)])
+    G = build_digraph(n, [(u, (u + 1) % n) for u in range(n)])
+    return replace(G, automorphisms=(_shift(n),))
 
 
 def complete(n: int) -> Digraph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return build_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    G = build_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    return replace(G, automorphisms=(_shift(n),))
 
 
 def complete_bipartite(a: int, b: int) -> Digraph:
@@ -78,7 +85,8 @@ def hypercube(k: int) -> Digraph:
         for bit in range(k):
             v = u ^ (1 << bit)
             arcs.append((u, v))
-    return build_digraph(n, arcs)
+    translations = tuple(tuple(u ^ (1 << bit) for u in range(n)) for bit in range(k))
+    return replace(build_digraph(n, arcs), automorphisms=translations)
 
 
 def petersen() -> Digraph:
@@ -88,7 +96,10 @@ def petersen() -> Digraph:
 
 def kneser_odd_graph(k: int) -> Digraph:
     """Odd graph O_k: vertices the (k-1)-subsets of [2k-1], arcs between
-    disjoint subsets (both directions).  O_3 is the Petersen graph."""
+    disjoint subsets (both directions).  O_3 is the Petersen graph.
+
+    Attaches the transposition (0 1) and the cycle (0 1 ... 2k-2) of the
+    ground set, acting on subsets; they generate its symmetric group."""
     if k < 2:
         raise ValueError("odd graph needs k >= 2")
     ground = range(2 * k - 1)
@@ -99,7 +110,11 @@ def kneser_odd_graph(k: int) -> Digraph:
         for t in subsets:
             if s is not t and not (s & t):
                 arcs.append((index[s], index[t]))
-    return build_digraph(len(subsets), sorted(set(arcs)))
+    G = build_digraph(len(subsets), sorted(set(arcs)))
+    swap = (1, 0) + tuple(ground[2:])
+    perms = tuple(tuple(index[frozenset(g[x] for x in s)] for s in subsets)
+                  for g in (swap, _shift(len(ground))))
+    return replace(G, automorphisms=perms)
 
 
 def circulant(n: int, connection) -> Digraph:
@@ -110,7 +125,7 @@ def circulant(n: int, connection) -> Digraph:
     if not S or 0 in S:
         raise ValueError("connection set must be nonempty and avoid 0 mod n")
     arcs = [(u, (u + s) % n) for u in range(n) for s in S]
-    return build_digraph(n, arcs)
+    return replace(build_digraph(n, arcs), automorphisms=(_shift(n),))
 
 
 def paley_tournament(q: int) -> Digraph:
@@ -131,7 +146,9 @@ def paley_tournament(q: int) -> Digraph:
 def tensor_lift(inner: Digraph, m: int) -> Digraph:
     """Blow-up on V x [m]: arc ((u,i),(v,j)) iff u -> v, for all i, j.
 
-    Vertex (u, i) is numbered u*m + i.
+    Vertex (u, i) is numbered u*m + i.  When inner carries permutations
+    the lift carries each of them as (u, i) -> (s u, i), and the shift
+    (0, i) -> (0, i + 1 mod m) inside fibre 0.
     """
     if m < 2:
         raise ValueError("tensor lift needs m >= 2")
@@ -140,7 +157,13 @@ def tensor_lift(inner: Digraph, m: int) -> Digraph:
         for i in range(m):
             for j in range(m):
                 arcs.append((u * m + i, v * m + j))
-    return build_digraph(inner.n * m, arcs)
+    G = build_digraph(inner.n * m, arcs)
+    if not inner.automorphisms:
+        return G
+    lifted = tuple(tuple(s[x // m] * m + x % m for x in range(G.n))
+                   for s in inner.automorphisms)
+    fibre = _shift(m) + tuple(range(m, G.n))
+    return replace(G, automorphisms=lifted + (fibre,))
 
 
 def from_arcs(n: int, arcs) -> Digraph:

@@ -7,7 +7,11 @@ power rule's walk counts, the traces) is a Python integer from one
 helper, _power_image, taken straight from float64 products while the
 caller's proven bound stays below 2^53, and beyond it recovered by the
 Chinese remainder theorem from float64 products modulo word-size
-primes, each small enough that float64 stays exact.
+primes, each small enough that float64 stays exact.  The power rows
+start from m seed rows, the identity (every vertex, m = n) or e_0
+(vertex 0 alone, m = 1, for a certified vertex-transitive digraph,
+whose sums are n times their row-0 part), and the primes are sized
+from the image's inner length m n.
 Fraction-free (Bareiss) elimination on them gives the leading minors,
 hence the norms of the orthogonal basis, and the basis polynomials and
 the minimal polynomial come from its triangle by fraction-free
@@ -249,15 +253,16 @@ class _MonicSequence(Sequence):
         return hash(tuple(self))
 
 
-def _power_rows(A: np.ndarray, K: int, p: int = None) -> np.ndarray:
-    """A^0..A^{K-1} as the rows of one float64 array, each power
-    flattened, every product reduced modulo p when p is given; A is a
-    float64 matrix whose products the caller has proved exact."""
-    n = A.shape[0]
-    V = np.empty((K, n * n))
-    V[:1] = np.eye(n).ravel()    # no row at all when K = 0
+def _power_rows(A: np.ndarray, K: int, seed: np.ndarray, p: int = None) -> np.ndarray:
+    """seed A^0..seed A^{K-1} as the rows of one float64 array, each
+    product flattened, every product reduced modulo p when p is given;
+    seed is m float64 rows of length n, here the first m unit rows, and
+    A is a float64 matrix whose products the caller has proved exact."""
+    m, n = seed.shape
+    V = np.empty((K, m * n))
+    V[:1] = seed.ravel()    # no row at all when K = 0
     for k in range(1, K):
-        P = V[k - 1].reshape(n, n) @ A
+        P = V[k - 1].reshape(m, n) @ A
         V[k] = (P if p is None else P.astype(np.int64) % p).ravel()
     return V
 
@@ -268,23 +273,27 @@ def _max_row_sum(A: np.ndarray) -> int:
     return max(int(np.abs(A).sum(axis=1).max()), 1)
 
 
-def _power_image(A: np.ndarray, K: int, bound: int, image) -> list:
-    """image(V) as exact Python integers (tolist), V the rows A^0..A^{K-1}
-    of one float64 array, each power flattened; image is a product of V
-    with 0/1 rows or with itself, or a gather.
+def _power_image(A: np.ndarray, K: int, bound: int, image, rows: int = None) -> list:
+    """image(V) as exact Python integers (tolist), V the rows of A^0..A^{K-1}
+    restricted to their first `rows` rows (all n when not given), each
+    power's rows flattened into one row of a float64 array; image is a
+    product of V with 0/1 rows or with itself, or a gather.
 
     bound is the caller's proof that every partial sum of image(V) and
     every entry of V, at most r^(K-1) (_max_row_sum), is at most bound
     in absolute value.  Below 2^53 all of it is taken straight in
     float64.  At or above it the same products run modulo word-size
-    primes, small enough that every partial sum stays below 2^53, until
-    their product exceeds twice the bound, and the Chinese remainder
-    theorem with a symmetric lift gives the integers.
+    primes, small enough that every partial sum of an inner length
+    rows * n stays below 2^53, until their product exceeds twice the
+    bound, and the Chinese remainder theorem with a symmetric lift gives
+    the integers.
     """
-    if bound < _FLOAT_EXACT:
-        return image(_power_rows(A.astype(np.float64), K)).astype(np.int64).tolist()
     n = A.shape[0]
-    bits = (53 - (n * n).bit_length()) // 2
+    seed = np.eye(n if rows is None else rows, n)
+    if bound < _FLOAT_EXACT:
+        return image(_power_rows(A.astype(np.float64), K, seed)).astype(np.int64).tolist()
+    width = seed.size
+    bits = (53 - width.bit_length()) // 2
     modulus, lift = 1, None
     for i in itertools.count():
         if modulus > 2 * bound:
@@ -292,8 +301,8 @@ def _power_image(A: np.ndarray, K: int, bound: int, image) -> list:
         p = _prime(i, bits)
         Ap = (A % p).astype(np.float64)
         assert n * (p - 1) * int(Ap.max(initial=0)) < _FLOAT_EXACT
-        assert n * n * (p - 1) ** 2 < _FLOAT_EXACT
-        residues = image(_power_rows(Ap, K, p)).astype(np.int64) % p
+        assert width * (p - 1) ** 2 < _FLOAT_EXACT
+        residues = image(_power_rows(Ap, K, seed, p)).astype(np.int64) % p
         if lift is None:
             lift = residues.astype(object)
         else:
@@ -305,13 +314,20 @@ def _power_image(A: np.ndarray, K: int, bound: int, image) -> list:
     return lift.tolist()
 
 
-def _moment_rows(A: np.ndarray, start: int, K: int) -> list:
+def _moment_rows(A: np.ndarray, start: int, K: int, rows: int = None) -> list:
     """Rows start..K-1 of the moment matrix m_ij = n <A^i, A^j>, the sum
     of the entrywise product of A^i and A^j, for j < K, as exact Python
-    integers, at the bound n r^(2K-2): |A^i| <= r^i entrywise and each
-    row of |A^j| sums to at most r^j."""
-    bound = A.shape[0] * _max_row_sum(A) ** (2 * K - 2)
-    return _power_image(A, K, bound, lambda V: V[start:] @ V.T)
+    integers.  With rows = 1, on a certified vertex-transitive digraph,
+    each sum is n times its row-0 part, taken at the bound r^(2K-2);
+    otherwise it runs over all n rows at the bound n r^(2K-2): |A^i| <=
+    r^i entrywise and each row of |A^j| sums to at most r^j."""
+    n = A.shape[0]
+    rows = n if rows is None else rows
+    bound = rows * _max_row_sum(A) ** (2 * K - 2)
+    table = _power_image(A, K, bound, lambda V: V[start:] @ V.T, rows)
+    if rows == n:
+        return table
+    return [[n * x for x in row] for row in table]
 
 
 def orthogonal_monomial_basis(G) -> MonomialBasis:
@@ -335,10 +351,13 @@ def orthogonal_monomial_basis(G) -> MonomialBasis:
     its first read.
 
     G is a digraph, its adjacency matrix, or a MatrixPowers, of which
-    only A is read.
+    only A is read.  A digraph whose vertex_transitive certificate holds
+    takes each moment as n times its row-0 sum; the matrix and the
+    MatrixPowers forms always sum over every row.
     """
     A = _adjacency(G)
     n = A.shape[0]
+    rows = 1 if getattr(G, "vertex_transitive", False) else n
     table = []    # rows of m_ij, extended until a leading minor vanishes
     pivots = []   # D_0, D_1, ...
     upper = []    # upper[i][j - i - 1]: entry j > i of pivot row i
@@ -346,7 +365,7 @@ def orthogonal_monomial_basis(G) -> MonomialBasis:
     k = 0
     while True:
         if k == len(table):
-            table += _moment_rows(A, k, min(max(2 * k, 8), n + 1))
+            table += _moment_rows(A, k, min(max(2 * k, 8), n + 1), rows)
         row = table[k][:k + 1]
         prev = 1
         for i, piv in enumerate(pivots):
@@ -456,6 +475,15 @@ def refine_real_root(s: Polynomial, seed: float, dps: int):
         return +x, None
 
 
+def _regular_degree(A: np.ndarray):
+    """k when every row and column sum of A is k, else None."""
+    row = A.sum(axis=1)
+    k = int(row[0])
+    if np.all(row == k) and np.all(A.sum(axis=0) == k):
+        return k
+    return None
+
+
 def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None):
     """Largest real eigenvalue, refined to working precision and certified
     exact when rational.  Returns (mpf, Fraction | None).  A regular
@@ -467,11 +495,9 @@ def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None):
     if n == 1:
         return mpmath.mpf(0), Fraction(0)
     # integer fast path: a regular graph pins the Perron value to its degree
-    row = A.sum(axis=1)
-    if np.all(row == row[0]) and np.all(A.sum(axis=0) == row[0]):
-        k = int(row[0])
-        if minpoly(k) == 0:
-            return mpmath.mpf(k), Fraction(k)
+    k = _regular_degree(A)
+    if k is not None and minpoly(k) == 0:
+        return mpmath.mpf(k), Fraction(k)
     w = np.linalg.eigvals(A.astype(np.float64))
     seed = float(max(z.real for z in w if abs(z.imag) < 1e-6 * max(1.0, abs(z))))
     return refine_real_root(minpoly.squarefree_part(), seed, dps)
@@ -580,8 +606,7 @@ def perron_vectors(A: np.ndarray, lambda0):
     """
     A = np.asarray(A)
     n = A.shape[0]
-    row, col = A.sum(axis=1), A.sum(axis=0)
-    if np.all(row == row[0]) and np.all(col == row[0]):
+    if _regular_degree(A) is not None:
         ones = np.ones(n, dtype=np.int64).astype(object)
         return ones, ones
     if isinstance(lambda0, (int, Fraction)):
@@ -696,7 +721,12 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spect
     if perron[0][1] != 1:
         raise PerronError(f"Perron value has multiplicity {perron[0][1]}")
 
-    lam_mpf, lam_exact = refine_real_root(s, perron[0][0].real, dps)
+    # a regular digraph's Perron value is its degree, as in perron_value
+    k = _regular_degree(A)
+    if k is not None and minpoly(k) == 0:
+        lam_mpf, lam_exact = mpmath.mpf(k), Fraction(k)
+    else:
+        lam_mpf, lam_exact = refine_real_root(s, perron[0][0].real, dps)
     rest = sorted((item for item in polished if item is not perron[0]),
                   key=lambda item: (-item[0].real, -item[0].imag))
     lam_complex = complex(float(lam_mpf), 0.0)

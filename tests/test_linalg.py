@@ -15,7 +15,9 @@ Claims checked:
     take the same split at 2^53 and equal schoolbook powers on both
     sides of it
   * minimal polynomials of the named graphs come out exactly
-  * eigenvalue clustering, multiplicities and Perron certification
+  * eigenvalue clustering, multiplicities and Perron certification;
+    perron_value and spectrum both return a regular digraph's degree
+    without polishing it
   * Hoffman ingredients divide exactly and reject non-roots
 """
 
@@ -39,7 +41,7 @@ from dgexcess import (MatrixPowers, PerronError, Polynomial, SpectrumError,
                       orthogonal_monomial_basis, paley_tournament, path,
                       perron_value, petersen, power_traces,
                       predistance_polynomials, projection_tables, spectrum,
-                      working_dps)
+                      tensor_lift, working_dps)
 from dgexcess.generators import enumerate_digraphs
 from dgexcess.linalg import _FLOAT_EXACT, _moment_rows, exact_matmul, refine_real_root
 
@@ -365,10 +367,24 @@ def test_spectrum_irrational_perron_not_certified():
     assert not spec.exact_lambda0
 
 
-def test_perron_value_regular_fast_path():
+def test_perron_value_regular_fast_path(monkeypatch):
     lam, exact = perron_value(hypercube(3).adjacency,
                               minimal_polynomial(hypercube(3))[0])
     assert exact == 3 and lam == 3
+    # spectrum takes the same fast path: on a regular digraph neither
+    # polishes the Perron value, and both return the degree
+    monkeypatch.setattr(linalg, "refine_real_root", None)
+    for G, k in [(petersen(), 3), (hypercube(6), 6), (paley_tournament(103), 51),
+                 (directed_cycle(30), 1), (circulant(47, (1, 10, 23)), 3),
+                 (tensor_lift(directed_cycle(5), 3), 3), (complete(5), 4)]:
+        spec = spectrum(G)
+        assert (spec.lambda0, spec.lambda0_exact) == (mpmath.mpf(k), Fraction(k))
+        assert type(spec.lambda0) is mpmath.mpf and type(spec.lambda0_exact) is Fraction
+        assert spec.values[0] == (complex(k), 1)
+        assert perron_value(G.adjacency, minimal_polynomial(G)[0]) == \
+            (spec.lambda0, spec.lambda0_exact)
+    with pytest.raises(TypeError):
+        spectrum(path(3))     # not regular: the Perron value is polished
 
 
 def test_perron_certification_respects_precision_env(monkeypatch):

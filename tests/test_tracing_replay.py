@@ -8,8 +8,11 @@ not catch (TypeError is not a stage error), so it shows here.
 Claims checked:
   * replay_report and replay_check run on petersen (rational Perron
     value), path(3) and a non-normal 3-vertex digraph (irrational Perron
-    values, numeric weighted track), and on complete(13), whose moments
-    pass 2^53 and come from word-size primes, recording a span for
+    values, numeric weighted track), on complete(13), whose moments
+    pass 2^53 and come from word-size primes, and on paley_tournament(7),
+    whose attached automorphisms send the tables and the direct oracles
+    to vertex 0 while the replay's basis from a MatrixPowers stays dense,
+    recording a span for
     every report stage that applies and for every harness check, and
     the checks report no failure
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import dgexcess
-from dgexcess import build_digraph, complete, harness, path, petersen
+from dgexcess import build_digraph, complete, harness, paley_tournament, path, petersen
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 NONNORMAL = build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
@@ -42,7 +45,8 @@ def tracing(monkeypatch):
 @pytest.mark.parametrize("G, normal, numeric", [(petersen(), True, False),
                                                 (path(3), True, True),
                                                 (NONNORMAL, False, True),
-                                                (complete(13), True, False)])
+                                                (complete(13), True, False),
+                                                (paley_tournament(7), True, False)])
 def test_replays_run_every_stage(tracing, G, normal, numeric):
     tr, counts = tracing.Tracer(), {}
     tracing.replay_report(dgexcess, G, tr, counts)
