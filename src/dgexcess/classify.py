@@ -34,9 +34,9 @@ from .digraph import (Digraph, DistanceStructure, INFINITE, is_infinite,
 from .excess import (masked_power_check, projection_tables, q_norm_check,
                      simple_excess, spectral_excess, upper_projection_sum,
                      wdr_projection_sum, weighted_excess, weighted_layers)
-from .linalg import (MatrixPowers, PerronError, SpectrumError, exact_matmul,
-                     matrix_polynomial, normality_test, spectrum, working_dps)
-from .orthopoly import (conjugation_polynomial, hoffman_polynomial,
+from .linalg import (MatrixPowers, PerronError, SpectrumError, _spectrum, exact_matmul,
+                     matrix_polynomial, normality_test, perron_value, working_dps)
+from .orthopoly import (_hoffman_at, conjugation_polynomial,
                         predistance_polynomials, spectral_predistance)
 
 
@@ -66,10 +66,11 @@ class AnalysisContext:
     and the tables' Fraction views are formed only when read, and the
     projection sums never read them.  Every other
     invariant with two or more readers is cached on first use, so each
-    classifier and check reads one value: hoffman, weighted,
-    numeric_spectrum, odd_girth, bipartite, simple_excess, the diagonal
-    and triangular projection bounds wdr_projection and upper_projection,
-    q_norm, wdr_direct, dr_direct (each a Verdict) and
+    classifier and check reads one value: perron (perron_value's result,
+    refined once for both hoffman and numeric_spectrum), hoffman,
+    weighted, numeric_spectrum, odd_girth, bipartite, simple_excess, the
+    diagonal and triangular projection bounds wdr_projection and
+    upper_projection, q_norm, wdr_direct, dr_direct (each a Verdict) and
     generalized_odd_graph.
 
     tol is accepted and not read: each check takes its own tolerance.
@@ -89,8 +90,12 @@ class AnalysisContext:
         self.tables = projection_tables(self.ds, self.basis)
 
     @cached_property
+    def perron(self):
+        return perron_value(self.G.adjacency, self.basis.minpoly, self.dps)
+
+    @cached_property
     def hoffman(self):
-        return hoffman_polynomial(self.G, minpoly=self.basis.minpoly, dps=self.dps)
+        return _hoffman_at(self.G.n, self.basis.minpoly, self.perron, self.dps)
 
     @cached_property
     def weighted(self):
@@ -98,7 +103,7 @@ class AnalysisContext:
 
     @cached_property
     def numeric_spectrum(self):
-        return spectrum(self.G, None, self.basis.minpoly, self.dps)
+        return _spectrum(self.G.adjacency, None, self.basis.minpoly, lambda: self.perron)
 
     @cached_property
     def odd_girth(self):
@@ -187,7 +192,7 @@ def wdr_direct(ds: DistanceStructure) -> Verdict:
     it.
     """
     D, m = ds.diameter, ds.rows
-    S = np.array(ds.layers, dtype=np.float64)   # converted once
+    S = ds.layers
     for i in range(D + 1):
         found = _class_scan(S[i, :m] @ S, ds.classes, True)
         if found is not None:
@@ -210,7 +215,7 @@ def dr_direct(ds: DistanceStructure) -> Verdict:
     if D == 0:
         return Verdict("distance-regular", True, "direct",
                        {"consistent": True, "classes_checked": 0})
-    S = np.array(ds.layers, dtype=np.float64)   # converted once
+    S = ds.layers
     ks = np.array(ds.classes[2])
     wanted = ks >= np.maximum(1, np.arange(D + 1) - 1)[:, None]
     found = _class_scan(S[:, :ds.rows] @ S[1].T, ds.classes, wanted)

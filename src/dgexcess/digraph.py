@@ -11,9 +11,14 @@ The sums in those products are of nonnegative integers, so a zero test
 is always exact and a count is exact below 2^53; past that the distance
 search finishes on Python integers.  Path counts are handed out as
 Python integers (they outgrow int64 quickly on dense graphs) inside
-object arrays.  The infinite girth of an acyclic or odd-cycle-free graph
-is the :data:`INFINITE` singleton, which compares above every integer;
-it is never encoded as -1 or a large sentinel.
+object arrays.  The distance search is the one producer of distance
+data: it keeps each level's pair count and geodesic total, from which
+the delta profile is read, and stores the layers once, as the float64
+stack the projection tables and the direct oracles multiply.
+
+The infinite girth of an acyclic or odd-cycle-free graph is the
+:data:`INFINITE` singleton, which compares above every integer; it is
+never encoded as -1 or a large sentinel.
 
 A generator that knows automorphisms of its digraph attaches them as
 permutation tuples (Digraph.automorphisms); nothing else does.  They are
@@ -35,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _FLOAT_EXACT
+from .linalg import _FLOAT_EXACT, _regular_degree
 
 
 class GraphError(ValueError):
@@ -212,15 +217,23 @@ def strong_connectivity(G: Digraph) -> bool:
 
 @dataclass(frozen=True)
 class DistanceStructure:
-    """Distances, distance layers and geodesic counts of a strongly connected digraph."""
+    """Distances, distance layers and geodesic counts of a strongly
+    connected digraph, with the per-distance totals the search finds.
+
+    layers is the one stack of the layers every reader multiplies:
+    float64, shape (D+1, n, n), layers[k, u, v] = 1 iff dist(u, v) == k.
+    sizes[k] counts the pairs at distance k and geodesics[k] sums their
+    geodesic counts, both as Python ints, so that delta_k = sizes[k] / n
+    and delta'_k = geodesics[k] / n.
+    """
 
     n: int
     dist: np.ndarray          # int64, dist[u, v] along directed paths
     diameter: int
-    layers: tuple             # layers[k][u, v] = 1 iff dist(u, v) == k
+    layers: np.ndarray        # float64 (D+1, n, n), 0/1
     path_counts: np.ndarray   # object array of Python ints, geodesics u -> v
-    # float64 copy of path_counts when every count is below 2^53, else None
-    path_counts_float: np.ndarray = None
+    sizes: tuple              # pairs at distance k, k = 0..D
+    geodesics: tuple          # geodesics joining the pairs at distance k
     # the digraph's vertex_transitive certificate
     transitive: bool = False
 
@@ -255,7 +268,9 @@ def distance_structure(G: Digraph) -> DistanceStructure:
     Every entry of F_k A is a sum of nonnegative integers, so its sign is
     exact, and so is its value below 2^53; a level with a new count at or
     past 2^53 is redone on Python-int object arrays, which the remaining
-    levels keep.
+    levels keep.  Each level's pair count and geodesic total are taken
+    as it is found: in float64 while the number of new pairs times their
+    largest count stays below 2^53, and on Python ints otherwise.
     """
     if not G.is_strongly_connected:
         raise NotStronglyConnectedError("distance structure needs strong connectivity")
@@ -265,24 +280,31 @@ def distance_structure(G: Digraph) -> DistanceStructure:
     counts = F.copy()
     dist = np.full((n, n), -1, dtype=np.int64)
     np.fill_diagonal(dist, 0)
+    sizes, geodesics = [n], [n]
     k = 0
     while (dist < 0).any():
         P = F @ A
         new = (P > 0) & (dist < 0)
-        if P.dtype != object and P[new].max() >= _FLOAT_EXACT:
+        fresh = P[new]
+        if P.dtype != object and fresh.max() >= _FLOAT_EXACT:
             A = G.adjacency.astype(object)
             F, counts = (M.astype(np.int64).astype(object) for M in (F, counts))
             P = F @ A
+            fresh = P[new]
         k += 1
         dist[new] = k
-        counts[new] = P[new]
+        counts[new] = fresh
         F = np.where(new, P, 0)
-    counts_float = None
+        sizes.append(fresh.size)
+        if P.dtype == object or fresh.size * int(fresh.max()) < _FLOAT_EXACT:
+            geodesics.append(int(fresh.sum()))
+        else:
+            geodesics.append(sum(fresh.astype(np.int64).tolist()))
     if counts.dtype != object:
-        counts_float, counts = counts, counts.astype(np.int64).astype(object)
-    layers = tuple((dist == j).astype(np.int64) for j in range(k + 1))
-    return DistanceStructure(n, dist, k, layers, counts, counts_float,
-                             G.vertex_transitive)
+        counts = counts.astype(np.int64).astype(object)
+    layers = (dist == np.arange(k + 1)[:, None, None]).astype(np.float64)
+    return DistanceStructure(n, dist, k, layers, counts, tuple(sizes),
+                             tuple(geodesics), G.vertex_transitive)
 
 
 @dataclass(frozen=True)
@@ -297,30 +319,13 @@ class DeltaProfile:
 
     delta: tuple               # Fractions, k = 0..D
     delta_prime: tuple         # Fractions, k = 0..D
-    vertex_counts: np.ndarray  # int64, vertex_counts[k, u] = |Gamma_k(u)|
-    vertex_prime: np.ndarray   # object ints, geodesics from u to its layer k
 
 
 def delta_profile(ds: DistanceStructure) -> DeltaProfile:
-    """Per-vertex layer sizes and geodesic sums, one bin per (k, u).
-
-    A vertex's geodesic sum is at most n times the largest count, so
-    below 2^53 it is summed exactly in float64; otherwise on Python ints.
-    """
-    D, n = ds.diameter, ds.n
-    bins = (ds.dist * n + np.arange(n)[:, None]).ravel()   # k n + u
-    counts = np.bincount(bins, minlength=(D + 1) * n).reshape(D + 1, n)
-    pc = ds.path_counts_float
-    if pc is not None and n * int(pc.max()) < _FLOAT_EXACT:
-        prime = np.bincount(bins, weights=pc.ravel(), minlength=(D + 1) * n)
-        prime = prime.astype(np.int64).astype(object).reshape(D + 1, n)
-    else:
-        prime = np.zeros((D + 1, n), dtype=object)
-        for k, layer in enumerate(ds.layers):
-            prime[k] = (ds.path_counts * layer.astype(object)).sum(axis=1)
-    delta = tuple(Fraction(int(counts[k].sum()), ds.n) for k in range(D + 1))
-    delta_prime = tuple(Fraction(int(prime[k].sum()), ds.n) for k in range(D + 1))
-    return DeltaProfile(delta, delta_prime, counts, prime)
+    """delta_k = sizes[k] / n and delta'_k = geodesics[k] / n, from the
+    totals the distance search took at each level."""
+    return DeltaProfile(tuple(Fraction(s, ds.n) for s in ds.sizes),
+                        tuple(Fraction(g, ds.n) for g in ds.geodesics))
 
 
 def girth(G: Digraph, ds: DistanceStructure = None):
@@ -384,11 +389,7 @@ def geodetic_test(ds: DistanceStructure) -> bool:
 
 
 def regularity_test(G: Digraph):
-    """Returns (is_regular, degree); regular means all in- and out-degrees agree."""
-    out = G.out_degrees
-    if G.n == 0:
-        return True, 0
-    k = int(out[0])
-    if np.all(out == k) and np.all(G.in_degrees == k):
-        return True, k
-    return False, None
+    """Returns (is_regular, degree); regular means all in- and out-degrees
+    agree (linalg._regular_degree)."""
+    k = _regular_degree(G.adjacency)
+    return k is not None, k

@@ -61,8 +61,9 @@ from .orthopoly import HoffmanPolynomial
 
 
 def _adjacency(ds: DistanceStructure) -> np.ndarray:
-    """A, which is layers[1] whenever the digraph has arcs."""
-    return ds.layers[1] if ds.diameter else np.zeros((ds.n, ds.n), dtype=np.int64)
+    """A as exact 0/1 float64, which is layers[1] whenever the digraph
+    has arcs."""
+    return ds.layers[1] if ds.diameter else np.zeros((ds.n, ds.n))
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def projection_tables(ds: DistanceStructure, basis: MonomialBasis,
     integers only: its numerators and pivots up to the diameter.  powers
     is accepted for the callers that hold one and is not needed."""
     n, D, m = ds.n, ds.diameter, ds.rows
-    layers = np.array([L[:m] for L in ds.layers], dtype=np.float64).reshape(D + 1, m * n)
+    layers = ds.layers[:, :m].reshape(D + 1, m * n)
     A = _adjacency(ds)
     # moments[k][i] = n <A_k, A^i>, one product of the stacked 0/1 layer
     # rows and power rows, a sum over part of the first m rows of |A^i|,
@@ -175,8 +176,7 @@ def projection_tables(ds: DistanceStructure, basis: MonomialBasis,
     nums = [polys.numerator(j) for j in range(D + 1)]
     N = tuple(tuple(scale * sum(map(operator.mul, c, row)) for c in nums)
               for row in moments)
-    sizes = tuple(scale * int(x) for x in layers.sum(axis=1).tolist())
-    return ProjectionTables(n, N, tuple(polys.pivots[:D + 1]), sizes)
+    return ProjectionTables(n, N, tuple(polys.pivots[:D + 1]), ds.sizes)
 
 
 # -- The three excess quantities --------------------------------------------

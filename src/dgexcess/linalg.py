@@ -665,14 +665,23 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spect
     the square-free part of the minimal polynomial (computed once per
     minpoly and kept), and coinciding clusters merged.  If the survivors
     do not number exactly its degree the discrepancy is raised as
-    SpectrumError rather than absorbed.
+    SpectrumError rather than absorbed.  The Perron value is
+    perron_value's, refined to dps digits.
     """
     A = _adjacency(G)
     if minpoly is None:
         minpoly = orthogonal_monomial_basis(A).minpoly
-    n = A.shape[0]
     if dps is None:
         dps = working_dps()
+    return _spectrum(A, cluster_tol, minpoly, lambda: perron_value(A, minpoly, dps))
+
+
+def _spectrum(A: np.ndarray, cluster_tol, minpoly: Polynomial, perron) -> Spectrum:
+    """spectrum, with the Perron value from perron(), a call that returns
+    perron_value's (mpf, Fraction | None).  It is called only once the
+    clusters have passed their checks, so a failed clustering raises
+    before any refinement."""
+    n = A.shape[0]
     s = minpoly.squarefree_part()
     n_distinct = s.degree
     tol = cluster_tol
@@ -713,21 +722,16 @@ def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spect
             f"square-free minimal polynomial has degree {n_distinct}")
 
     radius = max(abs(z) for z, _ in polished)
-    perron = [item for item in polished
-              if abs(abs(item[0]) - radius) <= tol
-              and abs(item[0].imag) <= tol and item[0].real > 0]
-    if len(perron) != 1:
-        raise PerronError(f"{len(perron)} candidate Perron clusters at modulus {radius:.6g}")
-    if perron[0][1] != 1:
-        raise PerronError(f"Perron value has multiplicity {perron[0][1]}")
+    top = [item for item in polished
+           if abs(abs(item[0]) - radius) <= tol
+           and abs(item[0].imag) <= tol and item[0].real > 0]
+    if len(top) != 1:
+        raise PerronError(f"{len(top)} candidate Perron clusters at modulus {radius:.6g}")
+    if top[0][1] != 1:
+        raise PerronError(f"Perron value has multiplicity {top[0][1]}")
 
-    # a regular digraph's Perron value is its degree, as in perron_value
-    k = _regular_degree(A)
-    if k is not None and minpoly(k) == 0:
-        lam_mpf, lam_exact = mpmath.mpf(k), Fraction(k)
-    else:
-        lam_mpf, lam_exact = refine_real_root(s, perron[0][0].real, dps)
-    rest = sorted((item for item in polished if item is not perron[0]),
+    lam_mpf, lam_exact = perron()
+    rest = sorted((item for item in polished if item is not top[0]),
                   key=lambda item: (-item[0].real, -item[0].imag))
     lam_complex = complex(float(lam_mpf), 0.0)
     values = ((lam_complex, 1),) + tuple((z, m) for z, m in rest)

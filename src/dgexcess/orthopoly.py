@@ -143,14 +143,20 @@ def hoffman_polynomial(G: Digraph, powers: MatrixPowers = None,
         dps = working_dps()
     if minpoly is None:
         minpoly = minimal_polynomial(G)[0]
-    lam, lam_exact = perron_value(G.adjacency, minpoly, dps)
+    return _hoffman_at(G.n, minpoly, perron_value(G.adjacency, minpoly, dps), dps)
+
+
+def _hoffman_at(n: int, minpoly: Polynomial, perron, dps: int) -> HoffmanPolynomial:
+    """H for an n-vertex digraph, scaled at perron = (mpf, Fraction | None),
+    the Perron value perron_value returns at dps digits."""
+    lam, lam_exact = perron
     if lam_exact is not None:
         S, S0 = hoffman_ingredients(minpoly, lam_exact)
         if S0 == 0:
             raise ArithmeticError("Perron value is a repeated root, Hoffman scaling broke")
-        H = S.scale(Fraction(G.n) / S0)
+        H = S.scale(Fraction(n) / S0)
         return HoffmanPolynomial(H, True, lam, lam_exact, dps)
     with mpmath.workdps(dps):
         S, S0 = hoffman_ingredients(minpoly, lam, dps)
-        H = S.scale(G.n / S0)
+        H = S.scale(n / S0)
     return HoffmanPolynomial(H, False, lam, None, dps)

@@ -151,7 +151,8 @@ def _fraction_tables(G, ds, basis):
     n, D = G.n, ds.diameter
     powers = oracles.naive_power_list(G.adjacency.tolist(), D)
 
-    layers = [layer.tolist() for layer in ds.layers]
+    dist = ds.dist.tolist()
+    layers = [[[int(x == k) for x in row] for row in dist] for k in range(D + 1)]
     moments = [[Fraction(sum(layer[x][y] * power[x][y]
                              for x in range(n) for y in range(n)), n)
                 for power in powers] for layer in layers]

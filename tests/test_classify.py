@@ -18,7 +18,8 @@ Claims checked:
     simple excess run once per digraph, however many verdicts and checks
     read them
   * so do the direct weak distance-regularity oracle and the delta
-    profile
+    profile, and the Perron value that the numeric spectrum and the
+    Hoffman polynomial both read is refined once
   * a full report forms the pre-distance polynomials only up to the
     diameter, and the minimal polynomial once
   * so does the q-norm check, once per report and per check_digraph
@@ -439,6 +440,26 @@ def test_wdr_oracle_and_delta_profile_computed_once(monkeypatch):
     calls.update(wdr_direct=0)
     assert check_projection_sums(ctx) == check_projection_sums(ctx) == []
     assert calls["wdr_direct"] == 1
+
+
+def test_perron_value_refined_once_per_report(monkeypatch):
+    import dgexcess.linalg as linalg_module
+    seeds = []
+    inner = linalg_module.refine_real_root
+
+    def counted(s, seed, dps):
+        seeds.append(seed)
+        return inner(s, seed, dps)
+    monkeypatch.setattr(linalg_module, "refine_real_root", counted)
+    for G in (path(4), path(7), NONNORMAL):
+        seeds.clear()
+        full_report(G)
+        assert len(seeds) == 1, G
+        seeds.clear()
+        ctx = AnalysisContext(G)
+        spec, hp = ctx.numeric_spectrum, ctx.hoffman
+        assert len(seeds) == 1, G
+        assert spec.lambda0 is hp.lambda0 and spec.lambda0_exact == hp.lambda0_exact
 
 
 def test_full_report_forms_predistance_polynomials_up_to_the_diameter(monkeypatch):

@@ -10,8 +10,10 @@ Claims checked:
   * girth and odd girth agree with brute-force cycle search
   * delta profile, bipartite, geodetic and regularity behave on the
     named graphs with hand-computed values
-  * the delta profile's geodesic sums are exact Python ints on either
-    side of 2^53, summed in float64 or on Python ints
+  * the distance search's per-distance pair counts and geodesic totals,
+    and the delta profile read from them, agree with the oracles, and
+    stay exact Python ints on either side of 2^53, summed in float64 or
+    on Python ints
 """
 
 import random
@@ -66,17 +68,29 @@ def seeded_sc_digraphs(count, seed, sizes=range(5, 13)):
 
 
 def assert_matches_oracles(G):
+    """dist, the layer stack, the geodesic counts and the per-distance
+    totals of the search (and the delta profile read from them) against
+    Floyd-Warshall and explicit path enumeration."""
     ds = distance_structure(G)
     ref = oracles.fw_distances(G.n, G.arcs)
-    assert ds.dist.dtype == np.int64
-    assert all(layer.dtype == np.int64 for layer in ds.layers)
-    assert ds.diameter == max(max(row) for row in ref)
+    D = max(max(row) for row in ref)
+    assert ds.dist.dtype == np.int64 and ds.diameter == D
+    assert ds.layers.dtype == np.float64 and ds.layers.shape == (D + 1, G.n, G.n)
+    sizes, geodesics = [0] * (D + 1), [0] * (D + 1)
     for u in range(G.n):
         for v in range(G.n):
-            assert ds.dist[u, v] == ref[u][v]
-            count = ds.path_counts[u, v]
-            assert type(count) is int
-            assert count == oracles.count_geodesics(G.n, G.arcs, u, v, ref)
+            k = ref[u][v]
+            assert ds.dist[u, v] == k
+            assert ds.layers[:, u, v].tolist() == [float(j == k) for j in range(D + 1)]
+            count = oracles.count_geodesics(G.n, G.arcs, u, v, ref)
+            assert type(ds.path_counts[u, v]) is int and ds.path_counts[u, v] == count
+            sizes[k] += 1
+            geodesics[k] += count
+    assert ds.sizes == tuple(sizes) and ds.geodesics == tuple(geodesics)
+    assert all(type(x) is int for x in ds.sizes + ds.geodesics)
+    prof = delta_profile(ds)
+    assert prof.delta == tuple(Fraction(s, G.n) for s in sizes)
+    assert prof.delta_prime == tuple(Fraction(g, G.n) for g in geodesics)
 
 
 # -- Construction ------------------------------------------------------------
@@ -226,7 +240,7 @@ def test_delta_profile_path3():
     prof = delta_profile(ds)
     assert prof.delta == (Fraction(1), Fraction(4, 3), Fraction(2, 3))
     assert prof.delta_prime == prof.delta   # geodetic graph
-    assert list(prof.vertex_counts[1]) == [1, 2, 1]
+    assert ds.sizes == ds.geodesics == (3, 4, 2)
 
 
 def test_delta_profile_sums_to_n():
@@ -236,25 +250,35 @@ def test_delta_profile_sums_to_n():
         assert all(p >= d for p, d in zip(prof.delta_prime, prof.delta))
 
 
-@pytest.mark.parametrize("cycle, m", [
-    (20, 4),    # counts up to 4^19, row sums below 2^53: float64 sums
-    (26, 4),    # counts below 2^53, but n times the largest is not
-    (30, 4),    # counts past 2^53: Python ints throughout
+@pytest.mark.parametrize("cycle, m, regime", [
+    # counts up to 4^19, every level's total below 2^53: float64 sums
+    pytest.param(20, 4, "float64", id="20-4"),
+    # counts below 2^53, but a level's size times its largest is not
+    pytest.param(26, 4, "int-sum", id="26-4"),
+    # counts past 2^53: Python ints throughout
+    pytest.param(30, 4, "object", id="30-4"),
 ])
-def test_delta_profile_geodesic_sums_are_exact(cycle, m):
+def test_delta_profile_geodesic_sums_are_exact(cycle, m, regime):
+    # in the m-fold lift of a directed cycle each vertex has m vertices at
+    # each distance 1 <= k < cycle, joined by m^(k-1) geodesics each, and
+    # its m - 1 other copies at distance cycle, joined by m^(cycle-1)
     ds = distance_structure(tensor_lift(directed_cycle(cycle), m))
+    n = ds.n
+    sizes = [n] + [n * m] * (cycle - 1) + [n * (m - 1)]
+    tops = [1] + [m ** (k - 1) for k in range(1, cycle + 1)]
+    widest = max(s * t for s, t in zip(sizes, tops))
+    assert regime == ("object" if tops[-1] >= 2 ** 53 else
+                      "int-sum" if widest >= 2 ** 53 else "float64")
+    assert ds.sizes == tuple(sizes)
+    assert ds.geodesics == tuple(s * t for s, t in zip(sizes, tops))
+    assert all(type(x) is int for x in ds.sizes + ds.geodesics)
     prof = delta_profile(ds)
-    counts = ds.path_counts.tolist()
+    counts, dist = ds.path_counts.ravel().tolist(), ds.dist.ravel().tolist()
     for k in range(ds.diameter + 1):
-        rows = [sum(c for c, d in zip(crow, drow) if d == k)
-                for crow, drow in zip(counts, ds.dist.tolist())]
-        assert prof.vertex_prime[k].tolist() == rows
-        assert all(type(x) is int for x in prof.vertex_prime[k])
-        assert prof.vertex_counts[k].tolist() == (ds.dist == k).sum(axis=1).tolist()
-        assert prof.delta_prime[k] == Fraction(sum(rows), ds.n)
-    # in the lift each vertex sees m^(k-1) geodesics to each of its m
-    # successors' copies, so the layer-k sum is m^k for 1 <= k < cycle
-    assert prof.vertex_prime[cycle - 1][0] == m ** (cycle - 1)
+        assert prof.delta[k] == Fraction(dist.count(k), n)
+        assert prof.delta_prime[k] == Fraction(
+            sum(c for c, d in zip(counts, dist) if d == k), n)
+    assert prof.delta_prime[1:cycle] == tuple(Fraction(m ** k) for k in range(1, cycle))
 
 
 def test_bipartite_and_geodetic_and_regular():

@@ -17,7 +17,9 @@ Claims checked:
   * minimal polynomials of the named graphs come out exactly
   * eigenvalue clustering, multiplicities and Perron certification;
     perron_value and spectrum both return a regular digraph's degree
-    without polishing it
+    without polishing it, spectrum's Perron value is perron_value's on
+    non-regular digraphs, and a failed clustering raises before any
+    refinement
   * Hoffman ingredients divide exactly and reject non-roots
 """
 
@@ -365,6 +367,20 @@ def test_spectrum_irrational_perron_not_certified():
     assert spec.lambda0_exact is None
     assert abs(float(spec.lambda0) - 2 ** 0.5) < 1e-12
     assert not spec.exact_lambda0
+
+
+def test_spectrum_takes_the_perron_value_of_perron_value(monkeypatch):
+    for G in [path(n) for n in range(3, 9)] + [
+            build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])]:
+        lam, exact = perron_value(G.adjacency, minimal_polynomial(G)[0])
+        spec = spectrum(G)
+        assert (spec.lambda0, spec.lambda0_exact) == (lam, exact)
+        assert spec.values[0] == (complex(float(lam)), 1)
+    # the cluster checks come first: a clustering that merges every
+    # eigenvalue raises before the Perron value is refined
+    monkeypatch.setattr(linalg, "refine_real_root", None)
+    with pytest.raises(SpectrumError, match="clustering found 1 distinct"):
+        spectrum(path(5), cluster_tol=10.0)
 
 
 def test_perron_value_regular_fast_path(monkeypatch):
