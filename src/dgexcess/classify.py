@@ -34,8 +34,9 @@ from .digraph import (Digraph, DistanceStructure, INFINITE, is_infinite,
 from .excess import (masked_power_check, projection_tables, q_norm_check,
                      simple_excess, spectral_excess, upper_projection_sum,
                      wdr_projection_sum, weighted_excess, weighted_layers)
-from .linalg import (MatrixPowers, PerronError, SpectrumError, _spectrum, exact_matmul,
-                     matrix_polynomial, normality_test, perron_value, working_dps)
+from .linalg import (MatrixPowers, PerronError, SpectrumError, _eigenvalues, _perron_value,
+                     _spectrum, exact_matmul, matrix_polynomial, normality_test,
+                     working_dps)
 from .orthopoly import (_hoffman_at, conjugation_polynomial,
                         predistance_polynomials, spectral_predistance)
 
@@ -66,8 +67,10 @@ class AnalysisContext:
     and the tables' Fraction views are formed only when read, and the
     projection sums never read them.  Every other
     invariant with two or more readers is cached on first use, so each
-    classifier and check reads one value: perron (perron_value's result,
-    refined once for both hoffman and numeric_spectrum), hoffman,
+    classifier and check reads one value: eigenvalues (np.linalg.eigvals
+    of A in float64, the Perron seed and the numeric spectrum's
+    clusters), perron (perron_value's result, refined once for both
+    hoffman and numeric_spectrum), hoffman,
     weighted, numeric_spectrum, odd_girth, bipartite, simple_excess, the
     diagonal and triangular projection bounds wdr_projection and
     upper_projection, q_norm, wdr_direct, dr_direct (each a Verdict) and
@@ -90,8 +93,13 @@ class AnalysisContext:
         self.tables = projection_tables(self.ds, self.basis)
 
     @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return _eigenvalues(self.G.adjacency)
+
+    @cached_property
     def perron(self):
-        return perron_value(self.G.adjacency, self.basis.minpoly, self.dps)
+        return _perron_value(self.G.adjacency, self.basis.minpoly, self.dps,
+                             lambda: self.eigenvalues)
 
     @cached_property
     def hoffman(self):
@@ -103,7 +111,8 @@ class AnalysisContext:
 
     @cached_property
     def numeric_spectrum(self):
-        return _spectrum(self.G.adjacency, None, self.basis.minpoly, lambda: self.perron)
+        return _spectrum(self.G.adjacency, None, self.basis.minpoly, lambda: self.perron,
+                         lambda: self.eigenvalues)
 
     @cached_property
     def odd_girth(self):

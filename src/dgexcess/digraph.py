@@ -127,12 +127,12 @@ class Digraph:
                 raise GraphError(f"attached map {s!r} is not a permutation of 0..{self.n - 1}")
             if not (A[np.ix_(s, s)] == A).all():
                 raise GraphError(f"attached permutation {s!r} is not an automorphism")
+        # each vertex enters the frontier once: n * len(automorphisms) images
         orbit = {0}
-        frontier = [0]
+        frontier = {0}
         while frontier:
-            frontier = [s[u] for u in frontier for s in self.automorphisms
-                        if s[u] not in orbit]
-            orbit.update(frontier)
+            frontier = {s[u] for u in frontier for s in self.automorphisms} - orbit
+            orbit |= frontier
         return len(orbit) == self.n
 
     @cached_property

@@ -32,14 +32,30 @@ exact_matmul, which takes the caller's proven bound on the product's
 entries and picks the arithmetic from it: a float64 (BLAS) product
 below 2^53, int64 below 2^62, Python-integer object arrays beyond.
 MatrixPowers, the explicit powers that matrix_polynomial reads (the
-analysis evaluates only the conjugation polynomial f(A) that way),
-takes each step that way, so they escalate from float64 through int64
-to object arrays before any entry can round or overflow; nothing here
-ever wraps silently.
+analysis evaluates only the conjugation polynomial f(A) that way, and
+sums it in float64 since f's coefficients are floats), takes each step
+that way, so they escalate from float64 through int64 to object arrays
+before any entry can round or overflow; nothing here ever wraps
+silently.
+
+The numeric spectrum (spectrum) starts from one float64
+np.linalg.eigvals of A, which also seeds the Perron value.  Its
+clusters are Newton-polished on the square-free part of the minimal
+polynomial: those on the real axis together on float64 arrays
+(_newton_real), the others one at a time in complex arithmetic
+(_newton_complex).  The two give the same bits: from a real start the
+imaginary parts stay zero, and the array pass repeats the complex
+loop's products and sums on the real parts.  Only the division needs
+care.  A cluster mean is a numpy scalar, float64 when eigvals returned a
+real array and complex128 otherwise; the first step from a float64 mean
+divides exactly, as Python's complex division does, and every other
+step multiplies by the reciprocal, as numpy's complex scalar division
+does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -129,13 +145,21 @@ class MatrixPowers:
 
 
 def matrix_polynomial(p: Polynomial, powers: MatrixPowers) -> np.ndarray:
-    """p(A) as an object array, exact when p is."""
+    """p(A), summed term by term from the constant up, the zero
+    coefficients skipped.  A p with float coefficients only (the
+    conjugation polynomial) sums in float64: each exact power converted
+    to float64 once, which rounds as the Python int to float conversion
+    does and raises the same OverflowError past the float range, so the
+    entries equal those of the object-array sum.  Any other p (exact, or
+    complex) gives an object array, exact when p is."""
     n = powers.n
-    acc = np.zeros((n, n), dtype=object)
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        acc = acc + powers[k].astype(object) * c
+    real = not p.exact and all(isinstance(c, float) for c in p.coeffs)
+    acc = np.zeros((n, n), dtype=np.float64 if real else object)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, c in enumerate(p.coeffs):
+            if c == 0:
+                continue
+            acc = acc + powers[k].astype(np.float64 if real else object) * c
     return acc
 
 
@@ -488,9 +512,23 @@ def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None):
     """Largest real eigenvalue, refined to working precision and certified
     exact when rational.  Returns (mpf, Fraction | None).  A regular
     digraph of degree k with minpoly(k) = 0 returns k at once; any other
-    is polished on minpoly's square-free part, computed once per minpoly."""
+    is polished on minpoly's square-free part, computed once per minpoly,
+    from the largest real float64 eigenvalue."""
     if dps is None:
         dps = working_dps()
+    return _perron_value(A, minpoly, dps, lambda: _eigenvalues(A))
+
+
+def _eigenvalues(A: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals of A in float64: a float64 array when every
+    eigenvalue comes out real, a complex128 one otherwise."""
+    return np.linalg.eigvals(A.astype(np.float64))
+
+
+def _perron_value(A: np.ndarray, minpoly: Polynomial, dps: int, eigenvalues):
+    """perron_value at dps digits, its float seed read from eigenvalues(),
+    which is called only off the regular fast path and returns
+    _eigenvalues(A)."""
     n = A.shape[0]
     if n == 1:
         return mpmath.mpf(0), Fraction(0)
@@ -498,7 +536,7 @@ def perron_value(A: np.ndarray, minpoly: Polynomial, dps=None):
     k = _regular_degree(A)
     if k is not None and minpoly(k) == 0:
         return mpmath.mpf(k), Fraction(k)
-    w = np.linalg.eigvals(A.astype(np.float64))
+    w = eigenvalues()
     seed = float(max(z.real for z in w if abs(z.imag) < 1e-6 * max(1.0, abs(z))))
     return refine_real_root(minpoly.squarefree_part(), seed, dps)
 
@@ -657,30 +695,90 @@ def _newton_complex(coeffs, dcoeffs, z, iterations=80):
     return z
 
 
+def _newton_real(coeffs, dcoeffs, starts, divide_first: bool, iterations=80) -> list:
+    """_newton_complex from every real start at once, bit for bit.
+
+    coeffs and dcoeffs are the complex coefficient lists _newton_complex
+    takes, all with imaginary part +0.0.  From a real start the
+    imaginary parts of z, s(z), s'(z) and the step stay zero while
+    everything is finite, and the real parts see exactly the products
+    and sums of the complex loop, so one Horner pass over a float64
+    array evaluates s and s' at every live start.  Each start keeps its
+    own exits: df == 0 leaves it where it is, and a step within 1e-14
+    max(1, |z|) stops it after that step.  The step is fr / dfr on the
+    first iteration when divide_first is set (a float64 start, which
+    Python's complex division divides exactly) and fr * (1 / dfr)
+    everywhere else (numpy's complex scalar division).  Returns one
+    complex per start, or None for a start whose s, s' or z left the
+    finite range, where the complex loop's inf * 0 = nan in the
+    imaginary part would no longer match; the caller polishes those
+    with _newton_complex.
+    """
+    z = np.array(starts, dtype=np.float64)
+    m = len(z)
+    # s and s' side by side: entries 0..m-1 evaluate s, m..2m-1 s', whose
+    # leading zero adds exactly nothing to a finite Horner sum
+    top = [c.real for c in reversed(coeffs)]
+    dtop = [0.0] * (len(coeffs) - len(dcoeffs)) + [c.real for c in reversed(dcoeffs)]
+    cols = [np.repeat(pair, m) for pair in zip(top, dtop)]
+    live = np.ones(m, dtype=bool)
+    stray = np.zeros(m, dtype=bool)
+    with np.errstate(all="ignore"):
+        for it in range(iterations):
+            if not live.any():
+                break
+            x = np.concatenate((z, z))
+            F = cols[0].copy()
+            for c in cols[1:]:
+                F *= x
+                F += c
+            f, df = F[:m], F[m:]
+            stray |= live & ~(np.isfinite(f) & np.isfinite(df))
+            live &= ~stray & (df != 0)
+            step = f / df if it == 0 and divide_first else f * (1.0 / df)
+            moved = z - step
+            z = np.where(live, moved, z)
+            stray |= live & ~np.isfinite(moved)
+            live &= ~stray & ~(np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(moved)))
+    return [None if bad else complex(x, 0.0) for x, bad in zip(z.tolist(), stray)]
+
+
 def spectrum(G, cluster_tol=None, minpoly: Polynomial = None, dps=None) -> Spectrum:
     """Numeric spectrum reconciled against the exact distinct-root count.
 
-    Floating eigenvalues are clustered at cluster_tol (default 1e-8
-    times the largest absolute row sum), each cluster Newton-polished on
-    the square-free part of the minimal polynomial (computed once per
-    minpoly and kept), and coinciding clusters merged.  If the survivors
-    do not number exactly its degree the discrepancy is raised as
-    SpectrumError rather than absorbed.  The Perron value is
+    Floating eigenvalues (np.linalg.eigvals, computed once and shared
+    with the Perron seed) are clustered at cluster_tol (default 1e-8
+    times the largest absolute row sum), each cluster Newton-polished
+    on the square-free part of the minimal polynomial (computed once
+    per minpoly and kept), and coinciding clusters merged.  If the
+    survivors do not number exactly its degree the discrepancy is
+    raised as SpectrumError rather than absorbed.  The Perron value is
     perron_value's, refined to dps digits.
+
+    The polish takes at most 80 Newton steps from each cluster's mean.
+    Clusters on the real axis are polished together on float64 arrays
+    (_newton_real), the others one by one in complex arithmetic
+    (_newton_complex), with the same values either way: the mean is a
+    numpy scalar, so the first step divides exactly when eigvals
+    returned a real array and by a reciprocal when it returned a
+    complex one, and every later step multiplies by the reciprocal.
     """
     A = _adjacency(G)
     if minpoly is None:
         minpoly = orthogonal_monomial_basis(A).minpoly
     if dps is None:
         dps = working_dps()
-    return _spectrum(A, cluster_tol, minpoly, lambda: perron_value(A, minpoly, dps))
+    eigenvalues = functools.cache(lambda: _eigenvalues(A))
+    return _spectrum(A, cluster_tol, minpoly,
+                     lambda: _perron_value(A, minpoly, dps, eigenvalues), eigenvalues)
 
 
-def _spectrum(A: np.ndarray, cluster_tol, minpoly: Polynomial, perron) -> Spectrum:
-    """spectrum, with the Perron value from perron(), a call that returns
-    perron_value's (mpf, Fraction | None).  It is called only once the
-    clusters have passed their checks, so a failed clustering raises
-    before any refinement."""
+def _spectrum(A: np.ndarray, cluster_tol, minpoly: Polynomial, perron, eigenvalues) -> Spectrum:
+    """spectrum, with the float eigenvalues from eigenvalues(), which
+    returns _eigenvalues(A), and the Perron value from perron(), a call
+    that returns perron_value's (mpf, Fraction | None).  perron is
+    called only once the clusters have passed their checks, so a failed
+    clustering raises before any refinement."""
     n = A.shape[0]
     s = minpoly.squarefree_part()
     n_distinct = s.degree
@@ -691,7 +789,7 @@ def _spectrum(A: np.ndarray, cluster_tol, minpoly: Polynomial, perron) -> Spectr
     if n == 1:
         return Spectrum(((0j, 1),), mpmath.mpf(0), Fraction(0), 1, 0, minpoly.degree - 1)
 
-    w = np.linalg.eigvals(A.astype(np.float64))
+    w = eigenvalues()
     clusters = []  # [sum, count]
     for z in sorted(w, key=lambda z: (z.real, z.imag)):
         placed = False
@@ -706,9 +804,15 @@ def _spectrum(A: np.ndarray, cluster_tol, minpoly: Polynomial, perron) -> Spectr
 
     coeffs = [complex(c) for c in s.coeffs]
     dcoeffs = [complex(c) for c in s.derivative().coeffs]
+    starts = [total / count for total, count in clusters]
+    real = [i for i, z in enumerate(starts) if z.imag == 0]
+    done = dict(zip(real, _newton_real(coeffs, dcoeffs, [starts[i].real for i in real],
+                                       w.dtype.kind == "f")))
     polished = []  # [value, mult]
-    for total, count in clusters:
-        z = _newton_complex(coeffs, dcoeffs, total / count)
+    for i, (start, (_, count)) in enumerate(zip(starts, clusters)):
+        z = done.get(i)
+        if z is None:
+            z = _newton_complex(coeffs, dcoeffs, start)
         for item in polished:
             if abs(z - item[0]) <= tol:
                 item[1] += count

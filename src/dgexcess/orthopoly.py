@@ -73,23 +73,40 @@ def _moment_matrix(spec: Spectrum, top: int) -> np.ndarray:
     return mu.real
 
 
+def _dot(p: list, col: list):
+    """sum_i p[i] col[i] over i < len(p), added left to right from the
+    int 0, one rounding per product and per sum (sum() compensates float
+    sums from Python 3.12 on)."""
+    acc = 0
+    for c, m in zip(p, col):
+        acc = acc + c * m
+    return acc
+
+
 def spectral_predistance(spec: Spectrum) -> SpectralBasis:
     """Gram-Schmidt over the spectral inner product, no matrix arithmetic.
 
     Runs to the known degree bound dhat instead of hunting for a zero
-    norm numerically.
+    norm numerically.  p_k starts from x^k and loses, for j = 0..k-1 in
+    turn, its projection <p, p_j> / <p_j, p_j> times p_j, each inner
+    product taken against column k of the float64 moment matrix
+    (_moment_matrix); the squared norm is <p_k, x^k>.  The arithmetic is
+    plain Python floats, one IEEE operation per product, sum and
+    quotient.  Raises SpectrumError when a squared norm is not positive
+    ("lost rank at degree k").
     """
     top = spec.dhat + 1
-    mu = _moment_matrix(spec, max(top, 1))
+    cols = _moment_matrix(spec, max(top, 1)).T.tolist()
     polys = []
     norms2 = []
     for k in range(spec.dhat + 1):
-        r = np.zeros(k + 1)
-        r[k] = 1.0
-        for j, pj in enumerate(polys):
-            ip = sum(c * mu[i, k] for i, c in enumerate(pj))
-            r[:len(pj)] -= (ip / norms2[j]) * pj
-        nrm = float(sum(c * mu[i, k] for i, c in enumerate(r)))
+        col = cols[k]
+        r = [0.0] * k + [1.0]
+        for pj, nj in zip(polys, norms2):
+            q = _dot(pj, col) / nj
+            for i, c in enumerate(pj):
+                r[i] = r[i] - q * c
+        nrm = float(_dot(r, col))
         if nrm <= 0:
             raise SpectrumError(f"spectral Gram-Schmidt lost rank at degree {k}")
         polys.append(r)

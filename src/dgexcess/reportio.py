@@ -10,6 +10,7 @@ block carries its exactness marker, or to a human-readable text table.
 from __future__ import annotations
 
 import decimal
+import functools
 import json
 from fractions import Fraction
 
@@ -154,13 +155,14 @@ def _rat(x) -> str:
     return f"{_int_str(f.numerator)}/{_int_str(f.denominator)}"
 
 
-def _plain(x):
+def _plain(x, rat):
     """Recursive conversion to JSON-safe values with the rational-string
-    convention: Fractions become "p/q", never floats."""
+    convention: Fractions become "p/q" by rat (_rat, or a memo of it),
+    never floats."""
     if isinstance(x, bool):
         return x
     if isinstance(x, Fraction):
-        return _rat(x)
+        return rat(x)
     if isinstance(x, (int, np.integer)):
         return int(x)
     if isinstance(x, (float, np.floating)):
@@ -173,16 +175,16 @@ def _plain(x):
         return x
     if isinstance(x, Verdict):
         return {"name": x.name, "decision": x.decision, "method": x.method,
-                "certificate": _plain(x.certificate)}
+                "certificate": _plain(x.certificate, rat)}
     if isinstance(x, TrichotomyResult):
-        return {"branches": list(x.branches), "odd_girth": _plain(x.odd_girth),
+        return {"branches": list(x.branches), "odd_girth": _plain(x.odd_girth, rat),
                 "d": x.d, "diameter": x.diameter, "bound": x.bound}
     if isinstance(x, Polynomial):
-        return [_plain(c) for c in x.coeffs]
+        return [_plain(c, rat) for c in x.coeffs]
     if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
+        return {str(k): _plain(v, rat) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
+        return [_plain(v, rat) for v in x]
     if isinstance(x, complex):
         return [x.real, x.imag]
     raise TypeError(f"cannot serialize {type(x).__name__}")
@@ -207,33 +209,37 @@ def _spectrum_json(block: dict) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    out = {"input": _plain(report.input), "flags": _plain(report.flags)}
+    # One memo per call: an exact value that appears twice (q_norm sits
+    # in the bounds and in the geodetic certificate) is converted once.
+    rat = functools.cache(_rat)
+    plain = functools.partial(_plain, rat=rat)
+    out = {"input": plain(report.input), "flags": plain(report.flags)}
     if not report.flags.get("strongly_connected", False):
         return out
-    out["metrics"] = _plain(report.metrics)
-    out["minimal_polynomial"] = [_rat(c) for c in report.minimal_polynomial]
+    out["metrics"] = plain(report.metrics)
+    out["minimal_polynomial"] = [rat(c) for c in report.minimal_polynomial]
     if report.spectrum is not None:
         out["spectrum"] = _spectrum_json(report.spectrum)
-    out["delta"] = [_rat(x) for x in report.delta]
-    out["delta_prime"] = [_rat(x) for x in report.delta_prime]
+    out["delta"] = [rat(x) for x in report.delta]
+    out["delta_prime"] = [rat(x) for x in report.delta_prime]
 
-    excess = {"simple_excess": _rat(report.excess["simple"]),
-              "spectral_excess": _rat(report.excess["spectral"]),
+    excess = {"simple_excess": rat(report.excess["simple"]),
+              "spectral_excess": rat(report.excess["spectral"]),
               "exact": report.excess["exact"]}
     if "weighted" in report.excess:
         w = report.excess["weighted"]
         if report.excess["weighted_exact"]:
-            excess["weighted_excess"] = _rat(w)
+            excess["weighted_excess"] = rat(w)
         else:
             excess["weighted_excess"] = float(w)
             excess["weighted_dps"] = report.excess["weighted_dps"]
         excess["weighted_exact"] = report.excess["weighted_exact"]
     out["excess"] = excess
-    out["bounds"] = _plain(report.bounds)
-    out["verdicts"] = {k: _plain(v) for k, v in report.verdicts.items()}
-    out["crosschecks"] = _plain(report.crosschecks)
+    out["bounds"] = plain(report.bounds)
+    out["verdicts"] = {k: plain(v) for k, v in report.verdicts.items()}
+    out["crosschecks"] = plain(report.crosschecks)
     out["alarms"] = list(report.alarms)
-    out["tolerances"] = _plain(report.tolerances)
+    out["tolerances"] = plain(report.tolerances)
     return out
 
 

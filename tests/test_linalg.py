@@ -21,6 +21,18 @@ Claims checked:
     non-regular digraphs, and a failed clustering raises before any
     refinement
   * Hoffman ingredients divide exactly and reject non-roots
+  * the array polish of the real clusters keeps the spectra the scalar
+    complex polish recorded (float.hex of every value) on paths, whose
+    eigvals come back real, and on a circulant and a random non-normal
+    digraph, whose eigvals come back complex; only the clusters off the
+    real axis take the scalar loop, and path(19)'s zero stays 0.0
+  * _newton_real equals _newton_complex bit for bit from float64 and
+    complex128 starts, the df == 0 exit included, and hands back the
+    starts that leave the float range
+  * full_report and spectrum run np.linalg.eigvals once
+  * matrix_polynomial sums float coefficients in float64, equal to the
+    object-array sum entry for entry, past 2^62 too; past the float
+    range both raise OverflowError, and exact coefficients stay exact
 """
 
 import hashlib
@@ -458,3 +470,126 @@ def test_hoffman_ingredients_rejects_non_root():
     m, _ = minimal_polynomial(complete(4))
     with pytest.raises(ValueError):
         hoffman_ingredients(m, Fraction(2))
+
+
+# -- Newton polish of the clusters -------------------------------------------
+
+def _random_nonnormal(n: int, seed: int):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    while True:
+        G = build_digraph(n, sorted(rng.sample(pairs, round(0.2 * len(pairs)))))
+        if G.is_strongly_connected and not normality_test(G.adjacency):
+            return G
+
+
+def _spectrum_digest(spec) -> str:
+    text = "\n".join(f"{complex(z).real.hex()} {complex(z).imag.hex()} {m}"
+                     for z, m in spec.values)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# digests of float.hex of every value, recorded from the scalar complex
+# polish (one _newton_complex call per cluster)
+@pytest.mark.parametrize("G, dtype, digest", [
+    (path(19), "float64", "4027d37cb5f618fa"),
+    (path(32), "float64", "52d918ad847beebd"),
+    (path(46), "float64", "7a11424f815869c7"),
+    (circulant(20, (1, 5, 8)), "complex128", "1b1c377b0ebf3085"),
+    (_random_nonnormal(20, 3), "complex128", "d0541550a939b298"),
+], ids=["path19", "path32", "path46", "circulant20", "random20"])
+def test_array_polish_keeps_the_scalar_spectra(monkeypatch, G, dtype, digest):
+    starts = []
+    scalar = linalg._newton_complex
+
+    def counted(coeffs, dcoeffs, z, iterations=80):
+        starts.append(z)
+        return scalar(coeffs, dcoeffs, z, iterations)
+    monkeypatch.setattr(linalg, "_newton_complex", counted)
+    assert linalg._eigenvalues(G.adjacency).dtype == dtype
+    spec = spectrum(G)
+    assert _spectrum_digest(spec) == digest
+    # the clusters on the real axis are polished together, the rest alone
+    assert len(starts) == sum(1 for z, _ in spec.values if z.imag != 0)
+    if G == path(19):
+        # the first step from the zero cluster divides exactly
+        assert [z for z, _ in spec.values if z.real.hex() == "0x0.0p+0"] == [0j]
+
+
+def test_newton_real_matches_the_scalar_loop_bit_for_bit():
+    rng = random.Random(11)
+    polys = [Polynomial((-2, 0, 1))] + [
+        Polynomial(tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(deg)) + (1,))
+        for deg in (3, 5, 8, 13) for _ in range(3)]
+    strays = 0
+    for s in polys:
+        coeffs = [complex(c) for c in s.coeffs]
+        dcoeffs = [complex(c) for c in s.derivative().coeffs]
+        # 0.0 is a critical point of x^2 - 2 (the df == 0 exit), 1e200
+        # overflows every s here
+        starts = [0.0, 1e200] + [rng.uniform(-4.0, 4.0) for _ in range(12)]
+        for divide_first, start in ((True, np.float64),
+                                    (False, lambda x: np.complex128(complex(x, 0.0)))):
+            got = linalg._newton_real(coeffs, dcoeffs, starts, divide_first)
+            for x, z in zip(starts, got):
+                if z is None:
+                    strays += 1
+                    continue
+                want = complex(linalg._newton_complex(coeffs, dcoeffs, start(x)))
+                assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert strays == 2 * len(polys)    # only the 1e200 starts leave the float range
+    # the stationary start stays where it is on both paths
+    assert linalg._newton_real([-2 + 0j, 0j, 1 + 0j], [0j, 2 + 0j], [0.0], True) == [0j]
+
+
+def test_one_eigensolve_per_report(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(M):
+        calls.append(M.shape)
+        return eigvals(M)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    from dgexcess import full_report
+    full_report(path(12))
+    # the Perron seed and the numeric spectrum read the same eigenvalues
+    assert calls == [(12, 12)]
+    calls.clear()
+    spectrum(path(12))
+    assert calls == [(12, 12)]
+
+
+# -- f(A) ----------------------------------------------------------------------
+
+def _object_sum(p, powers):
+    """p(A) term by term on object arrays."""
+    acc = np.zeros((powers.n, powers.n), dtype=object)
+    for k, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        acc = acc + powers[k].astype(object) * c
+    return acc
+
+
+def test_matrix_polynomial_sums_float_coefficients_in_float64():
+    from dgexcess import conjugation_polynomial
+    for G in (paley_tournament(19), hypercube(4), circulant(13, (1, 5))):
+        f = conjugation_polynomial(spectrum(G))
+        fA = linalg.matrix_polynomial(f, MatrixPowers(G.adjacency))
+        want = _object_sum(f, MatrixPowers(G.adjacency))
+        assert fA.dtype == np.float64
+        assert [x.hex() for x in fA.ravel().tolist()] == [x.hex() for x in want.ravel()]
+    # powers past 2^62 are object arrays and convert entry by entry
+    A = np.full((3, 3), 1 << 30)
+    p = Polynomial((0.25,) + (0.0,) * 5 + (-1.5, 3.0))
+    fA, want = (f(p, MatrixPowers(A)) for f in (linalg.matrix_polynomial, _object_sum))
+    assert MatrixPowers(A)[7].dtype == object and fA.dtype == np.float64
+    assert [x.hex() for x in fA.ravel().tolist()] == [x.hex() for x in want.ravel()]
+    # past the float range both sums raise the same error
+    p = Polynomial((0.5,) + (0.0,) * 34 + (1.5,))
+    for f in (linalg.matrix_polynomial, _object_sum):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            f(p, MatrixPowers(A))
+    # exact coefficients stay exact
+    H = linalg.matrix_polynomial(Polynomial((Fraction(1, 3), 2)), MatrixPowers(A))
+    assert H.dtype == object and H[0, 0] == Fraction(1, 3) + 2 * (1 << 30)

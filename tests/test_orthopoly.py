@@ -3,7 +3,9 @@
 Claims checked:
   * exact pre-distance data on the named graphs (norms, and the layer
     weights delta_k against them)
-  * the float spectral route reproduces the exact coefficients
+  * the float spectral route reproduces the exact coefficients, and
+    its Gram-Schmidt on Python floats gives the bits (and the lost-rank
+    alarm) of the same steps on numpy scalars
   * the conjugation polynomial maps A to its transpose
   * Hoffman polynomial: exact on rational Perron values, high-precision
     otherwise, and H(A) = J exactly for the regular graphs
@@ -21,7 +23,9 @@ from dgexcess import (MatrixPowers, Polynomial, build_digraph, complete,
                       hoffman_polynomial, hypercube, path, petersen,
                       predistance_polynomials,
                       spectral_predistance, spectrum, conjugation_polynomial)
-from dgexcess.generators import paley_tournament
+from dgexcess.generators import circulant, paley_tournament
+from dgexcess.linalg import SpectrumError
+from dgexcess.orthopoly import _moment_matrix
 
 
 # -- Exact pre-distance basis ------------------------------------------------
@@ -65,6 +69,45 @@ def test_spectral_predistance_matches_exact():
         for p, q in zip(exact.polys, numeric.polys):
             for i in range(max(p.degree, q.degree) + 1):
                 assert abs(float(p.coefficient(i)) - q.coefficient(i)) < 1e-8
+
+
+def _numpy_scalar_predistance(spec):
+    """Gram-Schmidt on numpy scalars and arrays, as spectral_predistance
+    first did it: (polys, norms2) or the SpectrumError text."""
+    mu = _moment_matrix(spec, max(spec.dhat + 1, 1))
+    polys, norms2 = [], []
+    for k in range(spec.dhat + 1):
+        r = np.zeros(k + 1)
+        r[k] = 1.0
+        for j, pj in enumerate(polys):
+            ip = sum(c * mu[i, k] for i, c in enumerate(pj))
+            r[:len(pj)] -= (ip / norms2[j]) * pj
+        nrm = float(sum(c * mu[i, k] for i, c in enumerate(r)))
+        if nrm <= 0:
+            return f"spectral Gram-Schmidt lost rank at degree {k}"
+        polys.append(r)
+        norms2.append(nrm)
+    return polys, norms2
+
+
+def test_spectral_predistance_on_floats_equals_the_numpy_scalar_route():
+    digraphs = [petersen(), hypercube(4), directed_cycle(9), paley_tournament(19),
+                path(12), path(32), circulant(9, (2, 3, 4, 6, 8)),
+                circulant(12, (5, 7, 8, 10, 11)), circulant(37, (1, 10, 23))]
+    lost = 0
+    for G in digraphs:
+        spec = spectrum(G)
+        want = _numpy_scalar_predistance(spec)
+        if isinstance(want, str):
+            lost += 1
+            with pytest.raises(SpectrumError, match=f"^{want}$"):
+                spectral_predistance(spec)
+            continue
+        got = spectral_predistance(spec)
+        assert [[c.hex() for c in p.coeffs] for p in got.polys] == \
+            [[float(c).hex() for c in p] for p in want[0]], G.n
+        assert [x.hex() for x in got.norms2] == [x.hex() for x in want[1]], G.n
+    assert lost == 2       # path(32) at degree 26, circulant(37) at degree 31
 
 
 def test_conjugation_polynomial_cycles():

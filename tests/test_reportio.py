@@ -5,7 +5,8 @@ Claims checked:
     malformed input with the offending line number
   * generator output round-trips through the parser unchanged
   * JSON reports keep rationals as "p/q" strings, stay byte-identical
-    across runs, and contain the documented verdict shapes; the direct
+    across runs, and contain the documented verdict shapes; one emit
+    converts an exact value that appears twice (q_norm) once; the direct
     oracle's dr verdict of a non-normal digraph, witness included, is
     the one docs/report-schema.md shows
   * the text report carries the excess comparison line
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from dgexcess import (build_digraph, complete_bipartite, directed_cycle,
+from dgexcess import (build_digraph, circulant, complete_bipartite, directed_cycle,
                       full_report, hypercube, emit_report, parse_text, path,
                       petersen, digraph_to_adjmatrix, digraph_to_edgelist)
 from dgexcess.cli import main
@@ -153,6 +154,30 @@ def test_emit_beyond_the_integer_digit_limit():
     report.bounds["q_norm"]["value"] = Fraction(-10 ** 5001)
     text = emit_report(report, "text")
     assert "q-norm -1" + "0" * 5001 + " " in text
+
+
+def test_emit_converts_each_exact_value_once_per_call(monkeypatch):
+    import dgexcess.reportio as reportio
+    report = full_report(circulant(47, (1, 10, 23)))
+    q = report.bounds["q_norm"]["value"]
+    assert report.verdicts["geodetic_dr"].certificate["q_norm"] is q
+    assert q.numerator.bit_length() > 10000
+    converted = []
+    int_str = reportio._int_str
+
+    def counted(n):
+        converted.append(n)
+        return int_str(n)
+    monkeypatch.setattr(reportio, "_int_str", counted)
+    first = emit_report(report, "json")
+    # the bounds and the geodetic certificate print one conversion
+    assert converted.count(q.numerator) == 1
+    # the memo lives for one call only
+    assert emit_report(report, "json") == first
+    assert converted.count(q.numerator) == 2
+    obj = json.loads(first)
+    assert obj["bounds"]["q_norm"]["value"] == \
+        obj["verdicts"]["geodetic_dr"]["certificate"]["q_norm"] == reportio._rat(q)
 
 
 def test_json_infinite_and_spectrum_digits():

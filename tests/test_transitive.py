@@ -5,6 +5,9 @@ Claims checked:
     and a lift of a digraph without permutations carries none
   * a map that is not a permutation, or a permutation that is not an
     automorphism, raises GraphError on the certificate's first read
+  * the orbit search maps each vertex of the orbit by each permutation
+    once, n times the number of permutations in all (hypercube(6) among
+    them, whose orbit a revisiting frontier reaches k! ways)
   * an identity-only set certifies nothing and runs the dense path
   * digraphs from build_digraph, from_arcs, parse_text and
     enumerate_digraphs carry no permutations
@@ -71,6 +74,27 @@ def test_invalid_permutations_raise():
             dataclasses.replace(G, automorphisms=(bad,)).vertex_transitive
     with pytest.raises(GraphError):
         distance_structure(dataclasses.replace(G, automorphisms=(swap,)))
+
+
+class _CountedPermutation(tuple):
+    """A permutation tuple that counts the images read through s[u]."""
+
+    reads = 0
+
+    def __getitem__(self, u):
+        _CountedPermutation.reads += 1
+        return tuple.__getitem__(self, u)
+
+
+def test_orbit_search_reads_each_vertex_image_once():
+    for G in (hypercube(6), kneser_odd_graph(4), paley_tournament(19),
+              tensor_lift(directed_cycle(4), 3)):
+        counted = tuple(map(_CountedPermutation, G.automorphisms))
+        _CountedPermutation.reads = 0
+        assert dataclasses.replace(G, automorphisms=counted).vertex_transitive
+        # every vertex enters the frontier once and is mapped by each
+        # permutation once
+        assert _CountedPermutation.reads == G.n * len(G.automorphisms), G.n
 
 
 def test_identity_only_set_runs_dense(monkeypatch):
