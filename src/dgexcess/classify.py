@@ -40,6 +40,12 @@ from .linalg import (MatrixPowers, PerronError, SpectrumError, _eigenvalues, _pe
 from .orthopoly import (_hoffman_at, conjugation_polynomial,
                         predistance_polynomials, spectral_predistance)
 
+# The gate each gap of spectral_gaps must stay below, in full_report's
+# cross-checks and in harness.check_conjugation.
+SPECTRAL_GAP_TOL = 1e-8
+# The default tolerance of the numeric weighted track (dr_by_weighted_set).
+WEIGHTED_TOL = 1e-9
+
 
 class InconsistencyAlarm(RuntimeError):
     """Two routes that must agree did not; carries the offending digraph."""
@@ -81,7 +87,7 @@ class AnalysisContext:
     context is built (linalg.working_dps).
     """
 
-    def __init__(self, G: Digraph, tol: float = 1e-9):
+    def __init__(self, G: Digraph, tol: float = WEIGHTED_TOL):
         if not strong_connectivity(G):
             raise ValueError("analysis context needs a strongly connected digraph")
         self.G = G
@@ -255,7 +261,7 @@ def dr_by_simple_set(G) -> Verdict:
                    "spectral-exact", cert)
 
 
-def dr_by_weighted_set(G, tol: float = 1e-9) -> Verdict:
+def dr_by_weighted_set(G, tol: float = WEIGHTED_TOL) -> Verdict:
     """Distance-regularity via weighted excess = spectral excess.
 
     Exact when the Perron value certified rational, else compared at
@@ -456,7 +462,7 @@ def _with_evidence(v: Verdict, **extra) -> Verdict:
     return replace(v, certificate=dict(v.certificate, **extra))
 
 
-def full_report(G: Digraph, tol: float = 1e-9, source=None) -> AnalysisReport:
+def full_report(G: Digraph, tol: float = WEIGHTED_TOL, source=None) -> AnalysisReport:
     """Every invariant, verdict and cross-check on one digraph.
 
     Never raises for graph-shaped reasons: a disconnected input yields a
@@ -572,7 +578,7 @@ def full_report(G: Digraph, tol: float = 1e-9, source=None) -> AnalysisReport:
         try:
             for name, gap in zip(("spectral_basis_agrees", "conjugation_transposes"),
                                  spectral_gaps(ctx)):
-                checks[name] = gap < 1e-8
+                checks[name] = gap < SPECTRAL_GAP_TOL
         except (SpectrumError, PerronError) as e:
             alarms.append(f"spectral cross-checks: {e}")
     for name, ok in checks.items():

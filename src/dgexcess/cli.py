@@ -13,13 +13,13 @@ import argparse
 import sys
 import time
 
-from .classify import (InconsistencyAlarm, dr_direct, full_report,
-                       generalized_odd_graph_check, geodetic_dr_check,
-                       trichotomy, wdr_direct)
+from .classify import (WEIGHTED_TOL, InconsistencyAlarm, dr_direct,
+                       full_report, generalized_odd_graph_check,
+                       geodetic_dr_check, trichotomy, wdr_direct)
 from .digraph import (Digraph, GraphError, NotStronglyConnectedError,
                       bipartite_test, distance_structure, regularity_test)
-from .generators import FamilySpec, enumerate_digraphs, generate
-from .harness import corpus_sample_limit, verify_corpus
+from .generators import FamilySpec, generate
+from .harness import verify_corpus
 from .linalg import normality_test
 from .reportio import ParseError, digraph_to_edgelist, emit_report, parse_input
 
@@ -92,10 +92,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    # an n past the enumeration caps raises here, before the first suite runs
-    for n in range(2, args.max_n + 1):
-        enumerate_digraphs(n, "strongly_connected",
-                           sample_limit=corpus_sample_limit(n, args.sample))
+    # verify_corpus raises on an n past the caps before its first suite
     results = verify_corpus(max_n=args.max_n, sample=args.sample,
                             seed=args.seed, jobs=args.jobs)
     elapsed = time.perf_counter() - started
@@ -124,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--format", choices=("edgelist", "adjmatrix"),
                    default="edgelist")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="numeric comparison tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, default=WEIGHTED_TOL,
+                   help="numeric comparison tolerance (default %(default)g)")
     p.add_argument("--json", action="store_true",
                    help="emit the JSON report instead of text")
     p.set_defaults(fn=_cmd_analyze)

@@ -166,8 +166,6 @@ class Digraph:
 
     @cached_property
     def is_strongly_connected(self) -> bool:
-        if self.n == 1:
-            return True
         return (_reach_count(self.successors, 0) == self.n
                 and _reach_count(self.predecessors, 0) == self.n)
 

@@ -293,18 +293,20 @@ class ProjectionBound:
 def wdr_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
                        powers: MatrixPowers = None, tables: ProjectionTables = None,
                        profile: DeltaProfile = None) -> ProjectionBound:
-    """sum_k <A_k, P_k(A)>^2 / delta_k: variant ii, S_k = {k}."""
+    """sum_k <A_k, P_k(A)>^2 / delta_k: variant ii, S_k = {k}.  powers
+    and profile are accepted and not read."""
     return generalized_projection_sum(ds, basis, [[k] for k in range(ds.diameter + 1)],
-                                      "ii", powers, tables, profile)
+                                      "ii", tables)
 
 
 def upper_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
                          powers: MatrixPowers = None, tables: ProjectionTables = None,
                          profile: DeltaProfile = None) -> ProjectionBound:
-    """sum_k sum_{j>=k} <A_k, P_j(A)>^2 / delta_j: variant ii, S_k = {k..D}."""
+    """sum_k sum_{j>=k} <A_k, P_j(A)>^2 / delta_j: variant ii, S_k = {k..D}.
+    powers and profile are accepted and not read."""
     D = ds.diameter
     return generalized_projection_sum(ds, basis, [range(k, D + 1) for k in range(D + 1)],
-                                      "ii", powers, tables, profile)
+                                      "ii", tables)
 
 
 def system_mask(subsets, D: int, variant: str) -> bytearray:
@@ -340,17 +342,15 @@ def system_mask(subsets, D: int, variant: str) -> bytearray:
 
 
 def generalized_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
-                               subsets, variant: str, powers: MatrixPowers = None,
-                               tables: ProjectionTables = None,
-                               profile: DeltaProfile = None) -> ProjectionBound:
+                               subsets, variant: str,
+                               tables: ProjectionTables = None) -> ProjectionBound:
     """Projection sum over a chosen index family S_0, ..., S_D.
 
     variant "i" projects each polynomial layer onto the distance
     matrices indexed by its subset; variant "ii" projects each distance
     matrix onto polynomial layers and requires k in S_k.  The system is
     validated into a system_mask, and layer k's piece is the integer
-    sum of the variant's term row k under mask row k; powers and
-    profile are accepted and not needed.
+    sum of the variant's term row k under mask row k.
     """
     m = ds.diameter + 1
     mask = system_mask(subsets, ds.diameter, variant)

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
-import mpmath
-
-from .classify import (AnalysisContext, InconsistencyAlarm, dr_by_simple_set,
-                       dr_by_weighted_set, geodetic_dr_check, odd_girth_walks,
-                       spectral_gaps, trichotomy)
+from .classify import (SPECTRAL_GAP_TOL, WEIGHTED_TOL, AnalysisContext,
+                       InconsistencyAlarm, dr_by_simple_set, dr_by_weighted_set,
+                       geodetic_dr_check, odd_girth_walks, spectral_gaps,
+                       trichotomy)
 from .digraph import Digraph, geodetic_test, girth, is_infinite, regularity_test
 from .excess import projection_sum_totals
 from .generators import (circulant, complete, complete_bipartite,
@@ -137,7 +136,7 @@ def check_simple_set(ctx: AnalysisContext) -> list:
     return failures
 
 
-def check_weighted_set(ctx: AnalysisContext, tol: float = 1e-9) -> list:
+def check_weighted_set(ctx: AnalysisContext, tol: float = WEIGHTED_TOL) -> list:
     """On the normal digraphs the weighted equality verdict
     (dr_by_weighted_set: exact, or to tol on the numeric track) agrees
     with the direct oracle, and the weighted excess equals the simple
@@ -184,29 +183,25 @@ def check_geodetic_set(ctx: AnalysisContext) -> list:
     return []
 
 
-def check_excess_product(ctx: AnalysisContext, tol: float = 1e-9) -> list:
+def check_excess_product(ctx: AnalysisContext) -> list:
     """For distance-regular members the simple excess factors through
-    the spectrum: (pi0/n)^2 * delta_D, with pi0 the product of
-    (lambda0 - lambda_i) over the other distinct eigenvalues."""
+    the spectrum: (pi0/n)^2 * delta_D = simple excess exactly, with pi0
+    the product of (lambda0 - lambda_i) over the other distinct
+    eigenvalues.  A distance-regular digraph is regular, so lambda0 is
+    its integer degree; a lambda0 not certified rational is one failure."""
     G = ctx.G
     if not ctx.dr_direct.decision:
         return []
+    lam, lam0 = ctx.perron
+    if lam0 is None:
+        return [_tag(G, f"Perron value {float(lam)} of a distance-regular digraph "
+                        f"is not certified rational")]
     eps_g = ctx.simple_excess
     delta_D = ctx.profile.delta[ctx.ds.diameter]
-    s_prime = ctx.basis.minpoly.squarefree_part().derivative()
-    lam = ctx.hoffman
-    if lam.lambda0_exact is not None:
-        pi0 = s_prime(lam.lambda0_exact)
-        lhs = (Fraction(pi0) / G.n) ** 2 * delta_D
-        if lhs != eps_g:
-            return [_tag(G, f"(pi0/n)^2*delta_D = {lhs} != simple excess {eps_g}")]
-        return []
-    with mpmath.workdps(lam.dps):
-        pi0 = s_prime(lam.lambda0)
-        lhs = (pi0 / G.n) ** 2 * mpmath.mpf(delta_D.numerator) / delta_D.denominator
-        gap = abs(lhs - mpmath.mpf(eps_g.numerator) / eps_g.denominator)
-    if not gap <= tol:
-        return [_tag(G, f"(pi0/n)^2*delta_D off by {float(gap)} from {eps_g}")]
+    pi0 = ctx.basis.minpoly.squarefree_part().derivative()(lam0)
+    lhs = (Fraction(pi0) / G.n) ** 2 * delta_D
+    if lhs != eps_g:
+        return [_tag(G, f"(pi0/n)^2*delta_D = {lhs} != simple excess {eps_g}")]
     return []
 
 
@@ -236,10 +231,11 @@ def check_odd_girth_suite(ctx: AnalysisContext) -> list:
     return failures
 
 
-def check_conjugation(ctx: AnalysisContext, tol: float = 1e-8) -> list:
+def check_conjugation(ctx: AnalysisContext) -> list:
     """Numeric spectral route reproduces the exact pre-distance
     coefficients, and the conjugation polynomial maps A to its
-    transpose, on normal digraphs (the gaps of spectral_gaps).  A
+    transpose, on normal digraphs: each gap of spectral_gaps below
+    full_report's gate, classify.SPECTRAL_GAP_TOL.  A
     numeric spectrum that cannot be built is a failure, reported as
     full_report's alarm words it."""
     G = ctx.G
@@ -250,7 +246,7 @@ def check_conjugation(ctx: AnalysisContext, tol: float = 1e-8) -> list:
                 "f(A) differs from transpose by {}")
     try:
         for message, gap in zip(messages, spectral_gaps(ctx)):
-            if not gap < tol:
+            if not gap < SPECTRAL_GAP_TOL:
                 failures.append(_tag(G, message.format(gap)))
     except (SpectrumError, PerronError) as e:
         failures.append(_tag(G, f"spectral cross-checks: {e}"))
@@ -283,29 +279,22 @@ class SuiteResult:
         return not self.failures
 
 
-def corpus_sample_limit(n: int, sample):
-    """The sample limit verify_corpus enumerates n with: None (every
-    digraph) below n = 5, `sample` from n = 5 on."""
-    return sample if n >= 5 else None
-
-
 def verify_corpus(max_n: int = 4, sample=None, seed: int = 0, jobs: int = 1):
     """Run every per-digraph suite over the strongly connected digraphs
     enumerate_digraphs yields for each n up to max_n (all of them below
     n = 5, `sample` seeded draws from n = 5 on), plus the family suite.
-    An n past the generator's enumeration caps is a suite failure that
-    names the cap."""
-    results = []
+    Every n's enumeration is set up before the first suite runs, so an n
+    past the generator's enumeration caps, or a sample below 1, raises
+    its ValueError before any digraph is checked."""
+    corpora = []
     for n in range(2, max_n + 1):
-        limit = corpus_sample_limit(n, sample)
+        limit = sample if n >= 5 else None
         kind = "exhaustive" if limit is None else f"sampled {limit}"
-        label = f"corpus n={n} ({kind})"
-        try:
-            digraphs = enumerate_digraphs(n, "strongly_connected",
-                                          sample_limit=limit, seed=seed + n)
-        except ValueError as e:
-            results.append(SuiteResult(label, 0, [str(e)]))
-            continue
+        corpora.append((f"corpus n={n} ({kind})",
+                        enumerate_digraphs(n, "strongly_connected",
+                                           sample_limit=limit, seed=seed + n)))
+    results = []
+    for label, digraphs in corpora:
         checked = 0
         failures = []
         if jobs > 1:
@@ -360,7 +349,7 @@ def standard_families(max_vertices: int = 64):
     return roster
 
 
-def family_suite(tol: float = 1e-9) -> SuiteResult:
+def family_suite(tol: float = WEIGHTED_TOL) -> SuiteResult:
     """Criterion checks for every advertised family membership claim.
     tol is not read: the checks here run at their own tolerances."""
     failures = []

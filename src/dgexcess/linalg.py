@@ -529,10 +529,8 @@ def _perron_value(A: np.ndarray, minpoly: Polynomial, dps: int, eigenvalues):
     """perron_value at dps digits, its float seed read from eigenvalues(),
     which is called only off the regular fast path and returns
     _eigenvalues(A)."""
-    n = A.shape[0]
-    if n == 1:
-        return mpmath.mpf(0), Fraction(0)
     # integer fast path: a regular graph pins the Perron value to its degree
+    # (the one-vertex digraph too: degree 0, minimal polynomial x)
     k = _regular_degree(A)
     if k is not None and minpoly(k) == 0:
         return mpmath.mpf(k), Fraction(k)

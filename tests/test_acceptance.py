@@ -23,7 +23,7 @@ from dgexcess import (AnalysisContext, build_digraph,
                       projection_tables, q_norm_check, simple_excess,
                       spectral_excess, tensor_lift, upper_projection_sum,
                       wdr_projection_sum)
-from dgexcess.classify import full_report
+from dgexcess.classify import SPECTRAL_GAP_TOL, full_report
 from dgexcess.harness import (check_conjugation, check_excess_product,
                               check_geodetic_set, check_odd_girth_suite,
                               check_projection_sums, check_simple_set,
@@ -117,7 +117,7 @@ def test_projection_sums_match_fraction_sums(corpus):
         for subsets, variant, pb in cases:
             if pb is None:
                 pb = generalized_projection_sum(ctx.ds, ctx.basis, subsets, variant,
-                                                None, ctx.tables, ctx.profile)
+                                                ctx.tables)
             total, per_k = _fraction_projection_sum(terms[variant], subsets)
             assert type(pb.total) is Fraction and pb.total == total
             assert list(pb.per_k) == per_k
@@ -319,7 +319,7 @@ def test_criterion_6_excess_through_spectrum(corpus):
     checked = 0
     for ctx in corpus:
         if dr_direct(ctx.ds).decision:
-            failures += check_excess_product(ctx, tol=1e-9)
+            failures += check_excess_product(ctx)
             checked += 1
     ctx = AnalysisContext(petersen())
     s_prime = ctx.basis.minpoly.squarefree_part().derivative()
@@ -346,13 +346,15 @@ def test_criterion_8_spectral_route_numerics(corpus):
     checked = 0
     for ctx in corpus:
         if ctx.normal:
-            failures += check_conjugation(ctx, tol=1e-8)
+            failures += check_conjugation(ctx)
             checked += 1
     for label, G, _expected in standard_families(max_vertices=64):
         ctx = AnalysisContext(G)
         if ctx.normal:
-            failures += [f"{label}: {m}" for m in check_conjugation(ctx, tol=1e-8)]
+            failures += [f"{label}: {m}" for m in check_conjugation(ctx)]
             checked += 1
+    if SPECTRAL_GAP_TOL != 1e-8:
+        failures.append(f"the spectral-gap gate is {SPECTRAL_GAP_TOL}, not 1e-8")
     _conclude(8, "spectral-route coefficients within 1e-8 of exact and "
                  "f(A) = transpose within 1e-8, corpus and families",
               checked, started, failures)

@@ -6,8 +6,8 @@ Claims checked:
     pool of two worker processes gives the same counts as one process
   * the verify command exits 0 on the same corpus
   * verify_corpus samples n = 5 and 6 from enumerate_digraphs (same
-    digraphs, same seed), and an n past the sampled enumeration cap is
-    one suite failure that names the cap
+    digraphs, same seed), and raises the cap's ValueError for an n past
+    the sampled enumeration cap before it checks any digraph
   * the verify command stops at once, with exit status 2, when an n
     up to --max-n is past an enumeration cap or --sample is below 1
   * check_digraph builds no MatrixPowers on the n <= 4 corpus: its sums
@@ -17,6 +17,8 @@ Claims checked:
     failure, in full_report's alarm words, instead of raising
   * check_weighted_set does the same for a weighted track that fails
     with a PerronError or an ArithmeticError
+  * check_excess_product reports a distance-regular digraph whose
+    Perron value is not certified rational as one failure
   * check_projection_sums reports a per-class projection above delta_k,
     and words failing random subset-system sums as it always has: the
     same Fraction totals, systems and order
@@ -30,18 +32,20 @@ import json
 import random
 import time
 
+import mpmath
 import pytest
 
 import dgexcess.classify as classify_module
+import dgexcess.harness as harness_module
 from dgexcess import (AnalysisContext, MatrixPowers, PerronError, ProjectionBound,
                       digraph_to_edgelist, directed_cycle,
                       enumerate_digraphs, full_report, path, petersen)
 from dgexcess.cli import main
 from dgexcess.generators import ENUMERATION_CAP_SAMPLED
 from dgexcess.harness import (check_conjugation, check_digraph,
-                              check_projection_sums, check_weighted_set,
-                              random_subset_systems, standard_families,
-                              verify_corpus)
+                              check_excess_product, check_projection_sums,
+                              check_weighted_set, random_subset_systems,
+                              standard_families, verify_corpus)
 
 
 def test_verify_corpus_serial_and_pooled_agree():
@@ -91,7 +95,7 @@ def test_check_digraph_forms_no_power_matrix(monkeypatch):
 
 
 def test_verify_corpus_follows_the_enumeration_caps():
-    results = verify_corpus(max_n=7, sample=2, seed=3)
+    results = verify_corpus(max_n=6, sample=2, seed=3)
     suites = {suite.name.split()[1]: suite for suite in results[:-1]}
     assert results[-1].name == "families" and results[-1].failures == []
     for n in (5, 6):
@@ -100,10 +104,19 @@ def test_verify_corpus_follows_the_enumeration_caps():
     assert suites["n=5"].checked == sum(
         1 for _ in enumerate_digraphs(5, "strongly_connected", sample_limit=2,
                                       seed=3 + 5))
-    capped = suites["n=7"]
-    assert capped.checked == 0
-    assert len(capped.failures) == 1
-    assert f"capped at n = {ENUMERATION_CAP_SAMPLED}" in capped.failures[0]
+
+
+def test_verify_corpus_raises_past_the_caps_before_any_check(monkeypatch):
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return []
+    monkeypatch.setattr(harness_module, "check_digraph", counted)
+    with pytest.raises(ValueError,
+                       match=f"capped at n = {ENUMERATION_CAP_SAMPLED}"):
+        verify_corpus(max_n=ENUMERATION_CAP_SAMPLED + 1, sample=2)
+    assert calls == []
 
 
 def test_check_conjugation_reports_lost_rank():
@@ -129,6 +142,17 @@ def test_check_weighted_set_reports_a_failed_weighted_track(monkeypatch, error):
         assert alarms == [f"weighted excess: {error}"]
         assert len(failures) == 1
         assert failures[0].splitlines()[0] == alarms[0]
+
+
+def test_check_excess_product_reports_an_uncertified_perron_value():
+    G = petersen()
+    ctx = AnalysisContext(G)
+    ctx.perron = (mpmath.mpf(3), None)
+    failures = check_excess_product(ctx)
+    assert len(failures) == 1
+    assert failures[0].splitlines()[0] == ("Perron value 3.0 of a distance-regular "
+                                           "digraph is not certified rational")
+    assert failures[0].endswith(digraph_to_edgelist(G))
 
 
 def test_check_projection_sums_reports_a_per_class_excess(monkeypatch):

@@ -9,6 +9,11 @@ Claims checked:
     underscore) is read somewhere in the package outside its own body
   * that scan flags an unread or self-read private helper and passes a
     read one
+  * every parameter of every package function is read in its body,
+    but for the perfbench-pinned set UNREAD_PARAMETERS_ALLOWED (ROADMAP
+    item 10); dunder protocol methods are exempt, __init__ is not
+  * that scan flags an unread parameter, reads a closure's use as a
+    read, and exempts protocol methods only
   * tests/oracles.py imports only the standard library, so the
     independent route shares no code with the package (and loads
     without numpy); the scan flags third-party, package and relative
@@ -95,6 +100,80 @@ def test_private_helper_scan_flags_only_unread_helpers():
                         "class _Kept:\n    pass\n"),
                "b.py": "from .a import _Kept\nx = _Kept()\n"}
     assert unread_private_helpers(sources) == ["a.py: _unused", "a.py: _recursive"]
+
+
+# Accepted and never read; perfbench's replay (perfbench/tracing.py and
+# run.py) passes them, so they go when that replay retires.
+UNREAD_PARAMETERS_ALLOWED = [
+    "classify.py: AnalysisContext.__init__.tol",
+    "excess.py: projection_tables.powers",
+    "excess.py: weighted_layers.powers",
+    "excess.py: wdr_projection_sum.powers",
+    "excess.py: wdr_projection_sum.profile",
+    "excess.py: upper_projection_sum.powers",
+    "excess.py: upper_projection_sum.profile",
+    "harness.py: family_suite.tol",
+    "orthopoly.py: predistance_polynomials.powers",
+    "orthopoly.py: hoffman_polynomial.powers",
+]
+
+
+def unread_parameters(module: str, source: str) -> list:
+    """'module: qualified.name.param' for each parameter of a function
+    or method that its body never reads; methods named __x__ other than
+    __init__ keep a protocol's signature and are exempt."""
+    unread = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                protocol = (child.name.startswith("__") and child.name.endswith("__")
+                            and child.name != "__init__")
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                if not protocol:
+                    unread.extend(f"{module}: {name}.{p}" for p in params
+                                  if p not in read)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+    visit(ast.parse(source), "")
+    return unread
+
+
+def test_no_unread_parameters():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    unread = [found for p in modules
+              for found in unread_parameters(p.name, p.read_text())]
+    assert unread == UNREAD_PARAMETERS_ALLOWED
+
+
+def test_unread_parameter_scan_flags_only_unread_parameters():
+    source = ("def f(a, b, *rest, c=1, **extra):\n"
+              "    b = a\n"
+              "    return rest, extra\n"
+              "def outer(x, y):\n"
+              "    def inner(z):\n"
+              "        return x\n"
+              "    return inner\n"
+              "class K:\n"
+              "    def __init__(self, t):\n"
+              "        self.u = 0\n"
+              "    def __eq__(self, other):\n"
+              "        return True\n"
+              "    @property\n"
+              "    def v(self):\n"
+              "        return self.u\n")
+    assert unread_parameters("m.py", source) == [
+        "m.py: f.b", "m.py: f.c", "m.py: outer.y", "m.py: outer.inner.z",
+        "m.py: K.__init__.t"]
 
 
 def non_stdlib_imports(source: str) -> list:
