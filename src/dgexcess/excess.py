@@ -159,7 +159,11 @@ class ProjectionTables:
 def projection_tables(ds: DistanceStructure, basis: MonomialBasis,
                       powers: MatrixPowers = None) -> ProjectionTables:
     """The tables of ds against the pre-distance basis, which is read on
-    integers only: its numerators and pivots up to the diameter.  powers
+    integers only: its numerators and pivots up to the diameter.
+
+    The table is upper triangular: A^i has no support at distance k > i,
+    so the moment n <A_k, A^i> vanishes for i < k, and p_j has degree j,
+    so N_kj = 0 for j < k and otherwise sums over i = k..j only.  powers
     is accepted for the callers that hold one and is not needed."""
     n, D, m = ds.n, ds.diameter, ds.rows
     layers = ds.layers[:, :m].reshape(D + 1, m * n)
@@ -171,11 +175,13 @@ def projection_tables(ds: DistanceStructure, basis: MonomialBasis,
     # the row-0 sum.
     moments = _power_image(A, D + 1, m * _max_row_sum(A) ** D, lambda V: layers @ V.T, m)
     scale = n // m
-    # N[k][j] = n D_{j-1} <A_k, p_j(A)>, one integer dot product each
+    # N[k][j] = n D_{j-1} <A_k, p_j(A)>, one integer dot product over
+    # i = k..j each for j >= k, and zero below the diagonal
     polys = basis.polys
     nums = [polys.numerator(j) for j in range(D + 1)]
-    N = tuple(tuple(scale * sum(map(operator.mul, c, row)) for c in nums)
-              for row in moments)
+    N = tuple((0,) * k + tuple(scale * sum(map(operator.mul, c[k:], row[k:]))
+                               for c in nums[k:])
+              for k, row in enumerate(moments))
     return ProjectionTables(n, N, tuple(polys.pivots[:D + 1]), ds.sizes)
 
 

@@ -284,8 +284,13 @@ def verify_corpus(max_n: int = 4, sample=None, seed: int = 0, jobs: int = 1):
     enumerate_digraphs yields for each n up to max_n (all of them below
     n = 5, `sample` seeded draws from n = 5 on), plus the family suite.
     Every n's enumeration is set up before the first suite runs, so an n
-    past the generator's enumeration caps, or a sample below 1, raises
-    its ValueError before any digraph is checked."""
+    past the generator's enumeration caps raises its ValueError before
+    any digraph is checked; so does a sample or a jobs below 1, whatever
+    max_n is."""
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample_limit must be at least 1, got {sample}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     corpora = []
     for n in range(2, max_n + 1):
         limit = sample if n >= 5 else None

@@ -11,14 +11,19 @@ primes, each small enough that float64 stays exact.  The power rows
 start from m seed rows, the identity (every vertex, m = n) or e_0
 (vertex 0 alone, m = 1, for a certified vertex-transitive digraph,
 whose sums are n times their row-0 part), and the primes are sized
-from the image's inner length m n.
-Fraction-free (Bareiss) elimination on them gives the leading minors,
-hence the norms of the orthogonal basis, and the basis polynomials and
-the minimal polynomial come from its triangle by fraction-free
-back-substitution: the minimal polynomial at once, with integer
-coefficients, each basis polynomial's integer numerator when it is
-first read.  Every division is exact, and ``fractions.Fraction`` values
-are formed only for the output.
+from the image's inner length m n, their count from the bound: for
+the moments, once the crude m r^(2K-2) reaches 2^53, the float64 row
+sums A^k 1 with a rounding margin bound them more tightly.
+Fraction-free (Bareiss) elimination on the moments gives the leading
+minors, hence the norms of the orthogonal basis, and the basis
+polynomials and the minimal polynomial come from its triangle by
+fraction-free back-substitution: the minimal polynomial at once, with
+integer coefficients, each basis polynomial's integer numerator when
+it is first read.  On a certified vertex-transitive digraph the
+elimination runs on the row-0 sums themselves, without the factor n;
+its powers (n^(k+1) in the k-th leading minor) are restored only where
+the minors and numerators are read.  Every division is exact, and
+``fractions.Fraction`` values are formed only for the output.
 Quantities that live at an irrational Perron value go through mpmath at
 a working precision controlled by the ``DGEXCESS_PRECISION``
 environment variable (decimal digits, default 50), read at call time;
@@ -188,7 +193,9 @@ class MonomialBasis:
     first read,
     polys.numerator(k) = D_{k-1} p_k over polys.denominator(k) = D_{k-1},
     and forms the Fraction polynomial only when polys[k] is read;
-    polys.pivots holds the leading minors D_0..D_dhat.
+    polys.pivots holds the leading minors D_0..D_dhat of the moment
+    matrix n <A^i, A^j>, whether or not the elimination ran on the row-0
+    sums of a vertex-transitive digraph.
     The first monic residual with norm zero is the minimal polynomial, so
     dhat = its degree minus one = len(polys) - 1, read without forming
     any p_k; d, the number of distinct eigenvalues minus one, is the
@@ -230,26 +237,50 @@ def _monic(c: tuple, den: int) -> Polynomial:
 
 
 class _MonicSequence(Sequence):
-    """MonomialBasis.polys, p_0, ..., p_dhat on integers: numerator(k) =
-    c_k = D_{k-1} p_k is back-substituted on its first read, and the
-    Fraction polynomial p_k = c_k / D_{k-1} is formed from it only when
-    p_k itself is read.  pivots holds D_0, ..., D_dhat."""
+    """MonomialBasis.polys, p_0, ..., p_dhat on integers.
 
-    def __init__(self, pivots: list, upper: list):
-        self.pivots, self._upper = pivots, upper
+    The elimination may run on the moments over `scale`, m_ij / scale
+    (scale = n on a certified vertex-transitive digraph, 1 otherwise):
+    its leading minors are D'_k = D_k / scale^(k+1), and back-substitution
+    on its rows gives c'_k = c_k / scale^k, since scaling row and column
+    i of the moment matrix by sqrt(scale) leaves every p_k as it is.  c'_k
+    is back-substituted on its first read and kept; numerator(k) = c_k =
+    D_{k-1} p_k and pivots, D_0, ..., D_dhat, restore the powers of
+    scale, and the Fraction polynomial p_k = c'_k / D'_{k-1} is formed
+    only when p_k itself is read."""
+
+    def __init__(self, pivots: list, upper: list, scale: int):
+        self._pivots, self._upper, self._scale = pivots, upper, scale
         self._nums = [None] * len(pivots)
         self._polys = [None] * len(pivots)
+        self._full = None
 
     def __len__(self) -> int:
         return len(self._polys)
 
+    @property
+    def pivots(self) -> tuple:
+        """D_0, ..., D_dhat, the leading minors of n <A^i, A^j>."""
+        if self._full is None:
+            s = self._scale
+            self._full = tuple(d * s ** (k + 1) for k, d in enumerate(self._pivots))
+        return self._full
+
+    def _primed(self, k: int) -> tuple:
+        """c'_k = c_k / scale^k, back-substituted on its first read."""
+        c = self._nums[k]
+        if c is None:
+            c = self._nums[k] = _back_substitute(self._pivots, self._upper, k)
+        return c
+
     def numerator(self, k: int) -> tuple:
         """c_k, the integer coefficients of D_{k-1} p_k."""
         k = range(len(self))[k]
-        c = self._nums[k]
-        if c is None:
-            c = self._nums[k] = _back_substitute(self.pivots, self._upper, k)
-        return c
+        c = self._primed(k)
+        if self._scale == 1:
+            return c
+        f = self._scale ** k
+        return tuple(a * f for a in c)
 
     def denominator(self, k: int) -> int:
         """D_{k-1}, with D_{-1} = 1: p_k = numerator(k) / denominator(k)."""
@@ -262,7 +293,7 @@ class _MonicSequence(Sequence):
         k = range(len(self))[k]
         p = self._polys[k]
         if p is None:
-            p = self._polys[k] = _monic(self.numerator(k), self.denominator(k))
+            p = self._polys[k] = _monic(self._primed(k), self._pivots[k - 1] if k else 1)
         return p
 
     def __iter__(self):
@@ -305,12 +336,13 @@ def _power_image(A: np.ndarray, K: int, bound: int, image, rows: int = None) -> 
 
     bound is the caller's proof that every partial sum of image(V) and
     every entry of V, at most r^(K-1) (_max_row_sum), is at most bound
-    in absolute value.  Below 2^53 all of it is taken straight in
-    float64.  At or above it the same products run modulo word-size
-    primes, small enough that every partial sum of an inner length
-    rows * n stays below 2^53, until their product exceeds twice the
-    bound, and the Chinese remainder theorem with a symmetric lift gives
-    the integers.
+    in absolute value: a power of r, or for the moments the smaller
+    row-sum bound (_moment_bound).  Below 2^53 all of it is taken
+    straight in float64.  At or above it the same products run modulo
+    word-size primes, small enough that every partial sum of an inner
+    length rows * n stays below 2^53, until their product exceeds twice
+    the bound, so the prime count grows with the bound's bits, and the
+    Chinese remainder theorem with a symmetric lift gives the integers.
     """
     n = A.shape[0]
     seed = np.eye(n if rows is None else rows, n)
@@ -338,52 +370,99 @@ def _power_image(A: np.ndarray, K: int, bound: int, image, rows: int = None) -> 
     return lift.tolist()
 
 
+def _row_sum_bound(A: np.ndarray, K: int, rows: int):
+    """A bound on every sum sum_v A^i[u, v] A^j[u, v] over the first
+    `rows` rows u, and on every entry of those rows of A^k, for i, j, k
+    < K, read from the row sums s_k = A^k 1 of a nonnegative A; None when
+    A has a negative entry or a sum leaves the float64 range.
+
+    The sum is at most sum_u s_i[u] s_j[u], since every entry of row u of
+    A^i is at most s_i[u], which bounds the entries too.  The s_k and
+    those sums are taken in float64, where a sum of N nonnegative
+    products is off by at most gamma_N = N u / (1 - N u) of its exact
+    value, u = 2^-53, in any summation order.  So each true s_k is at
+    most (1 - gamma_n)^-k times its float64 value, and every true sum
+    and entry at most (1 - gamma_n)^-(2K-1) times x, the largest float64
+    one, as rows <= n.  That factor is below 1 + 4 (2K-1) n u, hence
+    below 1 + 2K n 2^-50, whenever 2K n u <= 1/4, and the bound returned
+    is ceil(x) plus that share of it.
+    """
+    n = A.shape[0]
+    if (A < 0).any():
+        return None
+    Af = A.astype(np.float64)
+    S = np.empty((K, n))
+    S[:1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K):
+            S[k] = Af @ S[k - 1]
+        T = S[:, :rows]
+        top = float(max((T @ T.T).max(initial=0.0), T.max(initial=0.0)))
+    if not math.isfinite(top) or 8 * K * n > 2 ** 53:
+        return None
+    x = math.ceil(top)
+    return x + (x * 2 * K * n >> 50) + 1
+
+
+def _moment_bound(A: np.ndarray, K: int, rows: int) -> int:
+    """The bound _moment_rows proves: rows r^(2K-2), since |A^i| <= r^i
+    entrywise and each row of |A^j| sums to at most r^j, and from 2^53 on
+    the smaller of that and _row_sum_bound."""
+    bound = rows * _max_row_sum(A) ** (2 * K - 2)
+    if bound >= _FLOAT_EXACT:
+        tight = _row_sum_bound(A, K, rows)
+        if tight is not None:
+            bound = min(bound, tight)
+    return bound
+
+
 def _moment_rows(A: np.ndarray, start: int, K: int, rows: int = None) -> list:
-    """Rows start..K-1 of the moment matrix m_ij = n <A^i, A^j>, the sum
-    of the entrywise product of A^i and A^j, for j < K, as exact Python
-    integers.  With rows = 1, on a certified vertex-transitive digraph,
-    each sum is n times its row-0 part, taken at the bound r^(2K-2);
-    otherwise it runs over all n rows at the bound n r^(2K-2): |A^i| <=
-    r^i entrywise and each row of |A^j| sums to at most r^j."""
+    """Rows start..K-1 of the moment sums sum_{u < rows} sum_v A^i[u, v]
+    A^j[u, v] for j < K, as exact Python integers, at the bound
+    _moment_bound.  Over all n rows (rows not given) these are the
+    moments m_ij = n <A^i, A^j>; on a certified vertex-transitive
+    digraph, with rows = 1, each row-0 sum is m_ij / n."""
     n = A.shape[0]
     rows = n if rows is None else rows
-    bound = rows * _max_row_sum(A) ** (2 * K - 2)
-    table = _power_image(A, K, bound, lambda V: V[start:] @ V.T, rows)
-    if rows == n:
-        return table
-    return [[n * x for x in row] for row in table]
+    return _power_image(A, K, _moment_bound(A, K, rows), lambda V: V[start:] @ V.T, rows)
 
 
 def orthogonal_monomial_basis(G) -> MonomialBasis:
     """Gram-Schmidt over 1, x, x^2, ... by fraction-free elimination.
 
     Bareiss elimination (Bareiss 1968) runs row by row on the integer
-    moment matrix m_ij = n <A^i, A^j>.  The moment rows come straight
-    from float64 products while their bound stays below 2^53, and from
-    word-size primes by the Chinese remainder theorem beyond it
-    (_moment_rows), rows 0..7 first and then in doubling blocks up to row n, until a
-    leading minor vanishes; no power of A is formed as a matrix of big
-    integers.  Once row k has been reduced by the pivot rows 0..k-1 it
-    holds the leading minor D_k = det(m_ij)_{i,j<=k}
-    as its pivot, and <p_k, p_k> = D_k / (n D_{k-1}).  Row k needs only
-    m_k0..m_kk: by symmetry, entry k of pivot row i equals the entry row
-    k has in column i when pivot i reduces it, so that entry is appended
-    to pivot row i as it is read.  Every division is an exact integer
-    one.  The first vanishing minor gives the minimal polynomial, formed
-    at once by back-substitution (_back_substitute) and kept on
-    integers; p_0..p_dhat are back-substituted the same way, each on
-    its first read.
+    moment matrix m_ij = n <A^i, A^j>, or on a certified
+    vertex-transitive digraph on its row-0 sums m_ij / n.  The moment
+    rows come straight from float64 products while their bound stays
+    below 2^53, and from word-size primes by the Chinese remainder
+    theorem beyond it (_moment_rows), rows 0..7 first and then in
+    doubling blocks up to row n, until a leading minor vanishes; no power
+    of A is formed as a matrix of big integers.  Once row k has been
+    reduced by the pivot rows 0..k-1 it holds the leading minor D_k =
+    det(m_ij)_{i,j<=k} as its pivot, and <p_k, p_k> = D_k / (n D_{k-1}).
+    On the row-0 sums the pivot is D'_k = D_k / n^(k+1), scaling row and
+    column i by sqrt(n) multiplies pivot row i by n^(i+1) and leaves
+    every p_k as it is, so <p_k, p_k> = D'_k / D'_{k-1} and the
+    elimination carries about (k+1) log2(n) fewer bits in row k;
+    MonomialBasis.polys restores the factors where its pivots and
+    numerators are read.  Row k needs only m_k0..m_kk: by symmetry,
+    entry k of pivot row i equals the entry row k has in column i when
+    pivot i reduces it, so that entry is appended to pivot row i as it
+    is read.  Every division is an exact integer one.  The first
+    vanishing minor gives the minimal polynomial, formed at once by
+    back-substitution (_back_substitute) and kept on integers; p_0..p_dhat
+    are back-substituted the same way, each on its first read.
 
     G is a digraph, its adjacency matrix, or a MatrixPowers, of which
     only A is read.  A digraph whose vertex_transitive certificate holds
-    takes each moment as n times its row-0 sum; the matrix and the
-    MatrixPowers forms always sum over every row.
+    takes the row-0 sums; the matrix and the MatrixPowers forms always
+    sum over every row.
     """
     A = _adjacency(G)
     n = A.shape[0]
     rows = 1 if getattr(G, "vertex_transitive", False) else n
-    table = []    # rows of m_ij, extended until a leading minor vanishes
-    pivots = []   # D_0, D_1, ...
+    table = []    # rows of the moment sums, extended until a leading minor vanishes
+    pivots = []   # D_0, D_1, ... of the moment sums
     upper = []    # upper[i][j - i - 1]: entry j > i of pivot row i
     norms2 = []
     k = 0
@@ -399,19 +478,20 @@ def orthogonal_monomial_basis(G) -> MonomialBasis:
             for j, u in enumerate(up, i + 1):
                 row[j] = (piv * row[j] - f * u) // prev
             prev = piv
-        # row[k] = D_k and prev = D_{k-1}
+        # row[k] = D_k and prev = D_{k-1}, both over n^(k+1) and n^k when rooted
         if row[k] == 0:
             # monic over the integers, so D_{k-1} divides all of c_k
             c = _back_substitute(pivots, upper, k)
             if any(a % prev for a in c):
                 raise ArithmeticError("minimal polynomial not integral, moment table corrupt")
             minpoly = Polynomial(tuple(a // prev for a in c))
-            return MonomialBasis(_MonicSequence(pivots, upper), tuple(norms2), minpoly)
+            return MonomialBasis(_MonicSequence(pivots, upper, n // rows),
+                                 tuple(norms2), minpoly)
         if row[k] < 0:
             raise ArithmeticError("negative norm in Gram-Schmidt, moment table corrupt")
         pivots.append(row[k])
         upper.append([])
-        norms2.append(Fraction(row[k], n * prev))
+        norms2.append(Fraction(row[k], rows * prev))
         k += 1
         if k > n:
             raise ArithmeticError("minimal polynomial degree exceeded matrix size")

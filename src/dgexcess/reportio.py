@@ -141,13 +141,28 @@ def digraph_to_adjmatrix(G: Digraph) -> str:
 
 # -- JSON serialization ------------------------------------------------------
 
+_SPLIT_BITS = 12_000   # about 3600 digits, inside str(int)'s default limit of 4300
+
+
 def _int_str(n: int) -> str:
     """Decimal digits of an integer of any size.
 
     str(int) refuses integers past the interpreter's digit limit (4300
-    by default); a Decimal converts exactly and prints the same digits.
+    by default); a Decimal converts exactly and prints the same digits,
+    but in time quadratic in the length.  So up to _SPLIT_BITS bits the
+    Decimal prints it, and a longer integer is split by divmod with
+    10^k, k about half its digit count: the high part is at least 1,
+    the low part is zero-padded to k digits, and each is printed the
+    same way.  No interpreter setting is read or changed.
     """
-    return str(decimal.Decimal(n))
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(decimal.Decimal(n))
+    if n < 0:
+        return "-" + _int_str(-n)
+    # 10^k <= 2^(bit_length - 1) <= n, so the high part is at least 1
+    k = n.bit_length() * 30103 // 200000
+    high, low = divmod(n, 10 ** k)
+    return _int_str(high) + _int_str(low).zfill(k)
 
 
 def _rat(x) -> str:

@@ -9,7 +9,9 @@ Claims checked:
     digraphs, same seed), and raises the cap's ValueError for an n past
     the sampled enumeration cap before it checks any digraph
   * the verify command stops at once, with exit status 2, when an n
-    up to --max-n is past an enumeration cap or --sample is below 1
+    up to --max-n is past an enumeration cap, or --sample or --jobs is
+    below 1 whatever --max-n is; verify_corpus raises those ValueErrors
+    before it checks any digraph
   * check_digraph builds no MatrixPowers on the n <= 4 corpus: its sums
     over powers of A come from stacked power rows, and its odd-girth
     cross-check takes the walk route
@@ -71,10 +73,34 @@ def test_verify_command_fails_fast_past_the_caps(capsys):
 
 @pytest.mark.parametrize("sample", ["-3", "0"])
 def test_verify_command_rejects_a_sample_below_one(capsys, sample):
-    assert main(["verify", "--max-n", "5", "--sample", sample]) == 2
+    # with --max-n 5 and with the default, which samples no n at all
+    for max_n in (["--max-n", "5"], []):
+        assert main(["verify", *max_n, "--sample", sample]) == 2
+        captured = capsys.readouterr()
+        assert "sample_limit must be at least 1" in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [["--jobs", "0"], ["--max-n", "3", "--jobs", "-2"]],
+                         ids=["jobs0", "max3-jobs-2"])
+def test_verify_command_rejects_jobs_below_one(capsys, argv):
+    assert main(["verify", *argv]) == 2
     captured = capsys.readouterr()
-    assert "sample_limit must be at least 1" in captured.err
-    assert "PASS" not in captured.out
+    assert "jobs must be at least 1" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+def test_verify_corpus_rejects_sample_or_jobs_below_one_before_any_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness_module, "check_digraph", lambda G: calls.append(G) or [])
+    monkeypatch.setattr(harness_module, "family_suite", lambda: calls.append("families"))
+    for kwargs, words in [({"max_n": 3, "sample": 0}, "sample_limit"),
+                          ({"max_n": 3, "sample": -5, "jobs": 0}, "sample_limit"),
+                          ({"max_n": 3, "jobs": 0}, "jobs"),
+                          ({"max_n": 2, "jobs": -1}, "jobs")]:
+        with pytest.raises(ValueError, match=f"{words} must be at least 1"):
+            verify_corpus(**kwargs)
+    assert calls == []
 
 
 def test_check_digraph_forms_no_power_matrix(monkeypatch):

@@ -11,6 +11,11 @@ Claims checked:
   * the moment table, from float64 below 2^53 and from word-size primes
     at or above it, equals the schoolbook Frobenius sums, and the basis
     built on it forms no big-integer power
+  * the row-sum bound holds every moment and power-row entry of seeded
+    strongly connected digraphs and of the family suite, and never
+    exceeds the bound rows r^(2K-2) it replaces; on the benchmark's
+    random-40 digraph it takes the last moment block from 13 primes to
+    at most 9
   * the projection tables, the masked walk counts and the power traces
     take the same split at 2^53 and equal schoolbook powers on both
     sides of it
@@ -57,6 +62,7 @@ from dgexcess import (MatrixPowers, PerronError, Polynomial, SpectrumError,
                       predistance_polynomials, projection_tables, spectrum,
                       tensor_lift, working_dps)
 from dgexcess.generators import enumerate_digraphs
+from dgexcess.harness import standard_families
 from dgexcess.linalg import _FLOAT_EXACT, _moment_rows, exact_matmul, refine_real_root
 
 
@@ -312,6 +318,100 @@ def test_moment_rows_switch_to_primes_at_2_53(monkeypatch, n, primes):
     assert draws(masked_power_check, ds)
     assert ds.path_counts.tolist() == [[powers[ds.dist[x, y]][x][y] for y in range(L.n)]
                                        for x in range(L.n)]
+
+
+def _strong_digraph(n: int, density: float, seed: int):
+    """A random Hamiltonian cycle, so strongly connected, plus every other
+    arc with probability density."""
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    arcs = {(order[i - 1], order[i]) for i in range(n)}
+    arcs |= {(u, v) for u in range(n) for v in range(n)
+             if u != v and rng.random() < density}
+    return build_digraph(n, sorted(arcs))
+
+
+def _exact_power_rows(A: np.ndarray, K: int, rows: int):
+    """Rows 0..rows-1 of A^0..A^{K-1}, each power flattened into one row
+    of Python integers, and their sums sum_{u < rows} sum_v A^i A^j."""
+    Ao = A.astype(object)
+    P = np.eye(A.shape[0], dtype=np.int64)[:rows].astype(object)
+    V = []
+    for _ in range(K):
+        V.append(P.ravel())
+        P = P.dot(Ao)
+    V = np.array(V, dtype=object)
+    return V, V.dot(V.T)
+
+
+def test_row_sum_bound_holds_every_moment_and_entry():
+    # seeded strongly connected digraphs, sparse to dense, and the family
+    # suite; the bound is computed here whatever its size, while the
+    # moment rows read it only once r^(2K-2) reaches 2^53
+    graphs = [_strong_digraph(n, density, 100 * n + i)
+              for i, (n, density) in enumerate([(6, 0.1), (9, 0.6), (13, 0.3), (17, 0.45),
+                                                (22, 0.2), (28, 0.5), (34, 0.15), (40, 0.1),
+                                                (40, 0.6)])]
+    graphs += [G for _, G, _ in standard_families()]
+    tighter = 0
+    for G in graphs:
+        A, n = G.adjacency, G.n
+        r = int(A.sum(axis=1).max())
+        K = min(n + 1, 16 if n <= 40 else 10)
+        for rows in (n, 1):
+            V, M = _exact_power_rows(A, K, rows)
+            bound = linalg._row_sum_bound(A, K, rows)
+            assert max(M.max(), V.max()) <= bound, (G, rows)
+            used = linalg._moment_bound(A, K, rows)
+            assert max(M.max(), V.max()) <= used <= rows * r ** (2 * K - 2), (G, rows)
+            tighter += used < rows * r ** (2 * K - 2)
+    assert tighter >= 10
+    # past the float64 range, or with a negative entry, there is no bound
+    assert linalg._row_sum_bound(complete(40).adjacency, 400, 40) is None
+    assert linalg._row_sum_bound(-np.eye(3, dtype=np.int64), 4, 3) is None
+
+
+def _report_roster(monkeypatch, seed: int) -> dict:
+    """The benchmark's report roster at seed, from perfbench/workloads.py,
+    loaded from its file without writing a bytecode cache beside it."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+    import dgexcess
+    where = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", where)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return dict(module.WORKLOADS["report"].build(dgexcess, seed))
+
+
+def test_row_sums_size_the_moment_primes(monkeypatch):
+    # random-40 at seed 1: the last block's crude bound 40 * 10^80 (259
+    # bits) took 13 primes, while its largest moment has about 150 bits
+    G = _report_roster(monkeypatch, 1)["random-40"]
+    blocks = []
+    prime, moment_rows = linalg._prime, linalg._moment_rows
+    monkeypatch.setattr(linalg, "_prime",
+                        lambda i, bits: blocks[-1][1].append(i) or prime(i, bits))
+
+    def recorded(A, start, K, rows=None):
+        blocks.append(((start, K), []))
+        return moment_rows(A, start, K, rows)
+    monkeypatch.setattr(linalg, "_moment_rows", recorded)
+    basis = orthogonal_monomial_basis(G)
+    (start, K), drawn = blocks[-1]
+    assert (start, K, basis.dhat) == (32, 41, 39)
+    assert 0 < len(drawn) <= 9
+    # the same block at the crude bound, from its 13 primes
+    monkeypatch.undo()
+    A = G.adjacency
+    crude = 40 * int(A.sum(axis=1).max()) ** 80
+    assert crude.bit_length() == 259
+    assert _moment_rows(A, 32, 41) == \
+        linalg._power_image(A, 41, crude, lambda V: V[32:] @ V.T)
 
 
 def _digest(fractions):

@@ -5,18 +5,24 @@ Claims checked:
     malformed input with the offending line number
   * generator output round-trips through the parser unchanged
   * JSON reports keep rationals as "p/q" strings, stay byte-identical
-    across runs, and contain the documented verdict shapes; one emit
+    across runs (golden digests on small digraphs and on the wide
+    members of the benchmark's report roster), and contain the
+    documented verdict shapes; one emit
     converts an exact value that appears twice (q_norm) once; the direct
     oracle's dr verdict of a non-normal digraph, witness included, is
     the one docs/report-schema.md shows
   * the text report carries the excess comparison line
+  * integers past the split size print by halving, with the digits
+    decimal.Decimal prints, around the split and up to 200,000 bits
   * CLI subcommands and their exit-code contract (0 holds, 1 fails,
     2 error or internal inconsistency)
   * verify ends with the corpus digraphs checked per second
 """
 
+import decimal
 import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -115,6 +121,17 @@ GOLDEN_JSON_SHA256 = {
     # not normal: its dr verdict is the direct oracle's, witness included
     "chord triangle": ("1ec160857283549f1f34d14d2ddd7bbc"
                        "21cc687700cbe3e57320c9fd244c122d"),
+    # the wide members of the benchmark's report roster: long minors,
+    # rooted elimination on the circulants, deep projection tables on
+    # the paths, decimals past the digit limit on circulant(47)
+    "circulant(37,{1,10,23})": ("107f0c2463b3e81e088ee09cc6c02bbc"
+                                "0ba3fd2dc4a5e8856b27982d5e6674c6"),
+    "circulant(47,{1,10,23})": ("cd40cf6f510819f1b2639795c626f2df"
+                                "cc6eb83736223815b4002eed27db55ff"),
+    "path(32)": ("51ae1786b68d940569023bd1a77ad542"
+                 "5768ae7e77c8b7ecc406ffb7feff2c0a"),
+    "path(40)": ("7869d22c3755674e2212a8d1153e3ed2"
+                 "0b6311cf2d238002b5415000cb09fb4c"),
 }
 CHORD_TRIANGLE = build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "report-schema.md"
@@ -124,7 +141,10 @@ def test_json_matches_golden_digests():
     graphs = {"petersen": petersen(), "path(3)": path(3), "path(5)": path(5),
               "K_1,4": complete_bipartite(1, 4),
               "directed_cycle(7)": directed_cycle(7),
-              "chord triangle": CHORD_TRIANGLE}
+              "chord triangle": CHORD_TRIANGLE,
+              "circulant(37,{1,10,23})": circulant(37, (1, 10, 23)),
+              "circulant(47,{1,10,23})": circulant(47, (1, 10, 23)),
+              "path(32)": path(32), "path(40)": path(40)}
     for label, G in graphs.items():
         text = emit_report(full_report(G), "json")
         assert hashlib.sha256(text.encode()).hexdigest() == \
@@ -154,6 +174,23 @@ def test_emit_beyond_the_integer_digit_limit():
     report.bounds["q_norm"]["value"] = Fraction(-10 ** 5001)
     text = emit_report(report, "text")
     assert "q-norm -1" + "0" * 5001 + " " in text
+
+
+def test_int_str_prints_the_digits_decimal_prints():
+    from dgexcess.reportio import _SPLIT_BITS, _int_str
+    # the split sits near 10^3612, the largest power of ten under 2^12000
+    k0 = int(_SPLIT_BITS * 0.30103)
+    values = [0, 1, -1]
+    for k in range(k0 - 3, k0 + 4):
+        values += [10 ** k - 1, 10 ** k, 10 ** k + 1]
+    values += [2 ** _SPLIT_BITS + d for d in (-1, 0, 1)]
+    rng = random.Random(5)
+    for bits in [rng.randrange(1, 200_001) for _ in range(12)] + [200_000, 60_000, 24_001]:
+        values += [rng.getrandbits(bits) | 1 << (bits - 1), -rng.getrandbits(bits)]
+    values += [-x for x in values[3:21]]
+    for x in values:
+        assert _int_str(x) == str(decimal.Decimal(x)), x.bit_length()
+    assert max(x.bit_length() for x in values) == 200_000
 
 
 def test_emit_converts_each_exact_value_once_per_call(monkeypatch):

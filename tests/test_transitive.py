@@ -18,7 +18,11 @@ Claims checked:
     non-distance-regular vertex-transitive digraphs, the rooted path
     equals the dense one: moment rows, basis, projection tables, masked
     check, both direct-oracle certificates (witness pairs included) and
-    the JSON report
+    the JSON report, with the rooted moment sums n times smaller
+  * the rooted elimination runs on the row-0 sums, its minors n^(k+1)
+    times smaller, and restores the dense pivots, numerators,
+    denominators, norms, polynomials and minimal polynomial exactly
+    (circulant(47, {1, 10, 23}) and paley_tournament(103))
 """
 
 import dataclasses
@@ -150,7 +154,10 @@ def _everything(G: Digraph) -> dict:
     basis = orthogonal_monomial_basis(G)
     polys = basis.polys
     tables = projection_tables(ds, basis)
-    return {"moments": _moment_rows(G.adjacency, 0, basis.dhat + 2, ds.rows),
+    # the rooted moment sums are the row-0 parts, 1/n of the dense ones
+    scale = G.n // ds.rows
+    return {"moments": [[scale * m for m in row]
+                        for row in _moment_rows(G.adjacency, 0, basis.dhat + 2, ds.rows)],
             "pivots": polys.pivots, "norms2": basis.norms2, "minpoly": basis.minpoly,
             "numerators": [polys.numerator(k) for k in range(len(polys))],
             "tables": (tables.numerators, tables.pivots, tables.sizes),
@@ -167,3 +174,22 @@ def test_rooted_path_equals_dense(label, G):
     if label.startswith(("circulant(12", "circulant(20", "circulant(13,{1,3,5")):
         assert "witness" in rooted["wdr"].certificate
         assert "witness" in rooted["dr"].certificate
+
+
+@pytest.mark.parametrize("G", [circulant(47, (1, 10, 23)), paley_tournament(103)],
+                         ids=["circulant(47,{1,10,23})", "paley_tournament(103)"])
+def test_rooted_elimination_runs_without_the_factor_n(G):
+    rooted, dense = orthogonal_monomial_basis(G), orthogonal_monomial_basis(_dense(G))
+    n, top = G.n, rooted.dhat
+    # the elimination ran on the row-0 sums: its k-th minor is D_k / n^(k+1)
+    minors = rooted.polys._pivots
+    assert [d * n ** (k + 1) for k, d in enumerate(minors)] == list(dense.polys.pivots)
+    assert minors[-1].bit_length() < dense.polys.pivots[-1].bit_length() - top * 5
+    assert rooted.polys.pivots == dense.polys.pivots
+    assert [rooted.polys.numerator(k) for k in range(top, -1, -1)] == \
+        [dense.polys.numerator(k) for k in range(top, -1, -1)]
+    assert [rooted.polys.denominator(k) for k in range(top + 1)] == \
+        [dense.polys.denominator(k) for k in range(top + 1)]
+    assert rooted.norms2 == dense.norms2
+    assert rooted.minpoly == dense.minpoly
+    assert tuple(rooted.polys) == tuple(dense.polys)
