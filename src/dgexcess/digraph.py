@@ -2,7 +2,10 @@
 
 Vertices are 0..n-1, arcs are ordered pairs without loops or repeats.
 Everything downstream assumes strong connectivity; the checks that need
-it raise :class:`NotStronglyConnectedError` instead of guessing.
+it raise :class:`NotStronglyConnectedError` instead of guessing.  The
+test itself is two reachability sweeps from vertex 0, each set of
+vertices one int bitmask: out- and in-neighbour masks, and the reached
+set grown by ORing in its frontier's masks.
 
 Distances, geodesic counts and the odd girth come from breadth-first
 searches that run from all sources at once and advance one level per
@@ -150,13 +153,6 @@ class Digraph:
         return tuple(tuple(s) for s in out)
 
     @cached_property
-    def predecessors(self):
-        out = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            out[v].append(u)
-        return tuple(tuple(s) for s in out)
-
-    @cached_property
     def out_degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
@@ -166,26 +162,34 @@ class Digraph:
 
     @cached_property
     def is_strongly_connected(self) -> bool:
-        return (_reach_count(self.successors, 0) == self.n
-                and _reach_count(self.predecessors, 0) == self.n)
+        """Every vertex reaches vertex 0 and is reached from it: one sweep
+        from 0 over the out-neighbour masks and one over the in-neighbour
+        masks (bit v of out[u] set for each arc (u, v))."""
+        n = self.n
+        out, into = [0] * n, [0] * n
+        for u, v in self.arcs:
+            out[u] |= 1 << v
+            into[v] |= 1 << u
+        everyone = (1 << n) - 1
+        return _reach(out, everyone) == everyone == _reach(into, everyone)
 
     def __repr__(self):
         return f"Digraph(n={self.n}, arcs={len(self.arcs)})"
 
 
-def _reach_count(neighbors, start: int) -> int:
-    seen = [False] * len(neighbors)
-    seen[start] = True
-    queue = deque([start])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count
+def _reach(neighbours, everyone: int) -> int:
+    """The mask of vertices reached from vertex 0, where neighbours[u] is
+    u's neighbour mask; it stops early once everyone is reached."""
+    seen = frontier = 1
+    while frontier and seen != everyone:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= neighbours[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 def build_digraph(n, arcs) -> Digraph:

@@ -28,13 +28,13 @@ tables hold integers only: N_kj = n D_{j-1} <A_k, p_j(A)>, the pivots
 and the layer sizes n delta_k.  Each variant's terms are then integers
 over one structured common denominator L, n times the lcm of the pivot
 products D_{j-1} D_j (and of the layer sizes, for variant i).  An index
-system S_0..S_D is validated once into a flat 0/1 mask over the
-(D+1)^2 terms (system_mask), entry k (D+1) + j for term (k, j), and its
-projection sum is the integer sum(compress(terms, mask)) over the terms
-read row-major, compared against n L.  generalized_projection_sum wraps
-one such sum in a ProjectionBound, one piece per mask row;
-projection_sum_totals sums a batch of systems and returns bare
-numerators over L.
+system S_0..S_D is one int (system_mask), bit k (D+1) + j set for term
+(k, j) of the (D+1)^2 terms read row-major, and its projection sum is
+the integer sum of the terms at its set bits, compared against n L.
+generalized_projection_sum validates a list system into its mask and
+wraps one such sum in a ProjectionBound, one piece per mask row of D + 1
+bits; projection_sum_totals takes a batch of masks, checks each in O(D)
+int operations and returns bare numerators over L.
 
 On a certified vertex-transitive digraph (DistanceStructure.rows = 1)
 the projection tables read row 0 of each layer and each power of A, n
@@ -87,9 +87,10 @@ class ProjectionTables:
     terms_i and terms_ii hold each variant's squared projections, formed
     once per table, as integer rows over one denominator L; terms(variant)
     reads them by the variant's name, and every projection sum reads
-    them through a system_mask.  A batch of sums flattens the rows for
-    the one call only: a flattened copy held beside them lifts peak RSS
-    on the wide digraphs (~0.4 MB over the perfbench report roster).
+    them at the set bits of a system_mask.  A batch of sums flattens the
+    rows for the one call only: a flattened copy held beside them lifts
+    peak RSS on the wide digraphs (~0.4 MB over the perfbench report
+    roster).
     """
 
     n: int
@@ -315,9 +316,10 @@ def upper_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
                                       "ii", tables)
 
 
-def system_mask(subsets, D: int, variant: str) -> bytearray:
-    """The index system S_0..S_D as a flat 0/1 mask over the (D+1)^2
-    terms read row-major, entry k (D+1) + j set for each j in S_k.
+def system_mask(subsets, D: int, variant: str) -> int:
+    """The index system S_0..S_D as one int, bit k (D+1) + j set for
+    each j in S_k: row k of the (D+1)^2 terms read row-major is the
+    D + 1 bits from k (D+1) up.
 
     Raises ValueError unless the system is one a projection sum takes:
     D + 1 subsets of integer indices, each nonempty and inside 0..D (a
@@ -330,21 +332,65 @@ def system_mask(subsets, D: int, variant: str) -> bytearray:
     subsets = list(subsets)
     if len(subsets) != m:
         raise ValueError(f"need {m} index subsets, got {len(subsets)}")
-    mask = bytearray(m * m)
-    base = 0
+    mask = 0
     for k, S in enumerate(subsets):
-        empty = True
+        row = 0
         for j in S:
             if not 0 <= j <= D:
                 raise ValueError(f"subset for layer {k} leaves the range 0..{D}")
-            mask[base + j] = 1
-            empty = False
-        if empty:
+            row |= 1 << operator.index(j)
+        if not row:
             raise ValueError(f"subset for layer {k} is empty")
-        if variant == "ii" and not mask[base + k]:
+        if variant == "ii" and not row >> k & 1:
             raise ValueError(f"variant ii needs {k} in its own subset")
-        base += m
+        mask |= row << k * m
     return mask
+
+
+def _mask_subsets(mask: int, D: int) -> list:
+    """The index lists S_0..S_D of a system_mask, its inverse on a valid
+    mask; only a failure is worded with them."""
+    m = D + 1
+    return [[j for j in range(m) if mask >> k * m + j & 1] for k in range(m)]
+
+
+def _diagonal_mask(D: int) -> int:
+    """The system_mask of S_k = {k}: bits k (D+2), a geometric series."""
+    m = D + 1
+    return ((1 << m * (m + 1)) - 1) // ((1 << m + 1) - 1)
+
+
+def _check_mask(mask: int, D: int, variant: str, diagonal: int) -> None:
+    """Raise ValueError for a mask no projection sum takes: a bit at or
+    past (D+1)^2 (a negative int has such bits), or in system_mask's
+    words an empty row or, under variant ii, a row k without bit k;
+    diagonal is _diagonal_mask(D)."""
+    if not isinstance(mask, int):
+        raise TypeError(f"a system enters as its system_mask int, "
+                        f"got {type(mask).__name__}")
+    m = D + 1
+    if mask >> m * m:
+        raise ValueError(f"system mask sets a bit past the {m * m} terms "
+                         f"of diameter {D}")
+    if variant == "ii" and mask & diagonal == diagonal:
+        return                      # each row holds its own index
+    full = (1 << m) - 1
+    for k in range(m):
+        row = mask >> k * m & full
+        if not row:
+            raise ValueError(f"subset for layer {k} is empty")
+        if variant == "ii" and not row >> k & 1:
+            raise ValueError(f"variant ii needs {k} in its own subset")
+
+
+def _bit_sum(terms, bits: int) -> int:
+    """The sum of terms[i] over the set bits i of bits, lowest first."""
+    total = 0
+    while bits:
+        low = bits & -bits
+        total += terms[low.bit_length() - 1]
+        bits ^= low
+    return total
 
 
 def generalized_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
@@ -356,33 +402,42 @@ def generalized_projection_sum(ds: DistanceStructure, basis: MonomialBasis,
     matrices indexed by its subset; variant "ii" projects each distance
     matrix onto polynomial layers and requires k in S_k.  The system is
     validated into a system_mask, and layer k's piece is the integer
-    sum of the variant's term row k under mask row k.
+    sum of the variant's term row k over the set bits of mask row k.
     """
     m = ds.diameter + 1
     mask = system_mask(subsets, ds.diameter, variant)
     if tables is None:
         tables = projection_tables(ds, basis)
     rows, L = tables.terms(variant)
-    per_k = tuple(sum(itertools.compress(row, mask[b:b + m]))
+    full = (1 << m) - 1
+    per_k = tuple(_bit_sum(row, mask >> b & full)
                   for row, b in zip(rows, range(0, m * m, m)))
     return ProjectionBound(per_k, L, ds.n, tables.delta)
 
 
-def projection_sum_totals(tables: ProjectionTables, systems, *variants) -> tuple:
-    """The projection sums of many index systems as bare integers: one
-    (totals, L) per variant, in order, totals[s] being system s's sum
-    times the variant's L, so that it attains n exactly when it equals
-    n L.  Each system is validated once, under variant ii's stricter
-    rule when ii is asked for, raising generalized_projection_sum's
-    ValueErrors; no Fraction or ProjectionBound is formed."""
+def projection_sum_totals(tables: ProjectionTables, masks, *variants) -> tuple:
+    """The projection sums of many index systems, each given as its
+    system_mask int, as bare integers: one (totals, L) per variant, in
+    order, totals[s] being system s's sum times the variant's L, so
+    that it attains n exactly when it equals n L.
+
+    Each mask is checked once, in O(D) int operations, under variant
+    ii's stricter rule when ii is asked for: a bit at or past (D+1)^2
+    raises ValueError, and so do an empty row and a missing diagonal
+    bit, in system_mask's words (a non-int raises TypeError).  Each
+    variant's term rows are then flattened and summed over every mask's
+    set bits; no Fraction or ProjectionBound is formed."""
     terms = [tables.terms(v) for v in variants]
     D = len(tables.sizes) - 1
     strict = "ii" if "ii" in variants else "i"
-    masks = [system_mask(S, D, strict) for S in systems]
+    diagonal = _diagonal_mask(D)
+    masks = list(masks)
+    for mask in masks:
+        _check_mask(mask, D, strict, diagonal)
     out = []
     for rows, L in terms:
         row = list(itertools.chain.from_iterable(rows))
-        out.append(([sum(itertools.compress(row, mask)) for mask in masks], L))
+        out.append(([_bit_sum(row, mask) for mask in masks], L))
     return tuple(out)
 
 

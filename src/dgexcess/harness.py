@@ -15,12 +15,14 @@ yields, optionally fanning them out to worker processes, and every
 failure message embeds the digraph as an edge list so a counterexample
 is immediately reproducible.
 
-Random subset systems are seeded from the digraph itself, so results
-do not depend on traversal or worker order.  check_projection_sums
-validates each drawn system once for both variants and sums it as a
-flat mask over the tables' integer term rows (projection_sum_totals),
-comparing each total with n L as integers; a Fraction is formed only
-to word a failure.
+Random subset systems are drawn as excess.system_mask ints, one
+getrandbits((D+1)^2) each, from a generator seeded by an integer code of
+the digraph itself (its arc bits under a leading bit for n), so results
+do not depend on traversal, worker order or the process.
+check_projection_sums checks each drawn mask once for both variants and
+sums the tables' integer terms at its set bits (projection_sum_totals),
+comparing each total with n L as integers; index lists and a Fraction
+are formed only to word a failure.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .classify import (SPECTRAL_GAP_TOL, WEIGHTED_TOL, AnalysisContext,
                        geodetic_dr_check, odd_girth_walks, spectral_gaps,
                        trichotomy)
 from .digraph import Digraph, geodetic_test, girth, is_infinite, regularity_test
-from .excess import projection_sum_totals
+from .excess import _diagonal_mask, _mask_subsets, projection_sum_totals
 from .generators import (circulant, complete, complete_bipartite,
                          directed_cycle, enumerate_digraphs, hypercube,
                          kneser_odd_graph, paley_tournament, path, petersen,
@@ -49,25 +51,36 @@ def _tag(G: Digraph, message: str) -> str:
 
 
 def _graph_rng(G: Digraph) -> random.Random:
-    return random.Random(f"{G.n}:{G.arcs}")
+    """A generator seeded from the digraph alone: the int with bit
+    u n + v set for each arc (u, v) and a leading bit n^2 that fixes n,
+    so the same digraph draws the same systems in every process."""
+    n = G.n
+    code = 1 << n * n
+    for u, v in G.arcs:
+        code |= 1 << u * n + v
+    return random.Random(code)
 
 
-def random_subset_systems(D: int, count: int, rng, force_diagonal=True):
-    """Random S_0..S_D with nonempty S_k subseteq {0..D}; k in S_k when
-    force_diagonal (the regime where attaining the bound characterizes
-    weak distance-regularity)."""
-    draw = rng.random
-    indices = range(D + 1)
+def random_subset_systems(D: int, count: int, rng, force_diagonal=True) -> list:
+    """Random index systems S_0..S_D, each as its excess.system_mask int
+    (bit k (D+1) + j set for j in S_k), with nonempty S_k subseteq
+    {0..D} and k in S_k when force_diagonal (the regime where attaining
+    the bound characterizes weak distance-regularity).
+
+    Each system is one rng.getrandbits((D+1)^2), so each j is in S_k
+    with probability 1/2; row k is ORed with bit k when forced, and a
+    row still empty takes one rng.randrange(D + 1) bit, in row order."""
+    m = D + 1
+    diagonal = _diagonal_mask(D) if force_diagonal else 0
+    full = (1 << m) - 1
     out = []
     for _ in range(count):
-        system = []
-        for k in indices:
-            # one draw per j, in order, whether or not j is forced in
-            S = [j for j in indices if draw() < 0.5 or (force_diagonal and j == k)]
-            if not S:
-                S.append(rng.randrange(D + 1))
-            system.append(S)
-        out.append(system)
+        mask = rng.getrandbits(m * m) | diagonal
+        if not force_diagonal:
+            for k in range(m):
+                if not mask >> k * m & full:
+                    mask |= 1 << k * m + rng.randrange(m)
+        out.append(mask)
     return out
 
 
@@ -91,29 +104,31 @@ def check_projection_sums(ctx: AnalysisContext, systems: int = 20) -> list:
         if not all(pb.per_k_holds):
             failures.append(_tag(G, f"a per-class {label} projection exceeds delta_k"))
 
-    # the random systems as bare integer sums over each variant's L; a
-    # Fraction is formed only to word a failure
+    # the random systems as masks, summed as bare integers over each
+    # variant's L; a Fraction and index lists are formed only to word a
+    # failure
     rng = _graph_rng(G)
     D = ctx.ds.diameter
     forced = random_subset_systems(D, systems, rng, force_diagonal=True)
     free = random_subset_systems(D, 2, rng, force_diagonal=False)
     sums = projection_sum_totals(ctx.tables, forced, "i", "ii")
-    for s, system in enumerate(forced):
+    for s, mask in enumerate(forced):
         for variant, (totals, L) in zip(("i", "ii"), sums):
             total, nL = totals[s], n * L
             if total > nL:
                 failures.append(_tag(G, f"subset-system sum (variant {variant}) "
-                                        f"{Fraction(total, L)} > {n} for {system}"))
+                                        f"{Fraction(total, L)} > {n} "
+                                        f"for {_mask_subsets(mask, D)}"))
             if (total == nL) != is_wdr:
                 failures.append(_tag(G, f"subset-system sum (variant {variant}) "
                                         f"{Fraction(total, L)} attains n={n}: "
                                         f"{total == nL}, wdr_direct: {is_wdr} "
-                                        f"for {system}"))
+                                        f"for {_mask_subsets(mask, D)}"))
     (totals, L), = projection_sum_totals(ctx.tables, free, "i")
-    for system, total in zip(free, totals):
+    for mask, total in zip(free, totals):
         if total > n * L:
             failures.append(_tag(G, f"free subset-system sum {Fraction(total, L)} "
-                                    f"> {n} for {system}"))
+                                    f"> {n} for {_mask_subsets(mask, D)}"))
     return failures
 
 

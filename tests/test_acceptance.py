@@ -24,6 +24,7 @@ from dgexcess import (AnalysisContext, build_digraph,
                       spectral_excess, tensor_lift, upper_projection_sum,
                       wdr_projection_sum)
 from dgexcess.classify import SPECTRAL_GAP_TOL, full_report
+from dgexcess.excess import system_mask
 from dgexcess.harness import (check_conjugation, check_excess_product,
                               check_geodetic_set, check_odd_girth_suite,
                               check_projection_sums, check_simple_set,
@@ -85,6 +86,12 @@ def _fraction_projection_sum(terms, subsets):
     return sum(per_k, Fraction(0)), per_k
 
 
+def _mask_subsets(mask, D):
+    """The index lists S_0..S_D of a system mask, bit k (D+1) + j for j in S_k."""
+    return [[j for j in range(D + 1) if mask >> k * (D + 1) + j & 1]
+            for k in range(D + 1)]
+
+
 def _seeded_digraph(n, arcs, seed):
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
@@ -103,15 +110,16 @@ def test_projection_sums_match_fraction_sums(corpus):
         n, D, delta = ctx.G.n, ctx.ds.diameter, ctx.profile.delta
         rng = random.Random(f"{n}:{ctx.G.arcs}")
         forced = random_subset_systems(D, 20, rng, force_diagonal=True)
+        free = random_subset_systems(D, 2, rng, force_diagonal=False)
         cases = [([[k] for k in range(D + 1)], "ii",
                   wdr_projection_sum(ctx.ds, ctx.basis, None, ctx.tables,
                                      ctx.profile)),
                  ([list(range(k, D + 1)) for k in range(D + 1)], "ii",
                   upper_projection_sum(ctx.ds, ctx.basis, None, ctx.tables,
                                        ctx.profile))]
-        cases += [(S, v, None) for S in forced for v in ("i", "ii")]
-        cases += [(S, "i", None) for S in
-                  random_subset_systems(D, 2, rng, force_diagonal=False)]
+        cases += [(_mask_subsets(mask, D), v, None) for mask in forced
+                  for v in ("i", "ii")]
+        cases += [(_mask_subsets(mask, D), "i", None) for mask in free]
         terms = _fraction_terms(ctx)
         by_variant = {"i": ([], [], []), "ii": ([], [], [])}
         for subsets, variant, pb in cases:
@@ -130,7 +138,8 @@ def test_projection_sums_match_fraction_sums(corpus):
         # the batch sums: the same numerators over the same L as the single
         # sums, and the reference's totals, every system in one call
         for variant, (systems, bounds, totals) in by_variant.items():
-            (batch, L), = projection_sum_totals(ctx.tables, systems, variant)
+            (batch, L), = projection_sum_totals(
+                ctx.tables, [system_mask(S, D, variant) for S in systems], variant)
             assert batch == [pb.total_num for pb in bounds]
             assert {pb.denominator for pb in bounds} == {L}
             assert [Fraction(t, L) for t in batch] == totals

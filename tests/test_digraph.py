@@ -2,6 +2,9 @@
 
 Claims checked:
   * build validation rejects loops, duplicates, range violations
+  * strong connectivity (two neighbour-mask sweeps from vertex 0) agrees
+    with all Floyd-Warshall distances finite on every labeled digraph up
+    to n = 4, on n = 5 samples and on the standard families
   * BFS distances agree with Floyd-Warshall on random digraphs
   * geodesic counts agree with explicit path enumeration, on the n <= 4
     corpus and on seeded digraphs up to n = 12, as Python ints
@@ -30,6 +33,7 @@ from dgexcess import (Digraph, DuplicateArcError, INFINITE, LoopArcError,
                       geodetic_test, girth, hypercube,
                       is_infinite, kneser_odd_graph, odd_girth, path, petersen,
                       regularity_test, strong_connectivity, tensor_lift)
+from dgexcess.harness import standard_families
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -114,7 +118,7 @@ def test_adjacency_and_degree_views():
     G = build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
     assert G.adjacency[0, 1] == 1 and G.adjacency[1, 0] == 0
     assert G.successors[0] == (1, 2)
-    assert G.predecessors[2] == (0, 1)
+    assert list(np.flatnonzero(G.adjacency[:, 2])) == [0, 1]
     assert list(G.out_degrees) == [2, 1, 1]
     assert list(G.in_degrees) == [1, 1, 2]
 
@@ -123,6 +127,26 @@ def test_strong_connectivity():
     assert strong_connectivity(directed_cycle(4))
     assert not strong_connectivity(build_digraph(3, [(0, 1), (1, 2)]))
     assert strong_connectivity(build_digraph(1, []))
+
+
+def _fw_connected(G):
+    return all(d is not oracles.INF for row in oracles.fw_distances(G.n, G.arcs)
+               for d in row)
+
+
+def test_strong_connectivity_matches_floyd_warshall():
+    # every labeled digraph up to n = 4, strongly connected or not, the
+    # n = 5 samples of 1500 at seeds 1-3 and the families
+    digraphs = [G for n in (1, 2, 3, 4) for G in enumerate_digraphs(n)]
+    digraphs += [G for seed in (1, 2, 3)
+                 for G in enumerate_digraphs(5, sample_limit=1500, seed=seed)]
+    digraphs += [G for _, G, _ in standard_families()]
+    connected = 0
+    for G in digraphs:
+        assert G.is_strongly_connected == _fw_connected(G), G.arcs
+        connected += G.is_strongly_connected
+    assert len(digraphs) == 1 + 4 + 64 + 4096 + 4500 + len(standard_families())
+    assert 0 < connected < len(digraphs)
 
 
 def test_infinite_sentinel_ordering():

@@ -5,9 +5,13 @@ Claims checked:
   * simple, spectral and weighted excess reproduce hand values
   * the scaling substitution between the two normalizations is exact
   * projection sums respect their bounds and detect attainment
-  * subset-system validation and the masked-power consistency rule; the
-    batch and single-system sums raise the same errors (a negative index
-    included) and read duplicates, ranges, tuples and numpy ints alike
+  * subset-system validation and the masked-power consistency rule:
+    system_mask raises the errors generalized_projection_sum raises (a
+    negative index included) and reads duplicates, ranges, tuples and
+    numpy ints alike into one int, bit k (D+1) + j for j in S_k; the
+    batch sums take those ints and reject a bit past (D+1)^2, an empty
+    row or, under variant ii, a missing diagonal bit, and a batch sum of
+    masks equals the single sums of their systems
   * the weighted layers from the Perron vectors match the layers
     reweighted by the evaluated Hoffman matrix H(A)
   * the refined Perron vectors are positive integers that solve the
@@ -40,7 +44,7 @@ from dgexcess import (AnalysisContext, MatrixPowers, PerronError, build_digraph,
                       upper_projection_sum, wdr_projection_sum,
                       weighted_excess, weighted_layers)
 from dgexcess.classify import full_report
-from dgexcess.excess import system_mask
+from dgexcess.excess import _mask_subsets, system_mask
 from dgexcess.harness import standard_families
 from dgexcess.linalg import hoffman_ingredients, perron_vectors
 
@@ -198,6 +202,8 @@ def _raised(call):
 
 
 def test_batch_and_single_sums_raise_the_same_errors():
+    # a list system is validated by system_mask, which generalized_projection_sum
+    # calls and whose int projection_sum_totals takes
     ctx = ctx_for(path(4))                    # diameter 3
     D = ctx.ds.diameter
     bad = [([[0], [1], [2]], "i", "need 4 index subsets, got 3"),
@@ -211,15 +217,37 @@ def test_batch_and_single_sums_raise_the_same_errors():
     for subsets, variant, message in bad:
         single = _raised(lambda: generalized_projection_sum(
             ctx.ds, ctx.basis, subsets, variant, tables=ctx.tables))
-        batch = _raised(lambda: projection_sum_totals(
-            ctx.tables, [[[k] for k in range(D + 1)], subsets], variant))
-        assert single == batch == message
-        assert _raised(lambda: system_mask(subsets, D, variant)) == message
+        assert single == _raised(lambda: system_mask(subsets, D, variant)) == message
+    diagonal = system_mask([[k] for k in range(D + 1)], D, "ii")
+    assert _raised(lambda: projection_sum_totals(ctx.tables, [diagonal], "iii")) == \
+        "variant must be 'i' or 'ii', got 'iii'"
     # a system bad only under variant ii fails a batch that asks for ii
-    assert _raised(lambda: projection_sum_totals(
-        ctx.tables, [[[1], [1], [2], [3]]], "i", "ii")) == \
+    only_i = system_mask([[1], [1], [2], [3]], D, "i")
+    assert _raised(lambda: projection_sum_totals(ctx.tables, [diagonal, only_i],
+                                                 "i", "ii")) == \
         "variant ii needs 0 in its own subset"
-    assert projection_sum_totals(ctx.tables, [[[1], [1], [2], [3]]], "i")
+    assert projection_sum_totals(ctx.tables, [only_i], "i")
+
+
+def test_batch_sums_reject_a_mask_no_system_gives():
+    ctx = ctx_for(path(4))                    # diameter 3: 16 terms, rows of 4 bits
+    full = (1 << 16) - 1
+    past = "system mask sets a bit past the 16 terms of diameter 3"
+    bad = [(full | 1 << 16, "i", past),
+           (1 << 40 | 0b1000010000100001, "ii", past),
+           (-1, "i", past),                   # a negative int sets every high bit
+           (full & ~(0b1111 << 8), "i", "subset for layer 2 is empty"),
+           (full & ~(0b1111 << 8), "ii", "subset for layer 2 is empty"),
+           (0, "i", "subset for layer 0 is empty"),
+           (full & ~(1 << 4 + 1), "ii", "variant ii needs 1 in its own subset"),
+           (full & ~(1 << 12 + 3), "ii", "variant ii needs 3 in its own subset")]
+    for mask, variant, message in bad:
+        assert _raised(lambda: projection_sum_totals(ctx.tables, [full, mask],
+                                                     variant)) == message
+    # a missing diagonal bit is no fault under variant i alone
+    assert projection_sum_totals(ctx.tables, [full & ~(1 << 5), full & ~(1 << 15)], "i")
+    with pytest.raises(TypeError, match="system_mask int, got list"):
+        projection_sum_totals(ctx.tables, [[[0], [1], [2], [3]]], "i")
 
 
 def test_subset_spellings_give_the_same_sums():
@@ -229,15 +257,20 @@ def test_subset_spellings_give_the_same_sums():
                  [range(2), (1, 3), (0, 2), range(3, 4)],            # range, tuple
                  [np.array(S, dtype=np.int64) for S in plain],       # numpy ints
                  [[np.int32(j) for j in S] for S in plain]]
+    # bit k (D+1) + j for j in S_k
+    assert system_mask(plain, 3, "i") == sum(1 << 4 * k + j for k, S in enumerate(plain)
+                                             for j in S)
     for variant in ("i", "ii"):
         want = generalized_projection_sum(ctx.ds, ctx.basis, plain, variant,
                                           tables=ctx.tables)
-        (totals, L), = projection_sum_totals(ctx.tables, [plain] + spellings, variant)
+        masks = [system_mask(S, 3, variant) for S in [plain] + spellings]
+        assert set(masks) == {masks[0]} and all(type(m) is int for m in masks)
+        assert _mask_subsets(masks[0], 3) == plain
+        (totals, L), = projection_sum_totals(ctx.tables, masks, variant)
         assert L == want.denominator and set(totals) == {want.total_num}
         for subsets in spellings:
             assert generalized_projection_sum(ctx.ds, ctx.basis, subsets, variant,
                                               tables=ctx.tables) == want
-            assert system_mask(subsets, 3, variant) == system_mask(plain, 3, variant)
 
 
 def test_generalized_sum_bounded_on_corpus():
@@ -246,6 +279,7 @@ def test_generalized_sum_bounded_on_corpus():
     for G in corpus3():
         ctx = ctx_for(G)
         D = ctx.ds.diameter
+        systems, bounds = [], []
         for _ in range(100):
             subsets = []
             for k in range(D + 1):
@@ -253,6 +287,12 @@ def test_generalized_sum_bounded_on_corpus():
                 subsets.append(S or [rng.randrange(D + 1)])
             pb = generalized_projection_sum(ctx.ds, ctx.basis, subsets, "i")
             assert pb.holds
+            systems.append(system_mask(subsets, D, "i"))
+            bounds.append(pb)
+        # the batch sum of each system's mask is the single sum's numerator
+        (totals, L), = projection_sum_totals(ctx.tables, systems, "i")
+        assert totals == [pb.total_num for pb in bounds]
+        assert {pb.denominator for pb in bounds} == {L}
 
 
 def test_masked_power_rule():

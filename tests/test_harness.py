@@ -22,17 +22,26 @@ Claims checked:
   * check_excess_product reports a distance-regular digraph whose
     Perron value is not certified rational as one failure
   * check_projection_sums reports a per-class projection above delta_k,
-    and words failing random subset-system sums as it always has: the
-    same Fraction totals, systems and order
-  * random_subset_systems draws the same systems from the same rng as
-    its set-based form did, for D = 0..5 and both diagonal modes
+    and words failing random subset-system sums as it did when systems
+    were lists: the same Fraction totals, index lists and order
+  * random_subset_systems draws each system as one system_mask int, the
+    same ints from the same rng for D = 0..5 and both diagonal modes
+    (pinned); for D = 0..8 and 50 seeds every mask stays inside the
+    (D+1)^2 bits with no empty row and its diagonal set when forced, and
+    each bit is set about half the time
+  * a digraph draws the same systems in a process with another hash
+    seed, as verify's worker processes need
 """
 
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -190,31 +199,31 @@ def test_check_projection_sums_reports_a_per_class_excess(monkeypatch):
         "a per-class triangular projection exceeds delta_k"]
 
 
-# recorded from check_projection_sums before its random systems were summed
-# as bare integers, when each went through generalized_projection_sum
+# each failing system is worded as the index lists S_0..S_D, as it was
+# when systems were drawn as lists: fed the same systems, the list-based
+# check gave these same lines
 _INFLATED_SUM_FAILURES = {
     "directed_cycle(3)": [
-        "subset-system sum (variant i) 12 > 3 for [[0], [0, 1, 2], [0, 2]]",
+        "subset-system sum (variant i) 12 > 3 for [[0, 1], [1, 2], [0, 1, 2]]",
         "subset-system sum (variant i) 12 attains n=3: False, wdr_direct: True "
-        "for [[0], [0, 1, 2], [0, 2]]",
-        "subset-system sum (variant ii) 12 > 3 for [[0], [0, 1, 2], [0, 2]]",
+        "for [[0, 1], [1, 2], [0, 1, 2]]",
+        "subset-system sum (variant ii) 12 > 3 for [[0, 1], [1, 2], [0, 1, 2]]",
         "subset-system sum (variant ii) 12 attains n=3: False, wdr_direct: True "
-        "for [[0], [0, 1, 2], [0, 2]]",
-        "subset-system sum (variant i) 12 > 3 for [[0, 2], [0, 1, 2], [0, 1, 2]]",
+        "for [[0, 1], [1, 2], [0, 1, 2]]",
+        "subset-system sum (variant i) 12 > 3 for [[0], [1], [0, 1, 2]]",
         "subset-system sum (variant i) 12 attains n=3: False, wdr_direct: True "
-        "for [[0, 2], [0, 1, 2], [0, 1, 2]]",
-        "subset-system sum (variant ii) 12 > 3 for [[0, 2], [0, 1, 2], [0, 1, 2]]",
+        "for [[0], [1], [0, 1, 2]]",
+        "subset-system sum (variant ii) 12 > 3 for [[0], [1], [0, 1, 2]]",
         "subset-system sum (variant ii) 12 attains n=3: False, wdr_direct: True "
-        "for [[0, 2], [0, 1, 2], [0, 1, 2]]",
-        "free subset-system sum 4 > 3 for [[2], [0], [0, 2]]",
-        "free subset-system sum 12 > 3 for [[0, 1], [1], [1, 2]]"],
+        "for [[0], [1], [0, 1, 2]]",
+        "free subset-system sum 8 > 3 for [[0, 2], [0, 1], [1]]",
+        "free subset-system sum 8 > 3 for [[0], [0, 2], [0, 1, 2]]"],
     "path(3)": [
-        "subset-system sum (variant i) 51/2 > 3 for [[0, 1], [1], [0, 1, 2]]",
-        "subset-system sum (variant ii) 51/2 > 3 for [[0, 1], [1], [0, 1, 2]]",
-        "subset-system sum (variant i) 51/2 > 3 for [[0, 2], [1, 2], [1, 2]]",
-        "subset-system sum (variant ii) 51/2 > 3 for [[0, 2], [1, 2], [1, 2]]",
-        "free subset-system sum 12 > 3 for [[2], [1], [0]]",
-        "free subset-system sum 33/2 > 3 for [[2], [1], [0, 1, 2]]"],
+        "subset-system sum (variant i) 51/2 > 3 for [[0, 1, 2], [0, 1], [2]]",
+        "subset-system sum (variant ii) 51/2 > 3 for [[0, 1, 2], [0, 1], [2]]",
+        "subset-system sum (variant i) 51/2 > 3 for [[0, 1, 2], [1, 2], [0, 2]]",
+        "subset-system sum (variant ii) 51/2 > 3 for [[0, 1, 2], [1, 2], [0, 2]]",
+        "free subset-system sum 27/2 > 3 for [[0], [0, 2], [2]]"],
 }
 
 
@@ -235,13 +244,81 @@ def test_check_projection_sums_words_failing_systems_as_before(monkeypatch, labe
 
 
 def test_random_subset_systems_are_pinned():
-    # recorded from the set-comprehension form, which drew one rng.random()
-    # per j in order, then added k (or one randrange when empty)
+    # recorded from the mask drawer: one getrandbits((D+1)^2) per system,
+    # ORed with the diagonal when forced, then one randrange(D + 1) bit
+    # per row still empty, in row order
     assert random_subset_systems(2, 2, random.Random(7), True) == \
-        [[[0, 1], [0, 1, 2], [0, 2]], [[0, 1, 2], [0, 1, 2], [0, 2]]]
+        [0b110_110_101, 0b111_110_101]
     assert random_subset_systems(2, 2, random.Random(7), False) == \
-        [[[0, 1], [0, 2], [0, 2]], [[0, 1, 2], [0, 2], [0]]]
+        [0b010_100_101, 0b111_100_101]
+    # at seed 5 the second free system drew 0b010_000_010: row 1 was
+    # empty and took bit randrange(3) = 2
+    assert random_subset_systems(2, 2, random.Random(5), False) == \
+        [0b100_111_110, 0b010_100_010]
+    rng = random.Random(5)
+    assert rng.getrandbits(9) == 0b100_111_110
+    assert rng.getrandbits(9) == 0b010_000_010 and rng.randrange(3) == 2
     out = [random_subset_systems(D, 4, random.Random(seed), force_diagonal=forced)
            for D in range(6) for forced in (True, False) for seed in (0, 1, 7, 2024)]
     assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
-        "2dd07ee6a172bdfc57b96443beb9ec526013c5cc8fed64e1835ad75afb736c04"
+        "166d6d50b6ad1af9e6ec3629aebdc945bc35730e0783254bdf88291034f483d1"
+
+
+def test_random_subset_systems_are_valid_masks():
+    for D in range(9):
+        m = D + 1
+        rows = [((1 << m) - 1) << k * m for k in range(m)]
+        diagonal = sum(1 << k * m + k for k in range(m))
+        for seed in range(50):
+            for forced in (True, False):
+                masks = random_subset_systems(D, 4, random.Random(seed), forced)
+                for mask in masks:
+                    assert type(mask) is int and 0 <= mask < 1 << m * m
+                    assert all(mask & row for row in rows)
+                    assert not forced or mask & diagonal == diagonal
+    # each off-diagonal j is in S_k with probability 1/2 (a little more
+    # without the diagonal, from the bit an empty row takes)
+    for forced in (True, False):
+        masks = random_subset_systems(3, 4000, random.Random(11), forced)
+        for bit in range(16):
+            if forced and bit % 5 == 0:
+                assert all(mask >> bit & 1 for mask in masks)
+                continue
+            share = sum(mask >> bit & 1 for mask in masks) / len(masks)
+            assert 0.47 < share < 0.55, (forced, bit, share)
+
+
+_DRAW_SCRIPT = """
+import json
+from dgexcess import distance_structure, enumerate_digraphs
+from dgexcess.harness import _graph_rng, random_subset_systems
+
+def draws():
+    out = []
+    for G in list(enumerate_digraphs(4, "strongly_connected"))[::97]:
+        rng = _graph_rng(G)
+        D = distance_structure(G).diameter
+        out.append(random_subset_systems(D, 5, rng, True)
+                   + random_subset_systems(D, 2, rng, False))
+    return out
+
+if __name__ == "__main__":
+    print(json.dumps(draws()))
+"""
+
+
+def test_drawn_systems_do_not_depend_on_the_process():
+    # verify --jobs checks each digraph in whichever worker takes it, so a
+    # digraph's systems must not move with the process or its hash seed
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONHASHSEED"] = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
+    done = subprocess.run([sys.executable, "-c", _DRAW_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    script = {}
+    exec(_DRAW_SCRIPT, script)
+    here = script["draws"]()
+    assert len(here) == 17 and json.loads(done.stdout) == here
