@@ -34,7 +34,7 @@ from .classify import (Verdict, TrichotomyResult,
                        AnalysisContext, AnalysisReport, InconsistencyAlarm,
                        wdr_direct, dr_direct, dr_by_simple_set,
                        dr_by_weighted_set, geodetic_dr_check, wdr_by_projection, generalized_odd_graph_check,
-                       odd_girth_spectral, odd_girth_walks, trichotomy,
+                       odd_girth_walks, trichotomy,
                        full_report)
 from .generators import (FamilySpec, directed_cycle, complete,
                          complete_bipartite, path, hypercube, petersen,

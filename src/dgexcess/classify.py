@@ -43,7 +43,8 @@ from .orthopoly import (_hoffman_at, conjugation_polynomial,
 # The gate each gap of spectral_gaps must stay below, in full_report's
 # cross-checks and in harness.check_conjugation.
 SPECTRAL_GAP_TOL = 1e-8
-# The default tolerance of the numeric weighted track (dr_by_weighted_set).
+# The default tolerance of the numeric weighted track (dr_by_weighted_set),
+# and the one full_report compares at.
 WEIGHTED_TOL = 1e-9
 
 
@@ -330,20 +331,10 @@ def spectral_gaps(ctx: AnalysisContext):
 
 # -- Odd girth and the classification around it ------------------------------
 
-def odd_girth_spectral(traces):
-    """Smallest odd k with tr(A^k) nonzero, INFINITE when none is.
-
-    Takes the power-trace list tr(A^0..A^m); m should be at least n,
-    since a shortest odd cycle is simple.
-    """
-    for k in range(1, len(traces), 2):
-        if traces[k] != 0:
-            return k
-    return INFINITE
-
-
 def odd_girth_walks(G: Digraph):
-    """Same value as odd_girth_spectral, through boolean walk powers.
+    """The smallest odd k with tr(A^k) nonzero, INFINITE when none is,
+    through boolean walk powers; k never exceeds n, since a closed walk
+    of odd length contains a cycle of odd length.
 
     With a nonnegative adjacency matrix tr(A^k) != 0 exactly when a
     closed walk of length k exists, so reachability powers decide the
@@ -462,7 +453,7 @@ def _with_evidence(v: Verdict, **extra) -> Verdict:
     return replace(v, certificate=dict(v.certificate, **extra))
 
 
-def full_report(G: Digraph, tol: float = WEIGHTED_TOL, source=None) -> AnalysisReport:
+def full_report(G: Digraph, source=None) -> AnalysisReport:
     """Every invariant, verdict and cross-check on one digraph.
 
     Never raises for graph-shaped reasons: a disconnected input yields a
@@ -528,7 +519,7 @@ def full_report(G: Digraph, tol: float = WEIGHTED_TOL, source=None) -> AnalysisR
     wdr_v = ctx.wdr_direct
     dr_v = ctx.dr_direct
     simple_v = dr_by_simple_set(ctx)
-    weighted_v = None if weighted is None else dr_by_weighted_set(ctx, tol)
+    weighted_v = None if weighted is None else dr_by_weighted_set(ctx)
     geodetic_v = geodetic_dr_check(ctx)
     projection_v = wdr_by_projection(ctx)
 
@@ -587,5 +578,5 @@ def full_report(G: Digraph, tol: float = WEIGHTED_TOL, source=None) -> AnalysisR
     report.crosschecks = checks
     report.alarms = alarms
     # the numeric spectrum clusters at its default; the field stays null
-    report.tolerances = {"tol": tol, "cluster_tol": None, "dps": ctx.dps}
+    report.tolerances = {"tol": WEIGHTED_TOL, "cluster_tol": None, "dps": ctx.dps}
     return report

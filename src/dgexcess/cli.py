@@ -13,9 +13,9 @@ import argparse
 import sys
 import time
 
-from .classify import (WEIGHTED_TOL, InconsistencyAlarm, dr_direct,
-                       full_report, generalized_odd_graph_check,
-                       geodetic_dr_check, trichotomy, wdr_direct)
+from .classify import (InconsistencyAlarm, dr_direct, full_report,
+                       generalized_odd_graph_check, geodetic_dr_check,
+                       trichotomy, wdr_direct)
 from .digraph import (Digraph, GraphError, NotStronglyConnectedError,
                       bipartite_test, distance_structure, regularity_test)
 from .generators import FamilySpec, generate
@@ -30,8 +30,7 @@ def _load(args) -> Digraph:
 
 def _cmd_analyze(args) -> int:
     G = _load(args)
-    report = full_report(G, tol=args.tol,
-                         source={"format": args.format, "path": args.file})
+    report = full_report(G, source={"format": args.format, "path": args.file})
     sys.stdout.write(emit_report(report, "json" if args.json else "text"))
     return 0
 
@@ -121,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--format", choices=("edgelist", "adjmatrix"),
                    default="edgelist")
-    p.add_argument("--tol", type=float, default=WEIGHTED_TOL,
-                   help="numeric comparison tolerance (default %(default)g)")
     p.add_argument("--json", action="store_true",
                    help="emit the JSON report instead of text")
     p.set_defaults(fn=_cmd_analyze)

@@ -153,14 +153,6 @@ class Digraph:
         return tuple(tuple(s) for s in out)
 
     @cached_property
-    def out_degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
-
-    @cached_property
-    def in_degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=0)
-
-    @cached_property
     def is_strongly_connected(self) -> bool:
         """Every vertex reaches vertex 0 and is reached from it: one sweep
         from 0 over the out-neighbour masks and one over the in-neighbour

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, replace
 
 from .digraph import Digraph, build_digraph
-from .linalg import normality_test
 from .polynomial import _is_prime
 
 ENUMERATION_CAP_EXHAUSTIVE = 5
@@ -27,9 +26,6 @@ class FamilySpec:
     family: str
     params: tuple = ()
     lift: int = 0          # 0 means no tensor lift applied
-
-    def lifted(self, m: int) -> "FamilySpec":
-        return FamilySpec(self.family, self.params, m)
 
 
 # -- Individual families -----------------------------------------------------
@@ -216,14 +212,6 @@ def _digraph_from_code(n: int, code: int, pairs) -> Digraph:
     return Digraph(n, tuple(arcs))
 
 
-def _passes(G: Digraph, filter: str) -> bool:
-    if filter == "all":
-        return True
-    if filter == "strongly_connected":
-        return G.is_strongly_connected
-    return G.is_strongly_connected and normality_test(G.adjacency)
-
-
 def enumerate_digraphs(n: int, filter: str = "all", sample_limit=None,
                        seed: int = 0):
     """Iterator over loopless labeled digraphs on n vertices.
@@ -237,7 +225,7 @@ def enumerate_digraphs(n: int, filter: str = "all", sample_limit=None,
     """
     if n < 1:
         raise ValueError("enumeration needs n >= 1")
-    if filter not in ("all", "strongly_connected", "normal"):
+    if filter not in ("all", "strongly_connected"):
         raise ValueError(f"unknown filter {filter!r}")
     if sample_limit is not None and sample_limit < 1:
         raise ValueError(f"sample_limit must be at least 1, got {sample_limit}")
@@ -255,4 +243,4 @@ def enumerate_digraphs(n: int, filter: str = "all", sample_limit=None,
         rng = random.Random(seed)
         codes = (rng.randrange(total) for _ in range(sample_limit))
     digraphs = (_digraph_from_code(n, code, pairs) for code in codes)
-    return (G for G in digraphs if _passes(G, filter))
+    return (G for G in digraphs if filter == "all" or G.is_strongly_connected)

@@ -28,7 +28,9 @@ Quantities that live at an irrational Perron value go through mpmath at
 a working precision controlled by the ``DGEXCESS_PRECISION``
 environment variable (decimal digits, default 50), read at call time;
 the Perron vectors there are fixed-point integers, refined past that
-precision by float64 solves against exact integer residuals.
+precision by float64 solves against exact integer residuals.  At a
+rational Perron value they are column 0 and row 0 of the Hoffman
+matrix, its polynomial applied to e_0 by integer Horner.
 
 The direct oracles (classify) read their float64 products of 0/1
 distance matrices as they are, since every count there is at most
@@ -619,48 +621,42 @@ def _perron_value(A: np.ndarray, minpoly: Polynomial, dps: int, eigenvalues):
     return refine_real_root(minpoly.squarefree_part(), seed, dps)
 
 
-def _solve_m_matrix(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b exactly for a nonsingular M-matrix of Fractions held
-    as an object array.
+def hoffman_perron_vectors(A: np.ndarray, h: Polynomial, lambda0: Fraction):
+    """Right and left Perron vectors u, v at a rational lambda0, read off
+    the Hoffman polynomial h (orthopoly.HoffmanPolynomial.poly).
 
-    Every leading principal minor of such a matrix is positive, so
-    Gaussian elimination needs no pivoting and each pivot is checked to
-    be positive.  Skips the zero entries of sparse rows and columns.
+    lambda0 is a simple root of the minimal polynomial m, so h(A) is the
+    rank-one n u v^T / (v^T u): its column 0 is a positive multiple of u
+    and its row 0 one of v.  Both come from integer Horner on e_0, with
+    h's denominators cleared, and each is divided by its gcd.  A regular
+    digraph gives the all-ones vectors at once.  Both come back as
+    object arrays of positive Python integers, certified: a non-positive
+    entry, or a miss of A u = lambda0 u or A^T v = lambda0 v in exact
+    integer arithmetic, raises PerronError (a positive eigenvector of an
+    irreducible nonnegative matrix is its Perron vector).
     """
-    M, b = M.copy(), b.copy()
-    m = len(b)
-    for k in range(m):
-        p = M[k, k]
-        if not p > 0:
-            raise PerronError("Perron system has a non-positive pivot")
-        rows = k + 1 + np.flatnonzero(M[k + 1:, k] != 0)
-        if not len(rows):
-            continue
-        f = M[rows, k] / p
-        cols = k + 1 + np.flatnonzero(M[k, k + 1:] != 0)
-        if len(cols):
-            M[np.ix_(rows, cols)] -= np.outer(f, M[k, cols])
-        b[rows] -= f * b[k]
-    x = np.empty(m, dtype=object)
-    for k in range(m - 1, -1, -1):
-        acc = b[k]
-        for j in k + 1 + np.flatnonzero(M[k, k + 1:] != 0):
-            acc = acc - M[k, j] * x[j]
-        x[k] = acc / M[k, k]
-    return x
-
-
-def _exact_perron_vector(A: np.ndarray, lam: Fraction) -> np.ndarray:
-    """Right Perron vector of A at a rational lam, as Python integers."""
-    m = A.shape[0] - 1
-    M = np.array([[lam * (i == j) - int(A[i, j]) for j in range(m)]
-                  for i in range(m)], dtype=object)
-    x = _solve_m_matrix(M, np.array([Fraction(int(c)) for c in A[:-1, -1]], dtype=object))
-    scale = math.lcm(*(c.denominator for c in x))
-    x = np.array([int(c * scale) for c in x] + [scale], dtype=object)
-    if A[-1].astype(object).dot(x) != lam * scale:
-        raise PerronError("Perron vector misses the dropped equation")
-    return x
+    A = np.asarray(A)
+    n = A.shape[0]
+    if _regular_degree(A) is not None:
+        ones = np.ones(n, dtype=np.int64).astype(object)
+        return ones, ones
+    scale = math.lcm(*(Fraction(c).denominator for c in h.coeffs))
+    coeffs = [int(c * scale) for c in h.coeffs]
+    p, q = lambda0.numerator, lambda0.denominator
+    vectors = []
+    for M in (A.astype(object), A.T.astype(object)):
+        x = np.zeros(n, dtype=object)
+        x[0] = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            x = M.dot(x)
+            x[0] += c
+        if not (x > 0).all():
+            raise PerronError("Hoffman polynomial gives a non-positive Perron entry")
+        x //= math.gcd(*x)
+        if (q * M.dot(x) != p * x).any():
+            raise PerronError("Hoffman polynomial misses the Perron eigen-equation")
+        vectors.append(x)
+    return tuple(vectors)
 
 
 def _refined_perron_vector(A: np.ndarray, lam, dps: int) -> np.ndarray:
@@ -707,27 +703,20 @@ def _refined_perron_vector(A: np.ndarray, lam, dps: int) -> np.ndarray:
 
 
 def perron_vectors(A: np.ndarray, lambda0):
-    """Right and left Perron vectors u, v (A u = lambda0 u, v^T A = lambda0 v^T).
+    """Right and left Perron vectors u, v (A u = lambda0 u, v^T A = lambda0 v^T)
+    at an irrational mpf lambda0, for a non-regular digraph (a rational
+    one takes hoffman_perron_vectors).
 
     Any positive rescaling of u or v leaves u v^T / (v^T u) unchanged;
-    both come back as object arrays of positive Python integers.  A
-    regular digraph gives the all-ones vectors.  Otherwise each comes
-    from the principal (n-1) x (n-1) system of lambda0 I - A with its
-    last entry fixed; the system is nonsingular because A is irreducible
-    and nonnegative.  It is solved exactly when lambda0 is rational, and
-    otherwise by iterative refinement in fixed point to the current
-    mpmath precision plus twenty digits.  Either way the dropped n-th
-    equation is checked (exactly, or to half the digits) and a miss
+    both come back as object arrays of positive Python integers.  Each
+    comes from the principal (n-1) x (n-1) system of lambda0 I - A with
+    its last entry fixed; the system is nonsingular because A is
+    irreducible and nonnegative.  It is solved by iterative refinement
+    in fixed point to the current mpmath precision plus twenty digits;
+    the dropped n-th equation is checked to half the digits and a miss
     raises PerronError.
     """
     A = np.asarray(A)
-    n = A.shape[0]
-    if _regular_degree(A) is not None:
-        ones = np.ones(n, dtype=np.int64).astype(object)
-        return ones, ones
-    if isinstance(lambda0, (int, Fraction)):
-        lam = Fraction(lambda0)
-        return _exact_perron_vector(A, lam), _exact_perron_vector(A.T, lam)
     lam, dps = mpmath.mpf(lambda0), mpmath.mp.dps
     return _refined_perron_vector(A, lam, dps), _refined_perron_vector(A.T, lam, dps)
 

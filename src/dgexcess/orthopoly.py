@@ -13,10 +13,13 @@ spectrum, giving f(A) = A^T exactly when A is normal) and the Hoffman
 polynomial H = n S(x) / S(lambda0), with (x - lambda0) S(x) the minimal
 polynomial.  The Perron value is simple, so H(A) is the rank-one matrix
 n u v^T / (v^T u) built from the right and left Perron vectors, and the
-all-ones matrix precisely on regular digraphs.  The analysis uses the
-polynomial only for its Perron value and exactness track and never
-evaluates it at A: the weighted layers come from the Perron vectors
-(excess.weighted_layers).
+all-ones matrix precisely on regular digraphs.  The analysis never
+forms H(A): on the rational track it applies the polynomial to e_0
+alone, by integer Horner, whose column and row are the Perron vectors
+(linalg.hoffman_perron_vectors); on the irrational track it reads only
+the Perron value, and the vectors come from a refined solve
+(linalg.perron_vectors).  The weighted layers are sums over those
+vectors (excess.weighted_layers).
 """
 
 from __future__ import annotations

@@ -55,14 +55,6 @@ class Polynomial:
     def zero(cls) -> "Polynomial":
         return cls(())
 
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((Fraction(1),))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=Fraction(1)) -> "Polynomial":
-        return cls((0,) * degree + (coeff,))
-
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -73,10 +65,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
@@ -283,9 +271,6 @@ class Polynomial:
             q = _exact_quotient(f, h)
             if q is not None and _exact_quotient(df, h) is not None:
                 return Polynomial(tuple(Fraction(c, q[-1]) for c in q))
-
-    def map_coefficients(self, fn) -> "Polynomial":
-        return Polynomial(tuple(fn(c) for c in self.coeffs))
 
 
 # -- Modular square-free part --------------------------------------------------

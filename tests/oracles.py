@@ -178,6 +178,85 @@ def naive_excess_pair(n, arcs):
     return prime_d ** 2 / delta_d, norms[d]
 
 
+# -- Perron vectors and weighted layers --------------------------------------
+
+def null_vector(M):
+    """The null vector of a square rational matrix of nullity one, by
+    Gauss-Jordan elimination on sparse Fraction rows (dicts of the
+    nonzero entries) with its free coordinate set to 1; raises
+    AssertionError on any other nullity.  Each pivot row is the one with
+    the fewest nonzero entries, so a star's leaf rows fill little in."""
+    n = len(M)
+    rows = [{j: Fraction(c) for j, c in enumerate(row) if c} for row in M]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        candidates = [i for i in range(r, n) if c in rows[i]]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: len(rows[i]))
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot = rows[r][c]
+        rows[r] = {j: x / pivot for j, x in rows[r].items()}
+        for i in range(n):
+            if i != r and c in rows[i]:
+                f = rows[i][c]
+                for j, y in rows[r].items():
+                    x = rows[i].get(j, 0) - f * y
+                    if x:
+                        rows[i][j] = x
+                    else:
+                        del rows[i][j]
+        pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise AssertionError(f"nullity {len(free)}, not one")
+    x = [Fraction(0)] * n
+    x[free[0]] = Fraction(1)
+    for i, c in enumerate(pivots):
+        x[c] = -rows[i].get(free[0], 0)
+    return x
+
+
+def perron_vectors(A, lam):
+    """Right and left Perron vectors of the 0/1 matrix A at the rational
+    lam, the null vectors of lam I - A and lam I - A^T; raises
+    AssertionError unless both are positive, which certifies lam as the
+    Perron value of an irreducible A."""
+    n = len(A)
+    out = []
+    for M in (A, [list(col) for col in zip(*A)]):
+        x = null_vector([[lam * (i == j) - M[i][j] for j in range(n)] for i in range(n)])
+        if x[0] < 0:
+            x = [-c for c in x]
+        if not all(c > 0 for c in x):
+            raise AssertionError(f"{lam} has no positive eigenvector")
+        out.append(x)
+    return tuple(out)
+
+
+def naive_weighted_layers(n, arcs, lam):
+    """delta~_k = (1/n) sum H_xy^2 and <A~_k, A^k> = (1/n) sum H_xy N_xy
+    over dist(x, y) = k, with H = n u v^T / (v^T u) from the Perron
+    vectors at the rational Perron value lam and N_xy the enumerated
+    geodesic counts."""
+    A = [[0] * n for _ in range(n)]
+    for a, b in arcs:
+        A[a][b] = 1
+    u, v = perron_vectors(A, Fraction(lam))
+    vu = sum(x * y for x, y in zip(u, v))
+    dist = fw_distances(n, arcs)
+    D = max(x for row in dist for x in row)
+    delta, prime = [Fraction(0)] * (D + 1), [Fraction(0)] * (D + 1)
+    for x in range(n):
+        for y in range(n):
+            h = n * u[x] * v[y] / vu
+            k = dist[x][y]
+            delta[k] += h * h / n
+            prime[k] += h * count_geodesics(n, arcs, x, y, dist) / n
+    return tuple(delta), tuple(prime)
+
+
 # -- Cycle search ------------------------------------------------------------
 
 def brute_cycles(n, arcs):

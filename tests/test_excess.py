@@ -14,9 +14,14 @@ Claims checked:
     masks equals the single sums of their systems
   * the weighted layers from the Perron vectors match the layers
     reweighted by the evaluated Hoffman matrix H(A)
+  * on the exact track they equal the layers from an independent
+    Fraction null-vector oracle (no Hoffman polynomial), on every
+    strongly connected digraph with n <= 4 and on stars up to K_{1,100}
   * the refined Perron vectors are positive integers that solve the
     full eigenproblem to the working precision, and a perturbed Perron
-    value fails the dropped equation
+    value fails the dropped equation; on the exact track a polynomial
+    other than the Hoffman polynomial, or the wrong Perron value, fails
+    the positivity or eigen-equation check
   * an irrational Perron value with a large division remainder in
     absolute terms still passes the Hoffman residual gate, which is
     sized from the precision the caller works at
@@ -46,7 +51,8 @@ from dgexcess import (AnalysisContext, MatrixPowers, PerronError, build_digraph,
 from dgexcess.classify import full_report
 from dgexcess.excess import _mask_subsets, system_mask
 from dgexcess.harness import standard_families
-from dgexcess.linalg import hoffman_ingredients, perron_vectors
+from dgexcess.linalg import hoffman_ingredients, hoffman_perron_vectors, perron_vectors
+from dgexcess.polynomial import Polynomial
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -367,6 +373,25 @@ def test_weighted_layers_exact_equal_hoffman_route():
         assert all(type(x) is Fraction for x in W.delta + W.delta_prime)
 
 
+def test_weighted_layers_exact_equal_perron_oracle():
+    # the oracle reads no Hoffman polynomial, which hoffman_route shares
+    graphs = [G for n in range(1, 5) for G in enumerate_digraphs(n, "strongly_connected")]
+    graphs += [complete_bipartite(a, b)
+               for a, b in ((1, 4), (1, 9), (2, 8), (3, 12), (1, 100))]
+    exact = non_regular = 0
+    for G in graphs:
+        ctx = ctx_for(G)
+        if not ctx.hoffman.exact:
+            continue
+        exact += 1
+        non_regular += not regularity_test(G)[0]
+        W = ctx.weighted
+        assert W.exact
+        want = oracles.naive_weighted_layers(G.n, G.arcs, ctx.hoffman.lambda0_exact)
+        assert (W.delta, W.delta_prime) == want, G
+    assert (exact, non_regular) == (189 + 5, 168 + 5)
+
+
 def test_weighted_layers_integer_perron_non_regular():
     # symmetric stars with a square number of leaves have an integer
     # Perron value but non-constant Perron vectors
@@ -434,12 +459,18 @@ def test_refined_perron_vectors_solve_the_eigenproblem(monkeypatch, precision):
 
 
 def test_perturbed_perron_value_misses_the_dropped_equation():
-    # the star K_{1,4} has Perron value 2; at 3 the principal system
-    # still has a positive solution, which only row n refutes
+    # the star K_{1,4} has Perron value 2 and Hoffman polynomial
+    # 5 (x^2 + 2x) / 8, whose column 0 at A is (5/2, 5/4, 5/4, 5/4, 5/4)
+    hp = ctx_for(complete_bipartite(1, 4)).hoffman
     A = complete_bipartite(1, 4).adjacency
-    perron_vectors(A, Fraction(2))
-    with pytest.raises(PerronError):
-        perron_vectors(A, Fraction(3))
+    u, v = hoffman_perron_vectors(A, hp.poly, hp.lambda0_exact)
+    assert list(u) == list(v) == [2, 1, 1, 1, 1]
+    # 1 gives e_0, not positive; 1 + x and H + 1 give positive vectors
+    # that miss A u = 2 u; at 3 the true column misses it too
+    for h, lam in ((Polynomial((1,)), 2), (Polynomial((1, 1)), 2),
+                   (hp.poly + Polynomial((1,)), 2), (hp.poly, 3)):
+        with pytest.raises(PerronError):
+            hoffman_perron_vectors(A, h, Fraction(lam))
     for G in (path(40), random_non_regular(36, 126, seed=1)):
         hp = ctx_for(G).hoffman
         with mpmath.workdps(hp.dps):

@@ -2,8 +2,10 @@
 
 Claims checked:
   * enumeration counts, order and sampling determinism
-  * enumeration caps, and an unknown filter or a sample_limit below 1
-    rejected at the call
+  * enumeration caps, and an unknown filter (the retired "normal" one
+    included) or a sample_limit below 1 rejected at the call;
+    normality_test keeps the six normal strongly connected digraphs on
+    3 vertices
   * hand counts: 4 digraphs on 2 vertices, 1 strongly connected; the
     n = 3 strongly connected count matches an independent DFS recount
   * family validation errors (Paley order, circulant connection sets,
@@ -20,7 +22,6 @@ from dgexcess import (Digraph, FamilySpec, build_digraph, circulant, complete,
                       enumerate_digraphs, from_arcs, generate, hypercube,
                       kneser_odd_graph, paley_tournament, path, petersen,
                       tensor_lift)
-from dgexcess.digraph import strong_connectivity
 from dgexcess.linalg import normality_test
 
 
@@ -94,9 +95,17 @@ def test_enumeration_caps():
 
 
 def test_normal_filter():
-    for G in enumerate_digraphs(3, "normal"):
-        assert strong_connectivity(G)
-        assert normality_test(G.adjacency)
+    # "normal" is no filter of the enumeration; normality_test filters
+    # the strongly connected digraphs instead, and on 3 vertices keeps
+    # the two directed triangles and the four connected symmetric ones
+    with pytest.raises(ValueError, match="unknown filter"):
+        enumerate_digraphs(3, "normal")
+    normal = [G for G in enumerate_digraphs(3, "strongly_connected")
+              if normality_test(G.adjacency)]
+    symmetric = [G for G in normal if (G.adjacency == G.adjacency.T).all()]
+    assert len(normal) == 6 and len(symmetric) == 4
+    assert {G.arcs for G in normal} - {G.arcs for G in symmetric} == {
+        ((0, 1), (1, 2), (2, 0)), ((0, 2), (1, 0), (2, 1))}
 
 
 # -- Families ----------------------------------------------------------------
@@ -107,7 +116,7 @@ def test_basic_shapes():
     assert complete_bipartite(2, 3).n == 5
     assert len(path(4).arcs) == 6
     Q3 = hypercube(3)
-    assert Q3.n == 8 and all(d == 3 for d in Q3.out_degrees)
+    assert Q3.n == 8 and (Q3.adjacency.sum(axis=1) == 3).all()
     assert petersen().arcs == kneser_odd_graph(3).arcs
     assert kneser_odd_graph(2).n == 3          # O_2 is the triangle
 
@@ -143,8 +152,8 @@ def test_tensor_lift_contract():
     inner = directed_cycle(3)
     lifted = tensor_lift(inner, 3)
     assert lifted.n == 9
-    assert all(d == 3 for d in lifted.out_degrees)
-    assert all(d == 3 for d in lifted.in_degrees)
+    assert (lifted.adjacency.sum(axis=1) == 3).all()
+    assert (lifted.adjacency.sum(axis=0) == 3).all()
     assert distance_structure(lifted).diameter == 3
     with pytest.raises(ValueError):
         tensor_lift(inner, 1)

@@ -15,7 +15,8 @@ Claims checked:
   * integers past the split size print by halving, with the digits
     decimal.Decimal prints, around the split and up to 200,000 bits
   * CLI subcommands and their exit-code contract (0 holds, 1 fails,
-    2 error or internal inconsistency)
+    2 error or internal inconsistency); analyze takes no --tol, and
+    its report prints the fixed 1e-09
   * verify ends with the corpus digraphs checked per second
 """
 
@@ -254,6 +255,18 @@ def test_cli_analyze_json(tmp_path, capsys):
     assert main(["analyze", f, "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["verdicts"]["dr"]["decision"] is True
+
+
+def test_cli_analyze_takes_no_tolerance(tmp_path, capsys):
+    # the numeric weighted track compares at WEIGHTED_TOL, which the
+    # report prints as tolerances.tol; no option sets another
+    f = _write(tmp_path, "p3.edges", digraph_to_edgelist(path(3)))
+    with pytest.raises(SystemExit) as e:
+        main(["analyze", f, "--tol", "1"])
+    assert e.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert main(["analyze", f, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"]["tol"] == 1e-9
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):
